@@ -83,6 +83,9 @@ def _load_config(path: str) -> tuple[TrainConfig, dict, dict, dict]:
         errors.append("simulation.horizon_steps: must be positive")
     if sim["dt"] <= 0:
         errors.append("simulation.dt: must be positive")
+    limit = sim["max_trajectory_files"]
+    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
+        errors.append("simulation.max_trajectory_files: must be a non-negative integer")
     if lvl["resolution"] < 2:
         errors.append("levelset.resolution: must be at least 2")
     if len(lvl["free_axes"]) != 2 or lvl["free_axes"][0] == lvl["free_axes"][1]:
@@ -241,8 +244,7 @@ def cmd_simulate(args) -> int:
             writer.writerow([i, ro.status.value, ro.states.shape[0] - 1,
                              repr(float(np.min(ro.h_values)))])
     if sim["emit_trajectories"]:
-        limit = int(sim["max_trajectory_files"])
-        for i, ro in enumerate(rollouts[:limit]):
+        for i, ro in enumerate(rollouts[:sim["max_trajectory_files"]]):
             rollout_to_csv(ro, out / f"trajectory_{i:04d}.csv")
     print(f"safety rate {rate:.4f} over {sim['n_rollouts']} rollouts; "
           f"counts: {dict(counts)}")
@@ -270,6 +272,10 @@ def cmd_levelset(args) -> int:
     if len(fixed) != system.n:
         print(f"error: levelset.fixed_values needs {system.n} entries",
               file=_sys.stderr)
+        return 1
+    if not all(0 <= int(i) < system.n for i in lvl["free_axes"]):
+        print(f"error: levelset.free_axes {lvl['free_axes']} outside state "
+              f"dimension {system.n}", file=_sys.stderr)
         return 1
     spec = SliceSpec(free_axes=tuple(int(i) for i in lvl["free_axes"]),
                      fixed_values=tuple(float(v) for v in fixed),

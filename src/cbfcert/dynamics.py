@@ -60,14 +60,6 @@ class ControlAffineSystem:
         return bool(inside[0]) if single else inside
 
 
-def eval_f(sys: ControlAffineSystem, x) -> np.ndarray:
-    return sys.f(np.asarray(x, dtype=float))
-
-
-def eval_g(sys: ControlAffineSystem, x) -> np.ndarray:
-    return sys.g(np.asarray(x, dtype=float))
-
-
 def closed_loop_field(sys: ControlAffineSystem, x, u) -> np.ndarray:
     """f(x) + g(x) u, for a single state or a batch of states."""
     x = np.asarray(x, dtype=float)

@@ -41,8 +41,18 @@ class Rollout:
     status: RolloutStatus
 
 
+class NonFiniteStepError(FloatingPointError):
+    """An RK4 step left the finite reals; `row` is the first offending row
+    of the batch (0 for a single state)."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
 def rk4_step(sys: ControlAffineSystem, x, u, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of f(x) + g(x) u with u held constant."""
+    """One classical Runge-Kutta step of f(x) + g(x) u with u held constant,
+    for a single state (n,) or a batch (B, n) with inputs (B, m)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
@@ -53,60 +63,71 @@ def rk4_step(sys: ControlAffineSystem, x, u, dt: float) -> np.ndarray:
     k4 = closed_loop_field(sys, x + dt * k3, u)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
-        raise FloatingPointError(f"non-finite state after RK4 step from {x}")
+        row = int(np.argmin(np.all(np.isfinite(np.atleast_2d(out)), axis=1)))
+        raise NonFiniteStepError(
+            row, f"non-finite state after RK4 step from {np.atleast_2d(x)[row]}")
     return out
 
 
-def _wrap_angles(sys: ControlAffineSystem, x: np.ndarray) -> np.ndarray:
-    for dim in sys.angle_dims:
-        x[dim] = np.mod(x[dim] + np.pi, 2.0 * np.pi) - np.pi
-    return x
-
-
 def rollout(sys: ControlAffineSystem, filt: SafetyFilter, x0, horizon_steps: int,
-            dt: float) -> Rollout:
-    """Filter, step, repeat; stops early on unsafe entry, filter
-    infeasibility, or domain exit. Failure modes land in the status field
-    rather than raising."""
-    x = np.asarray(x0, dtype=float).copy()
-    states = [x.copy()]
-    inputs: list[np.ndarray] = []
-    h_vals = [float(forward_batch(filt.certificate, x[None, :])[0])]
-    actives: list[bool] = []
-    slacks: list[float] = []
-    status = RolloutStatus.COMPLETED
-    for _ in range(horizon_steps):
-        if sys.label(x) == Label.UNSAFE:
-            status = RolloutStatus.ENTERED_UNSAFE
+            dt: float) -> Rollout | list[Rollout]:
+    """Filter, step, repeat, from one start (n,) or, in lock step, from a
+    batch of starts (B, n); returns a Rollout or a list of them.
+
+    Each step checks the live rollouts for unsafe entry, then domain exit,
+    then filter infeasibility, and stops those that fail; the final states
+    get the first two checks too. Failure modes land in the status field
+    rather than raising; a non-finite state raises FloatingPointError
+    naming its start.
+    """
+    starts = np.asarray(x0, dtype=float)
+    x = np.atleast_2d(starts).copy()
+    count = x.shape[0]
+    states = np.empty((count, horizon_steps + 1, sys.n))
+    inputs = np.empty((count, horizon_steps, sys.m))
+    h_vals = np.empty((count, horizon_steps + 1))
+    active = np.empty((count, horizon_steps), dtype=bool)
+    slack = np.empty((count, horizon_steps))
+    states[:, 0] = x
+    h_vals[:, 0] = forward_batch(filt.certificate, x)
+    status = [RolloutStatus.COMPLETED] * count
+    steps = np.full(count, horizon_steps)
+    live = np.arange(count)
+    angles = list(sys.angle_dims)
+
+    def retire(stop, why):
+        nonlocal live, x
+        for i in live[stop]:
+            status[i], steps[i] = why, k
+        live, x = live[~stop], x[~stop]
+
+    for k in range(horizon_steps + 1):
+        retire(sys.label_batch(x) == Label.UNSAFE, RolloutStatus.ENTERED_UNSAFE)
+        retire(~sys.contains(x), RolloutStatus.EXITED_DOMAIN)
+        if k == horizon_steps or not live.size:
             break
-        if not sys.contains(x):
-            status = RolloutStatus.EXITED_DOMAIN
+        decision = filt.batch_decide(x)
+        ok = decision.feasible
+        retire(~ok, RolloutStatus.FILTER_INFEASIBLE)
+        if not live.size:
             break
-        decision = filt.batch_decide(x[None, :])
-        if not decision.feasible[0]:
-            status = RolloutStatus.FILTER_INFEASIBLE
-            break
-        u = decision.inputs[0]
-        actives.append(bool(decision.active[0]))
-        slacks.append(float(decision.slack[0]))
-        x = _wrap_angles(sys, rk4_step(sys, x, u, dt))
-        states.append(x.copy())
-        inputs.append(u)
-        h_vals.append(float(forward_batch(filt.certificate, x[None, :])[0]))
-    else:
-        if sys.label(x) == Label.UNSAFE:
-            status = RolloutStatus.ENTERED_UNSAFE
-        elif not sys.contains(x):
-            status = RolloutStatus.EXITED_DOMAIN
-    return Rollout(
-        states=np.asarray(states),
-        inputs=np.asarray(inputs).reshape(len(inputs), sys.m),
-        h_values=np.asarray(h_vals),
-        filter_active=np.asarray(actives, dtype=bool),
-        filter_slack=np.asarray(slacks),
-        dt=dt,
-        status=status,
-    )
+        u = decision.inputs[ok]
+        inputs[live, k], active[live, k], slack[live, k] = (
+            u, decision.active[ok], decision.slack[ok])
+        try:
+            x = rk4_step(sys, x, u, dt)
+        except NonFiniteStepError as exc:
+            raise FloatingPointError(
+                f"rollout from start {live[exc.row]}, step {k}: {exc}") from None
+        x[:, angles] = np.mod(x[:, angles] + np.pi, 2.0 * np.pi) - np.pi
+        states[live, k + 1] = x
+        h_vals[live, k + 1] = forward_batch(filt.certificate, x)
+    out = [Rollout(states=states[i, :s + 1].copy(), inputs=inputs[i, :s].copy(),
+                   h_values=h_vals[i, :s + 1].copy(),
+                   filter_active=active[i, :s].copy(),
+                   filter_slack=slack[i, :s].copy(), dt=dt, status=status[i])
+           for i, s in enumerate(steps)]
+    return out[0] if starts.ndim == 1 else out
 
 
 def sample_safe_starts(sys: ControlAffineSystem, count: int,
@@ -126,18 +147,12 @@ def empirical_safety_rate(sys: ControlAffineSystem, filt: SafetyFilter,
     if n_rollouts < 1:
         raise ValueError("n_rollouts must be >= 1")
     starts = sample_safe_starts(sys, n_rollouts, np.random.default_rng([seed, 5]))
-    counts: Counter = Counter()
-    rollouts = []
-    failures = 0
-    for x0 in starts:
-        ro = rollout(sys, filt, x0, horizon_steps, dt)
-        counts[ro.status.value] += 1
-        rollouts.append(ro)
-        failed = ro.status in (RolloutStatus.ENTERED_UNSAFE,
-                               RolloutStatus.FILTER_INFEASIBLE)
-        if sys.domain_exit_unsafe and ro.status == RolloutStatus.EXITED_DOMAIN:
-            failed = True
-        failures += int(failed)
+    rollouts = rollout(sys, filt, starts, horizon_steps, dt)
+    counts = Counter(ro.status.value for ro in rollouts)
+    failed = {RolloutStatus.ENTERED_UNSAFE, RolloutStatus.FILTER_INFEASIBLE}
+    if sys.domain_exit_unsafe:
+        failed.add(RolloutStatus.EXITED_DOMAIN)
+    failures = sum(ro.status in failed for ro in rollouts)
     return 1.0 - failures / n_rollouts, counts, rollouts
 
 

@@ -280,3 +280,33 @@ def test_unknown_simulation_key_rejected(tmp_path):
     code = main(["train", "--config", str(config), "--out", str(tmp_path / "x")])
     assert code == 1
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("limit", [-1, 2.5, True])
+def test_trajectory_limit_must_be_a_non_negative_integer(tmp_path, capsys, limit):
+    from cbfcert import mlp
+
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
+    config = tiny_dubins_config(
+        tmp_path, simulation={"n_rollouts": 3, "horizon_steps": 5,
+                              "max_trajectory_files": limit})
+    code = main(["simulate", "--config", str(config), "--cert", str(cert_path),
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert not (tmp_path / "x").exists()
+    assert "simulation.max_trajectory_files" in capsys.readouterr().err
+
+
+def test_levelset_axes_outside_state_dimension_rejected(tmp_path, capsys):
+    from cbfcert import mlp
+
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
+    config = tiny_dubins_config(tmp_path, levelset={"free_axes": [0, 5],
+                                                    "resolution": 2})
+    code = main(["levelset", "--config", str(config), "--cert", str(cert_path),
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert not (tmp_path / "x").exists()
+    assert capsys.readouterr().err.startswith("error: levelset.free_axes")

@@ -4,10 +4,10 @@ import pytest
 from cbfcert import mlp
 from cbfcert.controller import SafetyFilter
 from cbfcert.dynamics import (ControlAffineSystem, GRAVITY, dubins_system,
-                              planar_aerial_system)
+                              planar_aerial_system, quadruped_system)
 from cbfcert.simulator import (Rollout, RolloutStatus, SliceSpec,
                                empirical_safety_rate, levelset_grid, rk4_step,
-                               rollout, sample_safe_starts)
+                               rollout, rollout_to_csv, sample_safe_starts)
 
 from toy import analytic_toy_barrier, toy_system
 
@@ -211,3 +211,90 @@ def test_rollout_records_filter_decisions(tmp_path):
     rollout_to_csv(ro, path)
     header = path.read_text().splitlines()[0]
     assert header.endswith("h,constraint_active,constraint_slack")
+
+
+def lock_step_matches_one_at_a_time(sys_, filt, starts, horizon, dt):
+    """Run the starts as one batch and one at a time; the batch must agree
+    up to the last-ulp differences of batched BLAS products."""
+    batch = rollout(sys_, filt, starts, horizon, dt)
+    assert isinstance(batch, list) and len(batch) == len(starts)
+    for x0, ro in zip(starts, batch):
+        one = rollout(sys_, filt, x0, horizon, dt)
+        assert isinstance(one, Rollout)
+        assert ro.status == one.status
+        assert ro.states.shape == one.states.shape
+        assert ro.inputs.shape == one.inputs.shape
+        np.testing.assert_allclose(ro.states, one.states, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ro.inputs, one.inputs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ro.h_values, one.h_values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ro.filter_slack, one.filter_slack, rtol=0,
+                                   atol=1e-12)
+        assert np.array_equal(ro.filter_active, one.filter_active)
+    return batch
+
+
+def test_lock_step_matches_one_at_a_time_every_status(tmp_path):
+    sys_ = dubins_system()
+
+    def steer(xs):
+        # a state-dependent reference, so that rows' inputs differ
+        return np.stack([np.ones(len(xs)), np.clip(xs[:, 0] * xs[:, 1], -1, 1)],
+                        axis=1)
+
+    filt = SafetyFilter(certificate=mlp.init_certificate([3, 16, 1], seed=5),
+                        system=sys_, respect_input_bounds=True,
+                        reference_policy=steer)
+    # the origin is unsafe, so that rollout stops at step 0 amid full ones
+    starts = np.vstack([np.zeros(3),
+                        sample_safe_starts(sys_, 12, np.random.default_rng(5))])
+    batch = lock_step_matches_one_at_a_time(sys_, filt, starts, 80, 0.02)
+    assert {ro.status for ro in batch} == set(RolloutStatus)
+    stopped = batch[0]
+    assert stopped.status == RolloutStatus.ENTERED_UNSAFE
+    assert stopped.states.shape == (1, 3) and stopped.inputs.shape == (0, 2)
+    completed = next(ro for ro in batch if ro.status == RolloutStatus.COMPLETED)
+    assert completed.states.shape == (81, 3) and completed.inputs.shape == (80, 2)
+    # a rollout that never stepped has no input columns at all
+    for ro, inputs in ((stopped, []), (completed, ["u0", "u1"])):
+        path = tmp_path / "traj.csv"
+        rollout_to_csv(ro, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert rows[0] == ["t", "x0", "x1", "x2", *inputs, "h",
+                           "constraint_active", "constraint_slack"]
+        assert len(rows) == ro.states.shape[0] + 1
+        assert rows[-1][4:4 + len(inputs)] == [""] * len(inputs)
+        assert rows[-1][-2:] == ["", ""]
+
+
+def test_lock_step_matches_one_at_a_time_quadruped():
+    sys_ = quadruped_system()
+    filt = SafetyFilter(certificate=mlp.init_certificate([8, 16, 1], seed=2),
+                        system=sys_, respect_input_bounds=True)
+    starts = sample_safe_starts(sys_, 12, np.random.default_rng(2))
+    batch = lock_step_matches_one_at_a_time(sys_, filt, starts, 80, 0.02)
+    assert {RolloutStatus.COMPLETED, RolloutStatus.EXITED_DOMAIN} <= {
+        ro.status for ro in batch}
+
+
+def test_lock_step_matches_one_at_a_time_infeasible_toy():
+    sys_ = toy_system()
+    filt = SafetyFilter(certificate=constant_cert(1, -1.0), system=sys_,
+                        respect_input_bounds=True)
+    batch = lock_step_matches_one_at_a_time(
+        sys_, filt, np.array([[0.2], [-0.5], [1.8]]), 10, 0.05)
+    assert [ro.status for ro in batch] == [RolloutStatus.FILTER_INFEASIBLE] * 2 + [
+        RolloutStatus.ENTERED_UNSAFE]
+
+
+def test_rollout_non_finite_state_names_its_start():
+    base = zero_dynamics_system()
+    sys_ = ControlAffineSystem(
+        name="blowup", n=1, m=1,
+        f=lambda x: np.where(x > 0.5, 1e308, 0.0), g=base.g,
+        state_bounds=base.state_bounds, input_bounds=None,
+        label_batch=base.label_batch, reference_policy=base.reference_policy,
+    )
+    filt = SafetyFilter(certificate=constant_cert(1, 1.0), system=sys_)
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
+                                                   match="start 2"):
+        rollout(sys_, filt, np.array([[0.1], [0.2], [0.9]]), 5, 0.05)
