@@ -85,17 +85,18 @@ def violation_terms(cert: MlpCertificate, sys: ControlAffineSystem, u, x,
 
 
 def _control_decisions(controller, xs):
-    """(inputs, exact_slack_or_None) for a batch of states.
+    """(inputs, exact_slack_or_None, h_or_None) for a batch of states.
 
     SafetyFilter-like controllers expose batch_decide and report the
-    constraint slack in closed form; plain callables map states to inputs
-    and the decrease term is then evaluated from inner products.
+    constraint slack in closed form, with the barrier values they built it
+    from; plain callables map states to inputs and the decrease term is
+    then evaluated from inner products.
     """
     decide = getattr(controller, "batch_decide", None)
     if decide is not None:
         batch = decide(xs)
-        return batch.inputs, batch.slack
-    return np.asarray(controller(xs), dtype=float), None
+        return batch.inputs, batch.slack, batch.h
+    return np.asarray(controller(xs), dtype=float), None, None
 
 
 def _controller_system(controller, sys):
@@ -139,7 +140,7 @@ def _loss_value_parts(cert, datasets, controller, weights, sys):
     sys = _controller_system(controller, sys)
     h_safe = forward_batch(cert, datasets.safe)
     h_unsafe = forward_batch(cert, datasets.unsafe)
-    inputs, slack = _control_decisions(controller, datasets.domain)
+    inputs, slack, _ = _control_decisions(controller, datasets.domain)
     q3, _ = _decrease_scores(cert, sys, datasets.domain, inputs, slack,
                              weights.kappa_gain)
     l1 = float(np.mean(np.maximum(0.0, -h_safe - weights.psi)))
@@ -163,7 +164,7 @@ def total_loss_and_gradient(cert: MlpCertificate, datasets: TrainingDatasets,
     if min(ns, nu, nd) == 0:
         raise EmptyBucketError("all three dataset buckets must be nonempty")
     sys = _controller_system(controller, sys)
-    inputs, slack = _control_decisions(controller, datasets.domain)
+    inputs, slack, _ = _control_decisions(controller, datasets.domain)
     q3_exact, dirs = _decrease_scores(cert, sys, datasets.domain, inputs, slack,
                                       weights.kappa_gain)
     xs = np.concatenate([datasets.safe, datasets.unsafe, datasets.domain], axis=0)
@@ -299,9 +300,10 @@ def score_states(cert: MlpCertificate, sys: ControlAffineSystem, controller,
     """Conformal scores for a batch: max over the active condition terms."""
     xs = np.asarray(xs, dtype=float)
     labels = sys.label_batch(xs)
-    inputs, slack = _control_decisions(controller, xs)
+    inputs, slack, h = _control_decisions(controller, xs)
     q3, _ = _decrease_scores(cert, sys, xs, inputs, slack, weights.kappa_gain)
-    h = forward_batch(cert, xs)
+    if h is None:
+        h = forward_batch(cert, xs)
     if not np.all(np.isfinite(h)) or not np.all(np.isfinite(q3)):
         raise FloatingPointError("non-finite score while sampling the state space")
     scores = np.array(q3, copy=True)

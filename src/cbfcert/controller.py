@@ -53,12 +53,14 @@ class SafetyFilter:
 @dataclass
 class FilterBatch:
     """Vectorized filter results: inputs, exact constraint slack a.u - b,
-    whether the constraint was binding, and per-state feasibility."""
+    whether the constraint was binding, per-state feasibility, and the
+    barrier values the constraint was built from."""
 
     inputs: np.ndarray     # (B, m)
     slack: np.ndarray      # (B,)
     active: np.ndarray     # (B,) bool
     feasible: np.ndarray   # (B,) bool
+    h: np.ndarray          # (B,) barrier value at each state
 
 
 def constraint_coefficients(filt: SafetyFilter, x) -> tuple[np.ndarray, float]:
@@ -168,7 +170,7 @@ def filter_batch(filt: SafetyFilter, xs) -> FilterBatch:
     b_all = -np.einsum("bn,bn->b", grads, f) - filt.kappa_gain * h
     refs = np.asarray(filt.reference_policy(xs), dtype=float)
     if _box_bounds(filt) is None:
-        return _batch_unbounded(refs, a_all, b_all, filt.correction_cap)
+        return _batch_unbounded(refs, a_all, b_all, filt.correction_cap, h)
     n_pts = xs.shape[0]
     inputs = np.empty((n_pts, filt.system.m))
     slack = np.empty(n_pts)
@@ -178,10 +180,11 @@ def filter_batch(filt: SafetyFilter, xs) -> FilterBatch:
         inputs[i], slack[i], active[i], feasible[i] = _decide(
             filt, refs[i], a_all[i], b_all[i]
         )
-    return FilterBatch(inputs=inputs, slack=slack, active=active, feasible=feasible)
+    return FilterBatch(inputs=inputs, slack=slack, active=active, feasible=feasible,
+                       h=h)
 
 
-def _batch_unbounded(refs, a_all, b_all, cap) -> FilterBatch:
+def _batch_unbounded(refs, a_all, b_all, cap, h) -> FilterBatch:
     # array form of _solve_unbounded; must stay decision-identical to it
     r = np.einsum("bm,bm->b", a_all, refs)
     viol = b_all - r
@@ -203,4 +206,4 @@ def _batch_unbounded(refs, a_all, b_all, cap) -> FilterBatch:
             corr[over] *= shrink[:, None]
             slack[over] = (shrink - 1.0) * viol[over]
     return FilterBatch(inputs=refs + corr, slack=slack, active=active,
-                       feasible=feasible)
+                       feasible=feasible, h=h)

@@ -36,19 +36,36 @@ def softplus(z: np.ndarray) -> np.ndarray:
     # ln(1+e^z) with linear/exponential tails to avoid overflow; the
     # switch at |z|=30 is below the 64-bit rounding error of the exact
     # form. Non-finite inputs must propagate, not collapse to a tail.
+    # Computed in place into an explicit buffer, so that 0-d input stays a
+    # 0-d array; the tails are written only when some element needs one.
     z = np.asarray(z, dtype=float)
-    out = np.log1p(np.exp(np.clip(z, -_SOFTPLUS_CUTOFF, _SOFTPLUS_CUTOFF)))
-    out = np.where(z > _SOFTPLUS_CUTOFF, z, out)
-    return np.where(z < -_SOFTPLUS_CUTOFF, np.exp(np.minimum(z, 0.0)), out)
+    out = np.clip(z, -_SOFTPLUS_CUTOFF, _SOFTPLUS_CUTOFF, out=np.empty_like(z))
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    upper = z > _SOFTPLUS_CUTOFF
+    if upper.any():
+        np.copyto(out, z, where=upper)
+    lower = z < -_SOFTPLUS_CUTOFF
+    if lower.any():
+        np.copyto(out, np.exp(np.minimum(z, 0.0)), where=lower)
+    return out
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, from one e = exp(-|z|):
+    # the same operands, hence the same bits, as evaluating the two
+    # branches separately. -|z| is minimum(z, -z), which returns a NaN z
+    # itself and so keeps its sign bit, as exp(z) would. The numerator is
+    # max(z >= 0, e), exact since e <= 1, and branch-free where a
+    # mask-driven select is not.
+    z = np.asarray(z, dtype=float)
+    e = np.negative(z, out=np.empty_like(z))
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    out = np.greater_equal(z, 0.0, out=np.empty_like(z))
+    np.maximum(out, e, out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 @dataclass(frozen=True)
@@ -136,21 +153,7 @@ def forward(cert: MlpCertificate, x) -> float:
 
 def input_gradient_batch(cert: MlpCertificate, xs) -> np.ndarray:
     """dh/dx for a batch of states, shape (B, n). Exact reverse sweep."""
-    a, _ = _check_batch(cert, xs)
-    last = cert.n_layers - 1
-    sigs = []
-    for l, (w, b) in enumerate(zip(cert.weights, cert.biases)):
-        z = a @ w.T + b
-        if l < last:
-            sigs.append(sigmoid(z))
-            a = softplus(z)
-        else:
-            a = z
-    d = np.ones((a.shape[0], 1))
-    for l in range(last, -1, -1):
-        dz = d if l == last else d * sigs[l]
-        d = dz @ cert.weights[l]
-    return d
+    return values_and_input_gradients(cert, xs)[1]
 
 
 def input_gradient(cert: MlpCertificate, x) -> np.ndarray:

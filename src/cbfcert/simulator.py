@@ -205,7 +205,7 @@ def rollout_to_csv(ro: Rollout, path) -> None:
     the final row has no input or filter columns."""
     path = Path(path)
     n = ro.states.shape[1]
-    m = ro.inputs.shape[1] if ro.inputs.size else 0
+    m = ro.inputs.shape[1]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"x{i}" for i in range(n)]

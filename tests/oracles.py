@@ -240,3 +240,26 @@ def min_distance_constant_velocity(p, v_rel):
     if t_star <= 0.0:
         return float(np.linalg.norm(p))
     return float(np.linalg.norm(p + t_star * v))
+
+
+_REFERENCE_SOFTPLUS_CUTOFF = 30.0
+
+
+def reference_softplus(z):
+    """The two-pass softplus the in-place kernel must reproduce bit for bit."""
+    z = np.asarray(z, dtype=float)
+    out = np.log1p(np.exp(np.clip(z, -_REFERENCE_SOFTPLUS_CUTOFF,
+                                  _REFERENCE_SOFTPLUS_CUTOFF)))
+    out = np.where(z > _REFERENCE_SOFTPLUS_CUTOFF, z, out)
+    return np.where(z < -_REFERENCE_SOFTPLUS_CUTOFF, np.exp(np.minimum(z, 0.0)), out)
+
+
+def reference_sigmoid(z):
+    """The mask-indexed sigmoid the one-pass kernel must reproduce bit for
+    bit: each branch evaluated on its own gathered elements."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out

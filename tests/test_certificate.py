@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from cbfcert import mlp
+from cbfcert import certificate, mlp
 from cbfcert.certificate import (ConformalReport, EmptyBucketError,
                                  InsufficientSamplesError, InvalidAlphaError,
                                  LossWeights, conformal_quantile, epsilon_for,
-                                 quantify_safety, quantile_index,
+                                 quantify_safety, quantile_index, score_states,
                                  total_loss, total_loss_and_gradient,
                                  violation_terms)
 from cbfcert.controller import SafetyFilter
@@ -287,3 +287,32 @@ def test_exact_slack_q3_matches_inner_product_form():
             seen_active += 1
             assert batch.slack[i] == 0.0
     assert seen_active > 0
+
+
+def test_score_states_forwards_only_for_a_plain_callable(monkeypatch):
+    # a batch_decide controller hands over the h it built its constraint
+    # from; a plain callable leaves score_states to forward the batch
+    sys_ = dubins_system()
+    cert = mlp.init_certificate([3, 12, 1], seed=4)
+    filt = SafetyFilter(certificate=cert, system=sys_)
+    from cbfcert.sampling import sample_uniform
+
+    xs = sample_uniform(sys_.state_bounds, 400, seed=8)
+    weights = LossWeights()
+    expected = score_states(cert, sys_, filt, xs, weights)
+    calls = []
+
+    def no_second_forward(*_args):
+        raise AssertionError("score_states forwarded a batch_decide controller twice")
+
+    def counted_forward(c, states):
+        calls.append(len(states))
+        return mlp.forward_batch(c, states)
+
+    monkeypatch.setattr(certificate, "forward_batch", no_second_forward)
+    assert np.array_equal(score_states(cert, sys_, filt, xs, weights), expected)
+    monkeypatch.setattr(certificate, "forward_batch", counted_forward)
+    plain = score_states(cert, sys_, lambda s: filt.batch_decide(s).inputs, xs, weights)
+    assert calls == [400]
+    # the inner-product q3 differs from the closed-form slack by roundoff
+    np.testing.assert_allclose(plain, expected, rtol=0, atol=1e-9)

@@ -5,7 +5,8 @@ from cbfcert import mlp
 from cbfcert.controller import (InfeasibleFilterError, SafetyFilter,
                                 constraint_coefficients, filter_batch,
                                 filter_input, _solve_box, _solve_unbounded)
-from cbfcert.dynamics import dubins_system, planar_aerial_system
+from cbfcert.dynamics import dubins_system, planar_aerial_system, quadruped_system
+from cbfcert.sampling import sample_uniform
 
 from oracles import grid_qp_best
 
@@ -175,6 +176,24 @@ def test_batch_matches_scalar_decisions():
                     filter_input(filt, xs[i])
                 continue
             assert np.allclose(filter_input(filt, xs[i]), fb.inputs[i], atol=1e-12)
+
+
+@pytest.mark.parametrize("system, layers", [
+    (dubins_system, [3, 16, 1]),
+    (quadruped_system, [8, 32, 32, 1]),
+], ids=["dubins", "quadruped"])
+@pytest.mark.parametrize("bounds", [False, True], ids=["unbounded", "bounded"])
+@pytest.mark.parametrize("count", [1, 5000])
+def test_filter_batch_h_is_the_forward_value(system, layers, bounds, count):
+    # score_states takes h from the filter instead of forwarding again, so
+    # it must be the very bits forward_batch gives
+    sys_ = system()
+    cert = mlp.init_certificate(layers, seed=count)
+    filt = SafetyFilter(certificate=cert, system=sys_, respect_input_bounds=bounds)
+    xs = sample_uniform(sys_.state_bounds, count, seed=count + 1)
+    h = filter_batch(filt, xs).h
+    assert h.shape == (count,)
+    assert np.array_equal(h, mlp.forward_batch(cert, xs))
 
 
 def test_correction_cap_limits_magnitude_and_reports_violation():

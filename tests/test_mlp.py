@@ -6,7 +6,7 @@ import pytest
 
 from cbfcert import mlp
 
-from oracles import naive_forward
+from oracles import naive_forward, reference_sigmoid, reference_softplus
 
 
 def random_cert(layer_sizes, seed, scale=1.0):
@@ -331,3 +331,33 @@ def test_nonfinite_inputs_propagate_through_forward():
     assert np.isnan(vals[0]) and vals[1] == np.inf and vals[2] == 0.0
     cert = random_cert([2, 4, 1], seed=6)
     assert math.isnan(mlp.forward(cert, np.array([np.nan, 0.0])))
+
+
+_CUT = 30.0
+_EDGE_VALUES = np.array([
+    _CUT, -_CUT,
+    np.nextafter(_CUT, np.inf), np.nextafter(_CUT, -np.inf),
+    np.nextafter(-_CUT, np.inf), np.nextafter(-_CUT, -np.inf),
+    1000.0, -1000.0, np.inf, -np.inf, np.nan, -np.nan,
+    0.0, -0.0, 5e-324, -5e-324,
+])
+
+
+@pytest.mark.parametrize("kernel, reference", [
+    (mlp.softplus, reference_softplus),
+    (mlp.sigmoid, reference_sigmoid),
+])
+@pytest.mark.parametrize("z", [
+    _EDGE_VALUES,
+    np.random.default_rng(3).normal(0.0, 10.0, (768, 64)),
+    np.asarray(-31.0),
+    np.asarray(0.25),
+    -0.5,
+], ids=["edges", "block", "0d_tail", "0d", "python_float"])
+def test_activations_bit_identical_to_reference(kernel, reference, z):
+    got = kernel(z)
+    want = reference(np.asarray(z, dtype=float))
+    assert isinstance(got, np.ndarray) and got.shape == np.shape(z)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -254,8 +254,8 @@ def test_lock_step_matches_one_at_a_time_every_status(tmp_path):
     assert stopped.states.shape == (1, 3) and stopped.inputs.shape == (0, 2)
     completed = next(ro for ro in batch if ro.status == RolloutStatus.COMPLETED)
     assert completed.states.shape == (81, 3) and completed.inputs.shape == (80, 2)
-    # a rollout that never stepped has no input columns at all
-    for ro, inputs in ((stopped, []), (completed, ["u0", "u1"])):
+    # a rollout that never stepped has the same columns as its siblings
+    for ro, inputs in ((stopped, ["u0", "u1"]), (completed, ["u0", "u1"])):
         path = tmp_path / "traj.csv"
         rollout_to_csv(ro, path)
         rows = [line.split(",") for line in path.read_text().splitlines()]
