@@ -108,17 +108,17 @@ def _controller_system(controller, sys):
     return resolved
 
 
-def _decrease_scores(cert, sys, xs, inputs, slack, kappa_gain):
-    """q3 per state plus the closed-loop directions f + g u.
+def _decrease_scores(cert, sys, xs, inputs, slack, h, kappa_gain):
+    """(q3, closed-loop directions f + g u, h) per state.
 
-    With an exact slack from the filter, q3 is its negation; otherwise it
-    is evaluated from the input gradient and the closed-loop field.
+    With an exact slack from the filter, q3 is its negation and h is the
+    filter's; otherwise both come from one values_and_input_gradients pass.
     """
     dirs = closed_loop_field(sys, xs, inputs)
     if slack is not None:
-        return -np.asarray(slack, dtype=float), dirs
+        return -np.asarray(slack, dtype=float), dirs, h
     h, grads = values_and_input_gradients(cert, xs)
-    return -np.einsum("bn,bn->b", grads, dirs) - kappa_gain * h, dirs
+    return -np.einsum("bn,bn->b", grads, dirs) - kappa_gain * h, dirs, h
 
 
 def total_loss(cert: MlpCertificate, datasets: TrainingDatasets, controller,
@@ -140,9 +140,9 @@ def _loss_value_parts(cert, datasets, controller, weights, sys):
     sys = _controller_system(controller, sys)
     h_safe = forward_batch(cert, datasets.safe)
     h_unsafe = forward_batch(cert, datasets.unsafe)
-    inputs, slack, _ = _control_decisions(controller, datasets.domain)
-    q3, _ = _decrease_scores(cert, sys, datasets.domain, inputs, slack,
-                             weights.kappa_gain)
+    inputs, slack, h = _control_decisions(controller, datasets.domain)
+    q3, _, _ = _decrease_scores(cert, sys, datasets.domain, inputs, slack, h,
+                                weights.kappa_gain)
     l1 = float(np.mean(np.maximum(0.0, -h_safe - weights.psi)))
     l2 = float(np.mean(np.maximum(0.0, h_unsafe + weights.delta - weights.psi)))
     l3 = float(np.mean(np.maximum(0.0, q3 - weights.psi)))
@@ -164,9 +164,9 @@ def total_loss_and_gradient(cert: MlpCertificate, datasets: TrainingDatasets,
     if min(ns, nu, nd) == 0:
         raise EmptyBucketError("all three dataset buckets must be nonempty")
     sys = _controller_system(controller, sys)
-    inputs, slack, _ = _control_decisions(controller, datasets.domain)
-    q3_exact, dirs = _decrease_scores(cert, sys, datasets.domain, inputs, slack,
-                                      weights.kappa_gain)
+    inputs, slack, h = _control_decisions(controller, datasets.domain)
+    q3_exact, dirs, _ = _decrease_scores(cert, sys, datasets.domain, inputs, slack,
+                                         h, weights.kappa_gain)
     xs = np.concatenate([datasets.safe, datasets.unsafe, datasets.domain], axis=0)
     seeds = np.zeros_like(xs)
     seeds[ns + nu:] = dirs
@@ -301,9 +301,7 @@ def score_states(cert: MlpCertificate, sys: ControlAffineSystem, controller,
     xs = np.asarray(xs, dtype=float)
     labels = sys.label_batch(xs)
     inputs, slack, h = _control_decisions(controller, xs)
-    q3, _ = _decrease_scores(cert, sys, xs, inputs, slack, weights.kappa_gain)
-    if h is None:
-        h = forward_batch(cert, xs)
+    q3, _, h = _decrease_scores(cert, sys, xs, inputs, slack, h, weights.kappa_gain)
     if not np.all(np.isfinite(h)) or not np.all(np.isfinite(q3)):
         raise FloatingPointError("non-finite score while sampling the state space")
     scores = np.array(q3, copy=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys as _sys
 from pathlib import Path
@@ -51,6 +52,15 @@ class ConfigError(ValueError):
         self.messages = list(messages)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _load_config(path: str) -> tuple[TrainConfig, dict, dict, dict]:
     try:
         doc = json.loads(Path(path).read_text())
@@ -77,19 +87,24 @@ def _load_config(path: str) -> tuple[TrainConfig, dict, dict, dict]:
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"config: {exc}"])
     errors = config.validate()
-    if sim["n_rollouts"] <= 0:
-        errors.append("simulation.n_rollouts: must be positive")
-    if sim["horizon_steps"] <= 0:
-        errors.append("simulation.horizon_steps: must be positive")
-    if sim["dt"] <= 0:
-        errors.append("simulation.dt: must be positive")
+    for key in ("n_rollouts", "horizon_steps"):
+        if not _is_int(sim[key]) or sim[key] <= 0:
+            errors.append(f"simulation.{key}: must be a positive integer")
+    if not _is_finite_number(sim["dt"]) or sim["dt"] <= 0:
+        errors.append("simulation.dt: must be a positive finite number")
     limit = sim["max_trajectory_files"]
-    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
+    if not _is_int(limit) or limit < 0:
         errors.append("simulation.max_trajectory_files: must be a non-negative integer")
-    if lvl["resolution"] < 2:
-        errors.append("levelset.resolution: must be at least 2")
-    if len(lvl["free_axes"]) != 2 or lvl["free_axes"][0] == lvl["free_axes"][1]:
-        errors.append("levelset.free_axes: need two distinct indices")
+    if not _is_int(lvl["resolution"]) or lvl["resolution"] < 2:
+        errors.append("levelset.resolution: must be an integer of at least 2")
+    axes = lvl["free_axes"]
+    if (not isinstance(axes, list) or len(axes) != 2 or not all(map(_is_int, axes))
+            or axes[0] == axes[1]):
+        errors.append("levelset.free_axes: need a list of two distinct integer indices")
+    fixed = lvl["fixed_values"]
+    if fixed is not None and (not isinstance(fixed, list)
+                              or not all(map(_is_finite_number, fixed))):
+        errors.append("levelset.fixed_values: must be null or a list of finite numbers")
     if errors:
         raise ConfigError(errors)
     return config, sim, lvl, doc
@@ -273,13 +288,13 @@ def cmd_levelset(args) -> int:
         print(f"error: levelset.fixed_values needs {system.n} entries",
               file=_sys.stderr)
         return 1
-    if not all(0 <= int(i) < system.n for i in lvl["free_axes"]):
+    if not all(0 <= i < system.n for i in lvl["free_axes"]):
         print(f"error: levelset.free_axes {lvl['free_axes']} outside state "
               f"dimension {system.n}", file=_sys.stderr)
         return 1
-    spec = SliceSpec(free_axes=tuple(int(i) for i in lvl["free_axes"]),
+    spec = SliceSpec(free_axes=tuple(lvl["free_axes"]),
                      fixed_values=tuple(float(v) for v in fixed),
-                     resolution=int(lvl["resolution"]))
+                     resolution=lvl["resolution"])
     out = _out_dir(args, "levelset")
     out.mkdir(parents=True, exist_ok=True)
     vals0, vals1, grid = levelset_grid(cert, spec, system.state_bounds)

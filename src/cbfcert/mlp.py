@@ -11,6 +11,14 @@ reverse) differentiation. Networks are tiny (at most two hidden layers of
     primal + tangent graph.
 
 All arithmetic is float64 and every operation is a pure function.
+
+Batch semantics. `forward` is per-state exact: a state's value does not
+depend on how many states it is evaluated with, so any stack of states
+gives, bit for bit, what one state at a time gives. `forward_batch` and
+`values_and_input_gradients` are BLAS-batched: one matrix product per
+layer for the whole batch, which is much faster for large batches, but
+BLAS picks its kernel and summation order by batch size, so a row's value
+may differ from `forward`'s in the last ulp.
 """
 
 from __future__ import annotations
@@ -143,12 +151,26 @@ def forward_batch(cert: MlpCertificate, xs) -> np.ndarray:
     return a[:, 0]
 
 
-def forward(cert: MlpCertificate, x) -> float:
-    """Barrier value h(x) for a single state."""
-    arr, single = _check_batch(cert, x)
-    if not single:
-        raise ShapeError("forward expects a single state vector; use forward_batch")
-    return float(forward_batch(cert, arr)[0])
+def forward(cert: MlpCertificate, x) -> float | np.ndarray:
+    """Barrier value h(x): a float for one state (n,), an array of shape
+    (...) for a stack of states (..., n).
+
+    Each state goes through its own one-row product, a[..., None, :] @ w.T,
+    which numpy's stacked matmul issues identically for every state; a
+    state's value is therefore the same bits whatever it is stacked with.
+    """
+    a = np.asarray(x, dtype=float)
+    if a.ndim == 0 or a.shape[-1] != cert.n_inputs:
+        raise ShapeError(
+            f"state shape {np.shape(x)} does not match input size {cert.n_inputs}"
+        )
+    a = a[..., None, :]
+    last = cert.n_layers - 1
+    for l, (w, b) in enumerate(zip(cert.weights, cert.biases)):
+        z = a @ w.T + b
+        a = softplus(z) if l < last else z
+    h = a[..., 0, 0]
+    return float(h) if h.ndim == 0 else h
 
 
 def input_gradient_batch(cert: MlpCertificate, xs) -> np.ndarray:

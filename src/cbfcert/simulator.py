@@ -19,7 +19,7 @@ import numpy as np
 
 from .controller import SafetyFilter
 from .dynamics import ControlAffineSystem, Label, closed_loop_field
-from .mlp import MlpCertificate, forward_batch
+from .mlp import MlpCertificate, forward, forward_batch
 from .sampling import rejection_sample_label
 
 
@@ -187,16 +187,14 @@ def levelset_grid(cert: MlpCertificate, spec: SliceSpec, bounds
         raise ValueError("fixed_values must list one value per state dimension")
     vals0 = np.linspace(bounds[i0, 0], bounds[i0, 1], spec.resolution)
     vals1 = np.linspace(bounds[i1, 0], bounds[i1, 1], spec.resolution)
-    # evaluate node by node through the single-state path: BLAS batching
-    # perturbs the last ulp, and grid values are contracted to be
-    # bit-identical to a direct barrier evaluation at the node
-    state = np.asarray(spec.fixed_values, dtype=float).copy()
+    # one grid row per call: forward is per-state exact, so every node is
+    # bit-identical to a direct barrier evaluation at that node
+    row = np.tile(np.asarray(spec.fixed_values, dtype=float), (spec.resolution, 1))
+    row[:, i1] = vals1
     grid = np.empty((spec.resolution, spec.resolution))
     for i, v0 in enumerate(vals0):
-        state[i0] = v0
-        for j, v1 in enumerate(vals1):
-            state[i1] = v1
-            grid[i, j] = forward_batch(cert, state[None, :])[0]
+        row[:, i0] = v0
+        grid[i] = forward(cert, row)
     return vals0, vals1, grid
 
 

@@ -289,9 +289,9 @@ def test_exact_slack_q3_matches_inner_product_form():
     assert seen_active > 0
 
 
-def test_score_states_forwards_only_for_a_plain_callable(monkeypatch):
+def test_score_states_never_forwards_twice(monkeypatch):
     # a batch_decide controller hands over the h it built its constraint
-    # from; a plain callable leaves score_states to forward the batch
+    # from; for a plain callable, h comes from the same pass as dh/dx
     sys_ = dubins_system()
     cert = mlp.init_certificate([3, 12, 1], seed=4)
     filt = SafetyFilter(certificate=cert, system=sys_)
@@ -313,6 +313,6 @@ def test_score_states_forwards_only_for_a_plain_callable(monkeypatch):
     assert np.array_equal(score_states(cert, sys_, filt, xs, weights), expected)
     monkeypatch.setattr(certificate, "forward_batch", counted_forward)
     plain = score_states(cert, sys_, lambda s: filt.batch_decide(s).inputs, xs, weights)
-    assert calls == [400]
+    assert calls == []
     # the inner-product q3 differs from the closed-form slack by roundoff
     np.testing.assert_allclose(plain, expected, rtol=0, atol=1e-9)

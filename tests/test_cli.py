@@ -310,3 +310,47 @@ def test_levelset_axes_outside_state_dimension_rejected(tmp_path, capsys):
     assert code == 1
     assert not (tmp_path / "x").exists()
     assert capsys.readouterr().err.startswith("error: levelset.free_axes")
+
+
+_BAD_CONFIG_VALUES = [
+    ("levelset", "resolution", "21"),
+    ("levelset", "resolution", 20.5),
+    ("levelset", "resolution", True),
+    ("levelset", "free_axes", 1),
+    ("levelset", "free_axes", "01"),
+    ("levelset", "free_axes", [0, 1.7]),
+    ("levelset", "free_axes", [0, True]),
+    ("levelset", "fixed_values", ["a", 0.0, 0.0]),
+    ("levelset", "fixed_values", [float("nan"), 0.0, 0.0]),
+    ("levelset", "fixed_values", [0.0, float("inf"), 0.0]),
+    ("levelset", "fixed_values", [0.0, 0.0, False]),
+    ("levelset", "fixed_values", 0.0),
+    ("simulation", "n_rollouts", "3"),
+    ("simulation", "n_rollouts", 2.5),
+    ("simulation", "n_rollouts", True),
+    ("simulation", "horizon_steps", "50"),
+    ("simulation", "horizon_steps", 50.0),
+    ("simulation", "dt", "0.02"),
+    ("simulation", "dt", float("nan")),
+    ("simulation", "dt", True),
+]
+
+
+@pytest.mark.parametrize("command", ["train", "levelset", "simulate"])
+@pytest.mark.parametrize("section, key, value", _BAD_CONFIG_VALUES)
+def test_mistyped_config_value_rejected_before_outputs(tmp_path, capsys, command,
+                                                       section, key, value):
+    from cbfcert import mlp
+
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
+    base = {"simulation": {"n_rollouts": 3, "horizon_steps": 5},
+            "levelset": {"free_axes": [0, 1], "resolution": 2}}
+    base[section][key] = value
+    config = tiny_dubins_config(tmp_path, **base)
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "x")]
+    if command != "train":
+        argv += ["--cert", str(cert_path)]
+    assert main(argv) == 1
+    assert not (tmp_path / "x").exists()
+    assert capsys.readouterr().err.startswith(f"error: {section}.{key}: ")

@@ -60,6 +60,42 @@ def test_forward_shape_error():
         mlp.input_gradient(cert, np.zeros(2))
 
 
+_KERNEL_NETS = [[3, 64, 1], [8, 128, 128, 1]]
+
+
+@pytest.mark.parametrize("sizes", _KERNEL_NETS)
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 9, 33, 441])
+def test_forward_stack_is_bitwise_per_state(sizes, count):
+    # a BLAS-batched product picks its kernel by batch size and can move
+    # the last ulp at these sizes; the per-state kernel must not
+    cert = random_cert(sizes, seed=11)
+    xs = np.random.default_rng(count).standard_normal((count, sizes[0]))
+    stacked = mlp.forward(cert, xs)
+    assert stacked.shape == (count,)
+    assert np.array_equal(stacked, [mlp.forward(cert, x) for x in xs])
+
+
+@pytest.mark.parametrize("sizes", _KERNEL_NETS)
+def test_forward_three_dimensional_stack_is_bitwise_per_state(sizes):
+    cert = random_cert(sizes, seed=12)
+    xs = np.random.default_rng(5).standard_normal((21, 21, sizes[0]))
+    stacked = mlp.forward(cert, xs)
+    assert stacked.shape == (21, 21)
+    per_state = [[mlp.forward(cert, x) for x in row] for row in xs]
+    assert np.array_equal(stacked, per_state)
+
+
+def test_forward_single_state_is_a_float():
+    cert = random_cert([3, 8, 1], seed=2)
+    value = mlp.forward(cert, np.array([0.1, -0.2, 0.3]))
+    assert type(value) is float
+    assert mlp.forward(cert, np.zeros((0, 3))).shape == (0,)
+    with pytest.raises(mlp.ShapeError):
+        mlp.forward(cert, np.zeros((4, 2)))
+    with pytest.raises(mlp.ShapeError):
+        mlp.forward(cert, 1.0)
+
+
 def test_input_gradient_zero_weight_cert():
     cert = mlp.MlpCertificate(
         (3, 4, 1),

@@ -181,6 +181,47 @@ def test_levelset_node_matches_forward():
     assert grid[3, 5] == mlp.forward(cert, state)
 
 
+def biased_cert(sizes, seed):
+    base = mlp.init_certificate(sizes, seed=seed)
+    rng = np.random.default_rng(seed)
+    return mlp.MlpCertificate(base.layer_sizes, base.weights,
+                              tuple(0.3 * rng.standard_normal(b.shape)
+                                    for b in base.biases))
+
+
+@pytest.mark.parametrize("system, sizes, resolution", [
+    (dubins_system, [3, 64, 1], 21),
+    (quadruped_system, [8, 128, 128, 1], 15),
+])
+def test_levelset_every_node_matches_forward(system, sizes, resolution):
+    sys_ = system()
+    cert = biased_cert(sizes, seed=3)
+    fixed = tuple(0.5 * (lo + hi) for lo, hi in sys_.state_bounds)
+    spec = SliceSpec(free_axes=(0, 1), fixed_values=fixed, resolution=resolution)
+    v0, v1, grid = levelset_grid(cert, spec, sys_.state_bounds)
+    state = np.array(fixed)
+    for i, a in enumerate(v0):
+        for j, b in enumerate(v1):
+            state[0], state[1] = a, b
+            assert grid[i, j] == mlp.forward(cert, state), (i, j)
+
+
+def test_levelset_evaluates_at_most_one_grid_row_per_call(monkeypatch):
+    from cbfcert import simulator
+
+    sizes = []
+
+    def counted(cert, states):
+        sizes.append(len(states))
+        return mlp.forward(cert, states)
+
+    monkeypatch.setattr(simulator, "forward", counted)
+    spec = SliceSpec(free_axes=(0, 1), fixed_values=(0.0, 0.0, 0.3), resolution=9)
+    levelset_grid(biased_cert([3, 8, 1], seed=4), spec, dubins_system().state_bounds)
+    assert sum(sizes) == 81
+    assert max(sizes) <= 9
+
+
 def test_levelset_pure_function_of_inputs():
     cert = mlp.init_certificate([3, 8, 1], seed=4)
     spec = SliceSpec(free_axes=(0, 1), fixed_values=(0.0, 0.0, 0.3), resolution=11)
