@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mlp
-from .certificate import quantify_safety, verification_scores
+from .certificate import report_from_scores, verification_scores
 from .controller import SafetyFilter
 from .simulator import (SliceSpec, empirical_safety_rate, levelset_grid,
                         levelset_to_csv, rollout_to_csv)
@@ -92,6 +92,9 @@ def _load_config(path: str) -> tuple[TrainConfig, dict, dict, dict]:
             errors.append(f"simulation.{key}: must be a positive integer")
     if not _is_finite_number(sim["dt"]) or sim["dt"] <= 0:
         errors.append("simulation.dt: must be a positive finite number")
+    for key in ("respect_input_bounds", "emit_trajectories"):
+        if not isinstance(sim[key], bool):
+            errors.append(f"simulation.{key}: must be true or false")
     limit = sim["max_trajectory_files"]
     if not _is_int(limit) or limit < 0:
         errors.append("simulation.max_trajectory_files: must be a non-negative integer")
@@ -201,19 +204,16 @@ def cmd_verify(args) -> int:
     verifier = SafetyFilter(certificate=cert, system=system,
                             kappa_gain=config.kappa_gain,
                             respect_input_bounds=config.respect_input_bounds_training)
-    report = quantify_safety(cert, system, verifier, config.conformal_samples,
-                             config.alpha, config.beta, seed=seed,
-                             weights=config.loss_weights())
+    scores = verification_scores(cert, system, verifier, config.conformal_samples,
+                                 seed=seed, weights=config.loss_weights())
+    report = report_from_scores(scores, config.alpha, config.beta, seed)
     (out / "report.json").write_text(report.to_json())
     if args.emit_scores:
-        scores = verification_scores(cert, system, verifier,
-                                     config.conformal_samples, seed=seed,
-                                     weights=config.loss_weights())
         with (out / "scores.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["index", "score"])
-            for i, s in enumerate(scores):
-                writer.writerow([i, repr(float(s))])
+            for i, s in enumerate(scores.tolist()):
+                writer.writerow([i, repr(s)])
     print(f"quantile={report.quantile:.6g} epsilon={report.epsilon:.6g} "
           f"beta={report.beta:.3g}")
     return 0
@@ -239,7 +239,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     filt = SafetyFilter(certificate=cert, system=system,
                         kappa_gain=config.kappa_gain,
-                        respect_input_bounds=bool(sim["respect_input_bounds"]))
+                        respect_input_bounds=sim["respect_input_bounds"])
     rate, counts, rollouts = empirical_safety_rate(
         system, filt, int(sim["n_rollouts"]), int(sim["horizon_steps"]),
         float(sim["dt"]), seed=seed)

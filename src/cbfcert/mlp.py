@@ -18,7 +18,15 @@ gives, bit for bit, what one state at a time gives. `forward_batch` and
 `values_and_input_gradients` are BLAS-batched: one matrix product per
 layer for the whole batch, which is much faster for large batches, but
 BLAS picks its kernel and summation order by batch size, so a row's value
-may differ from `forward`'s in the last ulp.
+may differ from `forward`'s in the last ulp. `certificate.score_states`
+(verify, and the certify step of every refinement round) calls them in
+row blocks of R = `certificate._BLOCK_ROWS` rows, the remainder joining
+the last block, so no call sees more than 2R-1 rows whatever the sample
+size. Its row values equal the one-shot batch's wherever the one-shot
+batch does not switch BLAS kernel by size; the dubins (B, 64) @ (64, 3)
+input-gradient product does above 5208 rows, and moves in the last ulp
+there. The monitoring loss, mini-batch training steps, rollouts and the
+B=1 filter pass their batches through whole.
 """
 
 from __future__ import annotations

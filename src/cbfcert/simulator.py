@@ -209,14 +209,18 @@ def rollout_to_csv(ro: Rollout, path) -> None:
         writer.writerow(["t"] + [f"x{i}" for i in range(n)]
                         + [f"u{i}" for i in range(m)]
                         + ["h", "constraint_active", "constraint_slack"])
-        for k, (x, h) in enumerate(zip(ro.states, ro.h_values)):
-            stepped = k < ro.inputs.shape[0]
-            u = ro.inputs[k] if stepped else [""] * m
-            tail = ([str(int(ro.filter_active[k])), repr(float(ro.filter_slack[k]))]
-                    if stepped and k < ro.filter_active.size else ["", ""])
-            writer.writerow([repr(k * ro.dt)] + [repr(float(v)) for v in x]
-                            + [v if v == "" else repr(float(v)) for v in u]
-                            + [repr(float(h))] + tail)
+        # one .tolist() per array: repr of the Python floats it gives is
+        # the repr of float(v), without a numpy scalar per element
+        states, inputs = ro.states.tolist(), ro.inputs.tolist()
+        h_values = ro.h_values.tolist()
+        active, slack = ro.filter_active.tolist(), ro.filter_slack.tolist()
+        for k, (x, h) in enumerate(zip(states, h_values)):
+            stepped = k < len(inputs)
+            u = [repr(v) for v in inputs[k]] if stepped else [""] * m
+            tail = ([str(int(active[k])), repr(slack[k])]
+                    if stepped and k < len(active) else ["", ""])
+            writer.writerow([repr(k * ro.dt)] + [repr(v) for v in x] + u
+                            + [repr(h)] + tail)
 
 
 def levelset_to_csv(vals0, vals1, grid, path, sidecar: dict | None = None) -> None:

@@ -94,6 +94,8 @@ class TrainConfig:
                 )
         if self.psi_update not in ("cumulative", "reset"):
             errors.append("psi_update: must be 'cumulative' or 'reset'")
+        if not isinstance(self.respect_input_bounds_training, bool):
+            errors.append("respect_input_bounds_training: must be true or false")
         return errors
 
     def loss_weights(self, psi: float = 0.0) -> LossWeights:

@@ -263,3 +263,49 @@ def reference_sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def reference_score_states(cert, sys, controller, xs, weights):
+    """Conformal scores with every pass over the whole batch at once: the
+    one-shot scoring the row-block version must reproduce."""
+    from cbfcert.dynamics import Label, closed_loop_field
+    from cbfcert.mlp import values_and_input_gradients
+
+    xs = np.asarray(xs, dtype=float)
+    labels = sys.label_batch(xs)
+    if hasattr(controller, "batch_decide"):
+        batch = controller.batch_decide(xs)
+        q3, h = -np.asarray(batch.slack, dtype=float), batch.h
+    else:
+        inputs = np.asarray(controller(xs), dtype=float)
+        h, grads = values_and_input_gradients(cert, xs)
+        dirs = closed_loop_field(sys, xs, inputs)
+        q3 = -np.einsum("bn,bn->b", grads, dirs) - weights.kappa_gain * h
+    scores = np.array(q3, copy=True)
+    safe = labels == Label.SAFE
+    unsafe = labels == Label.UNSAFE
+    scores[safe] = np.maximum(scores[safe], -h[safe])
+    scores[unsafe] = np.maximum(scores[unsafe], h[unsafe] + weights.delta)
+    return scores
+
+
+def reference_rollout_to_csv(ro, path):
+    """The trajectory writer that converts one numpy scalar at a time; the
+    list-based writer must produce the same bytes."""
+    import csv
+
+    n = ro.states.shape[1]
+    m = ro.inputs.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"x{i}" for i in range(n)]
+                        + [f"u{i}" for i in range(m)]
+                        + ["h", "constraint_active", "constraint_slack"])
+        for k, (x, h) in enumerate(zip(ro.states, ro.h_values)):
+            stepped = k < ro.inputs.shape[0]
+            u = ro.inputs[k] if stepped else [""] * m
+            tail = ([str(int(ro.filter_active[k])), repr(float(ro.filter_slack[k]))]
+                    if stepped and k < ro.filter_active.size else ["", ""])
+            writer.writerow([repr(k * ro.dt)] + [repr(float(v)) for v in x]
+                            + [v if v == "" else repr(float(v)) for v in u]
+                            + [repr(float(h))] + tail)

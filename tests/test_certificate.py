@@ -9,10 +9,10 @@ from cbfcert.certificate import (ConformalReport, EmptyBucketError,
                                  total_loss, total_loss_and_gradient,
                                  violation_terms)
 from cbfcert.controller import SafetyFilter
-from cbfcert.dynamics import dubins_system
+from cbfcert.dynamics import dubins_system, quadruped_system
 from cbfcert.sampling import TrainingDatasets, build_datasets
 
-from oracles import betainc_quadrature
+from oracles import betainc_quadrature, reference_score_states
 
 
 def constant_cert(n, value):
@@ -316,3 +316,103 @@ def test_score_states_never_forwards_twice(monkeypatch):
     assert calls == []
     # the inner-product q3 differs from the closed-form slack by roundoff
     np.testing.assert_allclose(plain, expected, rtol=0, atol=1e-9)
+
+
+R = certificate._BLOCK_ROWS
+
+
+def biased_cert(sizes, seed):
+    base = mlp.init_certificate(sizes, seed=seed)
+    rng = np.random.default_rng(seed)
+    return mlp.MlpCertificate(base.layer_sizes, base.weights,
+                              tuple(0.3 * rng.standard_normal(b.shape)
+                                    for b in base.biases))
+
+
+def scoring_setup(system, sizes, n, bounded=False):
+    from cbfcert.sampling import sample_uniform
+
+    sys_ = system()
+    cert = biased_cert(sizes, seed=6)
+    filt = SafetyFilter(certificate=cert, system=sys_, respect_input_bounds=bounded)
+    xs = sample_uniform(sys_.state_bounds, n, np.random.default_rng(12))
+    return cert, sys_, filt, xs
+
+
+_EXACT_SIZES = [1, R - 1, R, R + 1, 2 * R + 7]
+
+
+# quadruped rows are bit-identical at any size; dubins rows up to 5208,
+# where the one-shot batch itself changes kernel (see the next test)
+@pytest.mark.parametrize("system, sizes, n, bounded", [
+    *[(quadruped_system, [8, 128, 128, 1], n, b)
+      for n in _EXACT_SIZES for b in (False, True)],
+    (quadruped_system, [8, 128, 128, 1], 20000, False),
+    *[(dubins_system, [3, 64, 1], n, b)
+      for n in [*_EXACT_SIZES, 5000] for b in (False, True)],
+])
+def test_block_scores_equal_one_shot(system, sizes, n, bounded):
+    cert, sys_, filt, xs = scoring_setup(system, sizes, n, bounded)
+    weights = LossWeights()
+    expected = reference_score_states(cert, sys_, filt, xs, weights)
+    assert np.array_equal(score_states(cert, sys_, filt, xs, weights), expected)
+
+
+def test_block_scores_dubins_20k_within_an_ulp_same_quantile():
+    # above 5208 rows the one-shot (B, 64) @ (64, 3) input-gradient product
+    # leaves OpenBLAS's small-matrix kernel, so one-shot rows may move in
+    # the last ulp; the blocks keep the small-batch values
+    cert, sys_, filt, xs = scoring_setup(dubins_system, [3, 64, 1], 20000)
+    weights = LossWeights()
+    expected = reference_score_states(cert, sys_, filt, xs, weights)
+    got = score_states(cert, sys_, filt, xs, weights)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    assert conformal_quantile(got, 0.0075) == conformal_quantile(expected, 0.0075)
+
+
+@pytest.mark.parametrize("n", [1, R - 1, R, 2 * R - 1, 2 * R, 3 * R + 7])
+def test_plain_controller_called_once_per_block_in_order(n):
+    cert, sys_, filt, xs = scoring_setup(dubins_system, [3, 64, 1], n)
+    blocks = []
+
+    def plain(states):
+        blocks.append(states.copy())
+        return filt.batch_decide(states).inputs
+
+    weights = LossWeights()
+    scores = score_states(cert, sys_, plain, xs, weights)
+    assert np.array_equal(np.concatenate(blocks), xs)
+    assert [len(b) for b in blocks[:-1]] == [R] * (len(blocks) - 1)
+    # the remainder joins the last block instead of forming a short one
+    assert len(blocks) == max(1, n // R) and len(blocks[-1]) < 2 * R
+    assert np.array_equal(scores, reference_score_states(cert, sys_, plain, xs,
+                                                         weights))
+
+
+def test_block_scoring_memory_is_a_fraction_of_one_shot():
+    import tracemalloc
+
+    cert, sys_, filt, xs = scoring_setup(quadruped_system, [8, 128, 128, 1], 50000)
+    weights = LossWeights()
+    peaks = []
+    for scorer in (reference_score_states, score_states):
+        tracemalloc.start()
+        try:
+            scorer(cert, sys_, filt, xs, weights)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] / 5, peaks
+
+
+def test_report_from_scores_matches_quantify_safety():
+    from cbfcert.certificate import report_from_scores, verification_scores
+
+    sys_ = dubins_system()
+    cert = mlp.init_certificate([3, 12, 1], seed=4)
+    filt = SafetyFilter(certificate=cert, system=sys_)
+    report = quantify_safety(cert, sys_, filt, 3000, 0.01, 1e-3, seed=7)
+    scores = verification_scores(cert, sys_, filt, 3000, seed=7)
+    assert report_from_scores(scores, 0.01, 1e-3, 7) == report
+    with pytest.raises(InvalidAlphaError):
+        report_from_scores(scores, 1e-5, 1e-3, 7)

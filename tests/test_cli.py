@@ -333,6 +333,9 @@ _BAD_CONFIG_VALUES = [
     ("simulation", "dt", "0.02"),
     ("simulation", "dt", float("nan")),
     ("simulation", "dt", True),
+    *[("simulation", key, value)
+      for key in ("respect_input_bounds", "emit_trajectories")
+      for value in ("false", 0, 1, None)],
 ]
 
 
@@ -354,3 +357,71 @@ def test_mistyped_config_value_rejected_before_outputs(tmp_path, capsys, command
     assert main(argv) == 1
     assert not (tmp_path / "x").exists()
     assert capsys.readouterr().err.startswith(f"error: {section}.{key}: ")
+
+
+@pytest.mark.parametrize("command", ["train", "levelset", "simulate"])
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_training_bounds_flag_must_be_true_or_false(tmp_path, capsys, command,
+                                                    value):
+    from cbfcert import mlp
+
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
+    config = tiny_dubins_config(tmp_path, respect_input_bounds_training=value)
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "x")]
+    if command != "train":
+        argv += ["--cert", str(cert_path)]
+    assert main(argv) == 1
+    assert not (tmp_path / "x").exists()
+    assert capsys.readouterr().err == (
+        "error: respect_input_bounds_training: must be true or false\n")
+
+
+def test_simulate_honours_false_booleans(tmp_path, monkeypatch):
+    from cbfcert import cli, mlp
+
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
+    config = tiny_dubins_config(
+        tmp_path, simulation={"n_rollouts": 2, "horizon_steps": 5,
+                              "respect_input_bounds": False,
+                              "emit_trajectories": False})
+    deployed = []
+    real_rate = cli.empirical_safety_rate
+
+    def spy(system, filt, *args, **kwargs):
+        deployed.append(filt.respect_input_bounds)
+        return real_rate(system, filt, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "empirical_safety_rate", spy)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config), "--cert", str(cert_path),
+                 "--out", str(out)]) == 0
+    assert deployed == [False]
+    assert not list(out.glob("trajectory_*.csv"))
+
+
+def test_verify_scores_the_sample_once(tmp_path, monkeypatch):
+    from cbfcert import certificate, mlp
+
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=5), cert_path)
+    config = tiny_dubins_config(tmp_path)
+    calls = []
+    real_score = certificate.score_states
+
+    def counted(*args):
+        calls.append(len(args[3]))
+        return real_score(*args)
+
+    monkeypatch.setattr(certificate, "score_states", counted)
+    reports = []
+    for extra in ([], ["--emit-scores"]):
+        out = tmp_path / f"v{len(extra)}"
+        calls.clear()
+        assert main(["verify", "--config", str(config), "--cert", str(cert_path),
+                     "--out", str(out), "--seed", "9", *extra]) == 0
+        assert calls == [2000]
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert (tmp_path / "v1" / "scores.csv").exists()

@@ -339,3 +339,27 @@ def test_rollout_non_finite_state_names_its_start():
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
                                                    match="start 2"):
         rollout(sys_, filt, np.array([[0.1], [0.2], [0.9]]), 5, 0.05)
+
+
+def test_rollout_to_csv_bytes_match_the_scalar_writer(tmp_path):
+    from oracles import reference_rollout_to_csv
+
+    sys_ = dubins_system()
+
+    def steer(xs):
+        return np.stack([np.ones(len(xs)), np.clip(xs[:, 0] * xs[:, 1], -1, 1)],
+                        axis=1)
+
+    filt = SafetyFilter(certificate=mlp.init_certificate([3, 16, 1], seed=5),
+                        system=sys_, respect_input_bounds=True,
+                        reference_policy=steer)
+    starts = np.vstack([np.zeros(3),
+                        sample_safe_starts(sys_, 12, np.random.default_rng(5))])
+    batch = rollout(sys_, filt, starts, 80, 0.02)
+    assert {ro.status for ro in batch} == set(RolloutStatus)
+    assert batch[0].inputs.shape == (0, 2)   # stopped at step 0
+    for i, ro in enumerate(batch):
+        got, expected = tmp_path / f"got_{i}.csv", tmp_path / f"ref_{i}.csv"
+        rollout_to_csv(ro, got)
+        reference_rollout_to_csv(ro, expected)
+        assert got.read_bytes() == expected.read_bytes()
