@@ -2,8 +2,7 @@
 certification and a CBF-QP deployment filter."""
 
 from .certificate import (ConformalReport, LossWeights, conformal_quantile,
-                          epsilon_for, quantify_safety, total_loss,
-                          violation_terms)
+                          epsilon_for, quantify_safety, total_loss)
 from .controller import InfeasibleFilterError, SafetyFilter, filter_input
 from .dynamics import (ControlAffineSystem, Label, closed_loop_field,
                        dubins_system, make_system, planar_aerial_system,
@@ -29,5 +28,5 @@ __all__ = [
     "load_certificate", "loss_param_gradient", "make_system",
     "planar_aerial_system", "quadruped_system", "quantify_safety", "refine",
     "register_system", "regularized_incomplete_beta", "rk4_step", "rollout",
-    "sample_uniform", "save_certificate", "total_loss", "violation_terms",
+    "sample_uniform", "save_certificate", "total_loss",
 ]

@@ -10,6 +10,7 @@ finite-sample probabilistic guarantee.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -62,34 +63,6 @@ class LossWeights:
             raise ValueError("kappa_gain must be positive")
 
 
-@dataclass(frozen=True)
-class ViolationTerms:
-    """Pointwise condition violations; inactive terms are None and the
-    score is the max over the active ones (the decrease term is always
-    active)."""
-
-    q1: float | None
-    q2: float | None
-    q3: float
-    score: float
-
-
-def violation_terms(cert: MlpCertificate, sys: ControlAffineSystem, u, x,
-                    weights: LossWeights) -> ViolationTerms:
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    h_arr, grad = values_and_input_gradients(cert, x[None, :])
-    h = float(h_arr[0])
-    if not math.isfinite(h):
-        raise FloatingPointError(f"non-finite barrier value at {x}")
-    label = sys.label(x)
-    q3 = float(-grad[0] @ closed_loop_field(sys, x, u) - weights.kappa_gain * h)
-    q1 = -h if label == Label.SAFE else None
-    q2 = h + weights.delta if label == Label.UNSAFE else None
-    score = max(v for v in (q1, q2, q3) if v is not None)
-    return ViolationTerms(q1=q1, q2=q2, q3=q3, score=score)
-
-
 def _control_decisions(controller, xs):
     """(inputs, exact_slack_or_None, h_or_None) for a batch of states.
 
@@ -103,15 +76,6 @@ def _control_decisions(controller, xs):
         batch = decide(xs)
         return batch.inputs, batch.slack, batch.h
     return np.asarray(controller(xs), dtype=float), None, None
-
-
-def _controller_system(controller, sys):
-    resolved = getattr(controller, "system", sys)
-    if resolved is None:
-        raise ValueError(
-            "a system is required: pass sys= or use a controller that carries one"
-        )
-    return resolved
 
 
 def _decrease_scores(cert, sys, xs, inputs, slack, h, kappa_gain):
@@ -144,35 +108,37 @@ def _by_blocks(fn, xs) -> np.ndarray:
     return out
 
 
-def total_loss(cert: MlpCertificate, datasets: TrainingDatasets, controller,
-               weights: LossWeights, sys: ControlAffineSystem | None = None) -> float:
-    """The composite hinge loss over the full datasets: the per-epoch
-    monitoring loss, each bucket in one pass."""
-    value, _ = _loss_value_parts(cert, datasets, controller, weights, sys)
-    return value
-
-
-def loss_components(cert, datasets, controller, weights,
-                    sys: ControlAffineSystem | None = None) -> tuple[float, float, float]:
-    _, parts = _loss_value_parts(cert, datasets, controller, weights, sys)
-    return parts
-
-
-def _loss_value_parts(cert, datasets, controller, weights, sys):
-    ns, nu, nd = datasets.sizes()
-    if min(ns, nu, nd) == 0:
+def _domain_decrease(cert, datasets, controller, weights, sys):
+    """(q3, closed-loop directions) on the domain bucket under the
+    controller's inputs, once all three buckets are known nonempty."""
+    if min(datasets.sizes()) == 0:
         raise EmptyBucketError("all three dataset buckets must be nonempty")
-    sys = _controller_system(controller, sys)
+    sys = getattr(controller, "system", sys)
+    if sys is None:
+        raise ValueError(
+            "a system is required: pass sys= or use a controller that carries one")
+    inputs, slack, h = _control_decisions(controller, datasets.domain)
+    q3, dirs, _ = _decrease_scores(cert, sys, datasets.domain, inputs, slack, h,
+                                   weights.kappa_gain)
+    return q3, dirs
+
+
+def total_loss(cert: MlpCertificate, datasets: TrainingDatasets, controller,
+               weights: LossWeights, sys: ControlAffineSystem | None = None
+               ) -> tuple[float, tuple[float, float, float]]:
+    """The composite hinge loss over the full datasets and its three terms
+    (safe, unsafe, decrease): the per-epoch monitoring loss, each bucket in
+    one pass."""
     # Whole buckets, not row blocks: blocked, the desk dubins loss took 35%
     # less time but the mini-batch steps after it 50% more. glibc malloc
     # raises its mmap and trim thresholds only when a large chunk is freed;
     # without these multi-MB temporaries it hands the heap back to the
-    # system after every step and faults it in again at the next.
+    # system after every step and faults it in again at the next. The
+    # safe and unsafe forwards go first: the steps that follow were
+    # measured slower with the domain pass first.
     h_safe = forward_batch(cert, datasets.safe)
     h_unsafe = forward_batch(cert, datasets.unsafe)
-    inputs, slack, h = _control_decisions(controller, datasets.domain)
-    q3, _, _ = _decrease_scores(cert, sys, datasets.domain, inputs, slack, h,
-                                weights.kappa_gain)
+    q3, _ = _domain_decrease(cert, datasets, controller, weights, sys)
     l1 = float(np.mean(np.maximum(0.0, -h_safe - weights.psi)))
     l2 = float(np.mean(np.maximum(0.0, h_unsafe + weights.delta - weights.psi)))
     l3 = float(np.mean(np.maximum(0.0, q3 - weights.psi)))
@@ -190,13 +156,8 @@ def total_loss_and_gradient(cert: MlpCertificate, datasets: TrainingDatasets,
     to the parameters: it is recomputed from the current certificate every
     call, but not differentiated through.
     """
+    q3_exact, dirs = _domain_decrease(cert, datasets, controller, weights, sys)
     ns, nu, nd = datasets.sizes()
-    if min(ns, nu, nd) == 0:
-        raise EmptyBucketError("all three dataset buckets must be nonempty")
-    sys = _controller_system(controller, sys)
-    inputs, slack, h = _control_decisions(controller, datasets.domain)
-    q3_exact, dirs, _ = _decrease_scores(cert, sys, datasets.domain, inputs, slack,
-                                         h, weights.kappa_gain)
     xs = np.concatenate([datasets.safe, datasets.unsafe, datasets.domain], axis=0)
     seeds = np.zeros_like(xs)
     seeds[ns + nu:] = dirs
@@ -307,27 +268,15 @@ class ConformalReport:
         return self.quantile <= tol
 
     def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "index_l": self.index_l,
-            "quantile": self.quantile,
-            "epsilon": self.epsilon,
-            "score_min": self.score_min,
-            "score_max": self.score_max,
-            "score_mean": self.score_mean,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ConformalReport":
-        return cls(**{k: doc[k] for k in (
-            "n_samples", "alpha", "beta", "index_l", "quantile", "epsilon",
-            "score_min", "score_max", "score_mean", "seed")})
+        """The report in doc; keys that are not fields are ignored."""
+        return cls(**{f.name: doc[f.name] for f in dataclasses.fields(cls)})
 
 
 def score_states(cert: MlpCertificate, sys: ControlAffineSystem, controller,

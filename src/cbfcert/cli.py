@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys as _sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +24,11 @@ import numpy as np
 from . import mlp
 from .certificate import report_from_scores, verification_scores
 from .controller import SafetyFilter
+from .dynamics import ControlAffineSystem
 from .simulator import (SliceSpec, empirical_safety_rate, levelset_grid,
                         levelset_to_csv, rollout_to_csv)
-from .trainer import STATUS_CERTIFIED, TrainConfig, alpha_epsilon_curve, refine
+from .trainer import (STATUS_CERTIFIED, ConfigError, TrainConfig,
+                      alpha_epsilon_curve, fits_type, refine)
 
 _ENV_OUT_ROOT = "CBFCERT_OUT"
 
@@ -46,22 +48,9 @@ _LEVELSET_DEFAULTS = {
 }
 
 
-class ConfigError(ValueError):
-    def __init__(self, messages):
-        super().__init__("; ".join(messages))
-        self.messages = list(messages)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _load_config(path: str) -> tuple[TrainConfig, dict, dict, dict]:
+def _load_config(path: str) -> tuple[TrainConfig, dict, dict, ControlAffineSystem]:
+    """The training config, the simulation and levelset sections, and the
+    system they describe; raises ConfigError listing every problem."""
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -70,47 +59,43 @@ def _load_config(path: str) -> tuple[TrainConfig, dict, dict, dict]:
         raise ConfigError([f"config: invalid JSON: {exc}"])
     if not isinstance(doc, dict):
         raise ConfigError(["config: top level must be an object"])
-    sim = dict(_SIM_DEFAULTS)
-    sim_doc = doc.pop("simulation", {}) or {}
-    unknown = set(sim_doc) - set(_SIM_DEFAULTS)
-    if unknown:
-        raise ConfigError([f"simulation: unknown keys {sorted(unknown)}"])
-    sim.update(sim_doc)
-    lvl = dict(_LEVELSET_DEFAULTS)
-    lvl_doc = doc.pop("levelset", {}) or {}
-    unknown = set(lvl_doc) - set(_LEVELSET_DEFAULTS)
-    if unknown:
-        raise ConfigError([f"levelset: unknown keys {sorted(unknown)}"])
-    lvl.update(lvl_doc)
-    try:
-        config = TrainConfig.from_dict(doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError([f"config: {exc}"])
+    sections = []
+    for name, defaults in (("simulation", _SIM_DEFAULTS), ("levelset", _LEVELSET_DEFAULTS)):
+        given = doc.pop(name, {}) or {}
+        unknown = set(given) - set(defaults)
+        if unknown:
+            raise ConfigError([f"{name}: unknown keys {sorted(unknown)}"])
+        sections.append({**defaults, **given})
+    sim, lvl = sections
+    config = TrainConfig.from_dict(doc)
     errors = config.validate()
+    system = None
+    if not errors:
+        try:
+            system = config.build_system()
+        except (TypeError, ValueError) as exc:
+            errors.append(f"system_params: {exc}")
     for key in ("n_rollouts", "horizon_steps"):
-        if not _is_int(sim[key]) or sim[key] <= 0:
+        if not fits_type(sim[key], int) or sim[key] <= 0:
             errors.append(f"simulation.{key}: must be a positive integer")
-    if not _is_finite_number(sim["dt"]) or sim["dt"] <= 0:
+    if not fits_type(sim["dt"], float) or sim["dt"] <= 0:
         errors.append("simulation.dt: must be a positive finite number")
     for key in ("respect_input_bounds", "emit_trajectories"):
         if not isinstance(sim[key], bool):
             errors.append(f"simulation.{key}: must be true or false")
     limit = sim["max_trajectory_files"]
-    if not _is_int(limit) or limit < 0:
+    if not fits_type(limit, int) or limit < 0:
         errors.append("simulation.max_trajectory_files: must be a non-negative integer")
-    if not _is_int(lvl["resolution"]) or lvl["resolution"] < 2:
+    if not fits_type(lvl["resolution"], int) or lvl["resolution"] < 2:
         errors.append("levelset.resolution: must be an integer of at least 2")
     axes = lvl["free_axes"]
-    if (not isinstance(axes, list) or len(axes) != 2 or not all(map(_is_int, axes))
-            or axes[0] == axes[1]):
+    if not fits_type(axes, tuple[int, ...]) or len(axes) != 2 or axes[0] == axes[1]:
         errors.append("levelset.free_axes: need a list of two distinct integer indices")
-    fixed = lvl["fixed_values"]
-    if fixed is not None and (not isinstance(fixed, list)
-                              or not all(map(_is_finite_number, fixed))):
+    if not fits_type(lvl["fixed_values"], tuple[float, ...] | None):
         errors.append("levelset.fixed_values: must be null or a list of finite numbers")
     if errors:
         raise ConfigError(errors)
-    return config, sim, lvl, doc
+    return config, sim, lvl, system
 
 
 def _out_dir(args, command: str) -> Path:
@@ -134,14 +119,9 @@ def _echo_config(out: Path, config: TrainConfig, sim: dict, lvl: dict) -> None:
 
 
 def cmd_train(args) -> int:
-    try:
-        config, sim, lvl, _ = _load_config(args.config)
-    except ConfigError as exc:
-        for msg in exc.messages:
-            print(f"error: {msg}", file=_sys.stderr)
-        return 1
+    config, sim, lvl, _ = _load_config(args.config)
     if args.seed is not None:
-        config = TrainConfig.from_dict({**config.to_dict(), "seed": args.seed})
+        config = replace(config, seed=args.seed)
     out = _out_dir(args, "train")
     out.mkdir(parents=True, exist_ok=True)
     _write_status(out, "running")
@@ -172,33 +152,25 @@ def cmd_train(args) -> int:
     return 0 if certified else 2
 
 
-def _load_certificate(path: str):
+def _load_deployment(args):
+    """(config, sim, lvl, system, cert) for a command that reads a
+    certificate; raises ConfigError."""
+    config, sim, lvl, system = _load_config(args.config)
     try:
-        return mlp.load_certificate(path)
+        cert = mlp.load_certificate(args.cert)
     except FileNotFoundError:
-        print(f"error: certificate file not found: {path}", file=_sys.stderr)
-        return None
+        raise ConfigError([f"certificate file not found: {args.cert}"])
     except (ValueError, KeyError) as exc:
-        print(f"error: unreadable certificate: {exc}", file=_sys.stderr)
-        return None
+        raise ConfigError([f"unreadable certificate: {exc}"])
+    if cert.n_inputs != system.n:
+        raise ConfigError([f"certificate input size {cert.n_inputs} != system "
+                           f"dimension {system.n}"])
+    return config, sim, lvl, system, cert
 
 
 def cmd_verify(args) -> int:
-    try:
-        config, sim, lvl, _ = _load_config(args.config)
-    except ConfigError as exc:
-        for msg in exc.messages:
-            print(f"error: {msg}", file=_sys.stderr)
-        return 1
-    cert = _load_certificate(args.cert)
-    if cert is None:
-        return 1
+    config, sim, lvl, system, cert = _load_deployment(args)
     seed = args.seed if args.seed is not None else config.seed
-    system = config.build_system()
-    if cert.n_inputs != system.n:
-        print(f"error: certificate input size {cert.n_inputs} != system "
-              f"dimension {system.n}", file=_sys.stderr)
-        return 1
     out = _out_dir(args, "verify")
     out.mkdir(parents=True, exist_ok=True)
     verifier = SafetyFilter(certificate=cert, system=system,
@@ -220,21 +192,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config, sim, lvl, _ = _load_config(args.config)
-    except ConfigError as exc:
-        for msg in exc.messages:
-            print(f"error: {msg}", file=_sys.stderr)
-        return 1
-    cert = _load_certificate(args.cert)
-    if cert is None:
-        return 1
+    config, sim, lvl, system, cert = _load_deployment(args)
     seed = args.seed if args.seed is not None else config.seed
-    system = config.build_system()
-    if cert.n_inputs != system.n:
-        print(f"error: certificate input size {cert.n_inputs} != system "
-              f"dimension {system.n}", file=_sys.stderr)
-        return 1
     out = _out_dir(args, "simulate")
     out.mkdir(parents=True, exist_ok=True)
     filt = SafetyFilter(certificate=cert, system=system,
@@ -267,31 +226,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_levelset(args) -> int:
-    try:
-        config, sim, lvl, _ = _load_config(args.config)
-    except ConfigError as exc:
-        for msg in exc.messages:
-            print(f"error: {msg}", file=_sys.stderr)
-        return 1
-    cert = _load_certificate(args.cert)
-    if cert is None:
-        return 1
-    system = config.build_system()
-    if cert.n_inputs != system.n:
-        print(f"error: certificate input size {cert.n_inputs} != system "
-              f"dimension {system.n}", file=_sys.stderr)
-        return 1
+    config, sim, lvl, system, cert = _load_deployment(args)
     fixed = lvl["fixed_values"]
     if fixed is None:
         fixed = [float(0.5 * (lo + hi)) for lo, hi in system.state_bounds]
     if len(fixed) != system.n:
-        print(f"error: levelset.fixed_values needs {system.n} entries",
-              file=_sys.stderr)
-        return 1
+        raise ConfigError([f"levelset.fixed_values needs {system.n} entries"])
     if not all(0 <= i < system.n for i in lvl["free_axes"]):
-        print(f"error: levelset.free_axes {lvl['free_axes']} outside state "
-              f"dimension {system.n}", file=_sys.stderr)
-        return 1
+        raise ConfigError([f"levelset.free_axes {lvl['free_axes']} outside state "
+                           f"dimension {system.n}"])
     spec = SliceSpec(free_axes=tuple(lvl["free_axes"]),
                      fixed_values=tuple(float(v) for v in fixed),
                      resolution=lvl["resolution"])
@@ -314,15 +257,12 @@ def cmd_curve(args) -> int:
     betas = args.beta or [1e-3]
     for b in betas:
         if not (0.0 < b < 1.0):
-            print(f"error: beta must lie in (0, 1), got {b}", file=_sys.stderr)
-            return 1
+            raise ConfigError([f"beta must lie in (0, 1), got {b}"])
     for n in ns:
         if n < 1:
-            print(f"error: N must be >= 1, got {n}", file=_sys.stderr)
-            return 1
+            raise ConfigError([f"N must be >= 1, got {n}"])
     if args.alpha_count < 0 or args.alpha_min > args.alpha_max:
-        print("error: empty or negative alpha range", file=_sys.stderr)
-        return 1
+        raise ConfigError(["empty or negative alpha range"])
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_count)
     out = _out_dir(args, "curve")
     out.mkdir(parents=True, exist_ok=True)
@@ -390,7 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        for msg in exc.messages:
+            print(f"error: {msg}", file=_sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ scores sit right at that boundary, so the distinction matters.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +26,12 @@ from .dynamics import ControlAffineSystem
 from .mlp import MlpCertificate, values_and_input_gradients
 
 _DEGENERATE_SQ = 1e-28
+
+
+def _is_positive_finite(value) -> bool:
+    """A real number (not a bool) in (0, inf)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0.0 < value < math.inf)
 
 
 class InfeasibleFilterError(RuntimeError):
@@ -43,6 +51,8 @@ class SafetyFilter:
     def __post_init__(self) -> None:
         if self.kappa_gain <= 0:
             raise ValueError("kappa_gain must be positive")
+        if self.correction_cap is not None and not _is_positive_finite(self.correction_cap):
+            raise ValueError("correction_cap must be None or a positive finite number")
         if self.reference_policy is None:
             object.__setattr__(self, "reference_policy", self.system.reference_policy)
 
@@ -63,37 +73,11 @@ class FilterBatch:
     h: np.ndarray          # (B,) barrier value at each state
 
 
-def constraint_coefficients(filt: SafetyFilter, x) -> tuple[np.ndarray, float]:
-    """Coefficients (a, b) of the pointwise constraint a.u >= b."""
-    x = np.asarray(x, dtype=float)
-    h, grad = values_and_input_gradients(filt.certificate, x[None, :])
-    a = grad[0] @ filt.system.g(x)
-    b = -float(grad[0] @ filt.system.f(x)) - filt.kappa_gain * float(h[0])
-    return a, b
-
-
 def _box_bounds(filt: SafetyFilter) -> tuple[np.ndarray, np.ndarray] | None:
     if not filt.respect_input_bounds or filt.system.input_bounds is None:
         return None
     ib = filt.system.input_bounds
     return ib[:, 0], ib[:, 1]
-
-
-def _solve_unbounded(u_ref, a, b, cap):
-    r = float(a @ u_ref)
-    if r >= b:
-        return u_ref, r - b, False, True
-    norm_sq = float(a @ a)
-    if norm_sq < _DEGENERATE_SQ:
-        return u_ref, r - b, True, False
-    corr = ((b - r) / norm_sq) * a
-    if cap is not None:
-        size = float(np.linalg.norm(corr))
-        if size > cap:
-            scale = cap / size
-            # capped correction leaves a true residual violation
-            return u_ref + scale * corr, (scale - 1.0) * (b - r), True, True
-    return u_ref + corr, 0.0, True, True
 
 
 def _solve_box(u_ref, a, b, lo, hi):
@@ -132,27 +116,17 @@ def _solve_box(u_ref, a, b, lo, hi):
     return np.clip(u, lo, hi), 0.0, True, True
 
 
-def _decide(filt: SafetyFilter, u_ref, a, b):
-    box = _box_bounds(filt)
-    if box is None:
-        return _solve_unbounded(u_ref, a, b, filt.correction_cap)
-    if u_ref.shape[0] > 2:
-        raise NotImplementedError("box-constrained filtering implemented for m <= 2")
-    return _solve_box(u_ref, a, b, box[0], box[1])
-
-
 def filter_input(filt: SafetyFilter, x) -> np.ndarray:
-    """The safety-filtered input at x; raises InfeasibleFilterError when
-    the constraint cannot be satisfied."""
+    """The safety-filtered input at one state x (n,): row 0 of filter_batch
+    on the one-state batch; raises InfeasibleFilterError when the
+    constraint cannot be satisfied."""
     x = np.asarray(x, dtype=float)
-    a, b = constraint_coefficients(filt, x)
-    u_ref = np.asarray(filt.reference_policy(x), dtype=float)
-    u, _, _, feasible = _decide(filt, u_ref, a, b)
-    if not feasible:
+    batch = filter_batch(filt, x[None])
+    if not batch.feasible[0]:
         raise InfeasibleFilterError(
-            f"barrier constraint a.u >= {b:.6g} infeasible at state {x} (a={a})"
+            f"barrier constraint infeasible at state {x} (slack {batch.slack[0]:.6g})"
         )
-    return u
+    return batch.inputs[0]
 
 
 def filter_batch(filt: SafetyFilter, xs) -> FilterBatch:
@@ -168,24 +142,31 @@ def filter_batch(filt: SafetyFilter, xs) -> FilterBatch:
     f = filt.system.f(xs)
     a_all = np.einsum("bn,bnm->bm", grads, g)
     b_all = -np.einsum("bn,bn->b", grads, f) - filt.kappa_gain * h
-    refs = np.asarray(filt.reference_policy(xs), dtype=float)
-    if _box_bounds(filt) is None:
+    # one input row per state; atleast_2d lets a policy written for one
+    # state serve the one-state batch of filter_input
+    refs = np.atleast_2d(np.asarray(filt.reference_policy(xs), dtype=float))
+    box = _box_bounds(filt)
+    if box is None:
         return _batch_unbounded(refs, a_all, b_all, filt.correction_cap, h)
+    if filt.system.m > 2:
+        raise NotImplementedError("box-constrained filtering implemented for m <= 2")
     n_pts = xs.shape[0]
     inputs = np.empty((n_pts, filt.system.m))
     slack = np.empty(n_pts)
     active = np.empty(n_pts, dtype=bool)
     feasible = np.empty(n_pts, dtype=bool)
     for i in range(n_pts):
-        inputs[i], slack[i], active[i], feasible[i] = _decide(
-            filt, refs[i], a_all[i], b_all[i]
+        inputs[i], slack[i], active[i], feasible[i] = _solve_box(
+            refs[i], a_all[i], b_all[i], *box
         )
     return FilterBatch(inputs=inputs, slack=slack, active=active, feasible=feasible,
                        h=h)
 
 
 def _batch_unbounded(refs, a_all, b_all, cap, h) -> FilterBatch:
-    # array form of _solve_unbounded; must stay decision-identical to it
+    # Closed-form projection onto a.u >= b for every state at once. The
+    # scalar reference is tests/oracles.py:_solve_unbounded, and
+    # test_batch_matches_scalar_decisions checks that both decide alike.
     r = np.einsum("bm,bm->b", a_all, refs)
     viol = b_all - r
     active = viol > 0.0

@@ -120,9 +120,6 @@ class MlpCertificate:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 def init_certificate(layer_sizes, seed: int = 0) -> MlpCertificate:
     """Glorot-uniform weights, zero biases, reproducible for a fixed seed."""
@@ -137,21 +134,21 @@ def init_certificate(layer_sizes, seed: int = 0) -> MlpCertificate:
     return MlpCertificate(sizes, tuple(weights), tuple(biases))
 
 
-def _check_batch(cert: MlpCertificate, x) -> tuple[np.ndarray, bool]:
+def _check_batch(cert: MlpCertificate, x) -> np.ndarray:
+    """x as a (B, n) float batch; one state (n,) becomes a batch of one."""
     arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    if single:
+    if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != cert.n_inputs:
         raise ShapeError(
             f"state batch shape {np.shape(x)} does not match input size {cert.n_inputs}"
         )
-    return arr, single
+    return arr
 
 
 def forward_batch(cert: MlpCertificate, xs) -> np.ndarray:
     """Barrier values for a batch of states, shape (B,)."""
-    a, _ = _check_batch(cert, xs)
+    a = _check_batch(cert, xs)
     last = cert.n_layers - 1
     for l, (w, b) in enumerate(zip(cert.weights, cert.biases)):
         z = a @ w.T + b
@@ -181,21 +178,15 @@ def forward(cert: MlpCertificate, x) -> float | np.ndarray:
     return float(h) if h.ndim == 0 else h
 
 
-def input_gradient_batch(cert: MlpCertificate, xs) -> np.ndarray:
-    """dh/dx for a batch of states, shape (B, n). Exact reverse sweep."""
-    return values_and_input_gradients(cert, xs)[1]
-
-
 def input_gradient(cert: MlpCertificate, x) -> np.ndarray:
-    arr, single = _check_batch(cert, x)
-    if not single:
-        raise ShapeError("input_gradient expects a single state vector")
-    return input_gradient_batch(cert, arr)[0]
+    """dh/dx at one state (n,): the one-state view of
+    values_and_input_gradients."""
+    return values_and_input_gradients(cert, np.asarray(x, dtype=float)[None])[1][0]
 
 
 def values_and_input_gradients(cert: MlpCertificate, xs) -> tuple[np.ndarray, np.ndarray]:
     """(h, dh/dx) for a batch in one pass; shapes (B,) and (B, n)."""
-    a, _ = _check_batch(cert, xs)
+    a = _check_batch(cert, xs)
     last = cert.n_layers - 1
     sigs = []
     for l, (w, b) in enumerate(zip(cert.weights, cert.biases)):
@@ -226,12 +217,6 @@ class ParamGrads:
             [np.zeros_like(w) for w in cert.weights],
             [np.zeros_like(b) for b in cert.biases],
         )
-
-    def add_scaled(self, other: "ParamGrads", scale: float = 1.0) -> None:
-        for gw, ow in zip(self.weights, other.weights):
-            gw += scale * ow
-        for gb, ob in zip(self.biases, other.biases):
-            gb += scale * ob
 
     def max_abs(self) -> float:
         parts = [np.max(np.abs(g)) if g.size else 0.0 for g in self.weights + self.biases]
@@ -303,18 +288,8 @@ def loss_param_gradient(cert: MlpCertificate, xs, loss_fn) -> tuple[float, Param
     (zero-derivative) convention inside loss_fn. An empty batch yields
     (0.0, zero gradients).
     """
-    batch, _ = _check_batch(cert, np.atleast_2d(np.asarray(xs, dtype=float)))
-    if batch.shape[0] == 0:
-        return 0.0, ParamGrads.zeros_like(cert)
-    n = cert.n_inputs
-    seeds = np.broadcast_to(np.eye(n), (batch.shape[0], n, n)).copy()
-    h, dirs, caches = _forward_with_tangents(cert, batch, seeds)
-    _raise_on_nonfinite(h, dirs)
-    value, d_h, d_grads = loss_fn(h, dirs)
-    grads = _reverse_combined(cert, caches, np.asarray(d_h, float), np.asarray(d_grads, float))
-    if not grads.is_finite():
-        raise NumericError("non-finite parameter gradient")
-    return float(value), grads
+    n, b = cert.n_inputs, len(np.atleast_2d(xs))
+    return _nested_gradient(cert, xs, np.broadcast_to(np.eye(n), (b, n, n)).copy(), loss_fn)
 
 
 def seeded_loss_param_gradient(cert: MlpCertificate, xs, seed_dirs, loss_fn):
@@ -325,18 +300,27 @@ def seeded_loss_param_gradient(cert: MlpCertificate, xs, seed_dirs, loss_fn):
     full gradient stream per sample. loss_fn returns (value, dv_dh, dv_dd)
     with (B,) partials.
     """
-    batch, _ = _check_batch(cert, np.atleast_2d(np.asarray(xs, dtype=float)))
+    def one_stream(h, d):
+        value, d_h, d_d = loss_fn(h, d[:, 0])
+        return value, d_h, np.asarray(d_d, float)[:, None]
+
+    seeds = np.asarray(seed_dirs, dtype=float)[:, None, :]
+    return _nested_gradient(cert, xs, seeds, one_stream)
+
+
+def _nested_gradient(cert, xs, seeds, loss_fn):
+    """loss_fn(h, d) and its parameter gradient, where d (B, S) holds the
+    directional derivatives seeds[i, s] . dh/dx(x_i) for the (B, S, n)
+    seeds; loss_fn returns (value, dv_dh, dv_dd)."""
+    batch = _check_batch(cert, np.atleast_2d(xs))
     if batch.shape[0] == 0:
         return 0.0, ParamGrads.zeros_like(cert)
-    seeds = np.asarray(seed_dirs, dtype=float)[:, None, :]
     if seeds.shape[0] != batch.shape[0] or seeds.shape[2] != cert.n_inputs:
         raise ShapeError("one seed direction of input dimension per sample required")
     h, dirs, caches = _forward_with_tangents(cert, batch, seeds)
-    _raise_on_nonfinite(h, dirs[:, 0])
-    value, d_h, d_d = loss_fn(h, dirs[:, 0])
-    grads = _reverse_combined(
-        cert, caches, np.asarray(d_h, float), np.asarray(d_d, float)[:, None]
-    )
+    _raise_on_nonfinite(h, dirs)
+    value, d_h, d_dirs = loss_fn(h, dirs)
+    grads = _reverse_combined(cert, caches, np.asarray(d_h, float), np.asarray(d_dirs, float))
     if not grads.is_finite():
         raise NumericError("non-finite parameter gradient")
     return float(value), grads

@@ -10,8 +10,11 @@ seen is returned.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import time
+import typing
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,6 +38,14 @@ class DivergedTrainingError(RuntimeError):
     def __init__(self, epoch: int):
         super().__init__(f"training loss became non-finite at epoch {epoch}")
         self.epoch = epoch
+
+
+class ConfigError(ValueError):
+    """An unusable config; messages holds one field-path message each."""
+
+    def __init__(self, messages):
+        super().__init__("; ".join(messages))
+        self.messages = list(messages)
 
 
 @dataclass(frozen=True)
@@ -67,17 +78,17 @@ class TrainConfig:
 
     def validate(self) -> list[str]:
         """Field-path error messages; empty when the config is usable."""
-        errors = []
+        errors = _type_errors(vars(self))
+        if errors:
+            return errors
         if self.system not in _known_systems():
             errors.append(f"system: unknown {self.system!r}")
-        if not self.hidden_layers or any(int(h) <= 0 for h in self.hidden_layers):
+        if not self.hidden_layers or any(h <= 0 for h in self.hidden_layers):
             errors.append("hidden_layers: need at least one positive layer width")
         for name in ("epochs", "batch_size", "n_safe", "n_unsafe", "n_domain",
-                     "conformal_samples", "max_refinements"):
-            if int(getattr(self, name)) <= 0:
-                errors.append(f"{name}: must be positive")
-        for name in ("learning_rate", "lambda1", "lambda2", "delta", "kappa_gain"):
-            if float(getattr(self, name)) <= 0:
+                     "conformal_samples", "max_refinements", "learning_rate",
+                     "lambda1", "lambda2", "delta", "kappa_gain"):
+            if getattr(self, name) <= 0:
                 errors.append(f"{name}: must be positive")
         if self.loss_tolerance < 0:
             errors.append("loss_tolerance: must be non-negative")
@@ -94,8 +105,8 @@ class TrainConfig:
                 )
         if self.psi_update not in ("cumulative", "reset"):
             errors.append("psi_update: must be 'cumulative' or 'reset'")
-        if not isinstance(self.respect_input_bounds_training, bool):
-            errors.append("respect_input_bounds_training: must be true or false")
+        if self.correction_cap is not None and self.correction_cap <= 0:
+            errors.append("correction_cap: must be null or a positive finite number")
         return errors
 
     def loss_weights(self, psi: float = 0.0) -> LossWeights:
@@ -106,58 +117,70 @@ class TrainConfig:
         return make_system(self.system, **self.system_params)
 
     def layer_sizes(self, n: int) -> tuple[int, ...]:
-        return (n, *[int(h) for h in self.hidden_layers], 1)
+        return (n, *self.hidden_layers, 1)
 
     def to_dict(self) -> dict:
-        doc = {
-            "system": self.system,
-            "system_params": dict(self.system_params),
-            "hidden_layers": list(self.hidden_layers),
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "n_safe": self.n_safe,
-            "n_unsafe": self.n_unsafe,
-            "n_domain": self.n_domain,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "delta": self.delta,
-            "kappa_gain": self.kappa_gain,
-            "conformal_samples": self.conformal_samples,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "max_refinements": self.max_refinements,
-            "loss_tolerance": self.loss_tolerance,
-            "seed": self.seed,
-            "psi_update": self.psi_update,
-            "respect_input_bounds_training": self.respect_input_bounds_training,
-            "correction_cap": self.correction_cap,
-        }
-        return doc
-
-    _INT_FIELDS = ("epochs", "batch_size", "n_safe", "n_unsafe", "n_domain",
-                   "conformal_samples", "max_refinements", "seed")
-    _FLOAT_FIELDS = ("learning_rate", "lambda1", "lambda2", "delta",
-                     "kappa_gain", "alpha", "beta", "loss_tolerance")
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        kwargs = dict(doc)
-        if "hidden_layers" in kwargs:
-            kwargs["hidden_layers"] = tuple(int(h) for h in kwargs["hidden_layers"])
-        for name in cls._INT_FIELDS:
-            if name in kwargs:
-                value = kwargs[name]
-                if isinstance(value, bool) or int(value) != value:
-                    raise ValueError(f"{name}: expected an integer, got {value!r}")
-                kwargs[name] = int(value)
-        for name in cls._FLOAT_FIELDS:
-            if name in kwargs:
-                kwargs[name] = float(kwargs[name])
-        unknown = set(kwargs) - set(cls.__dataclass_fields__)
+        """The config in a JSON document: lists become tuples and integral
+        floats integers where the field is an integer, and ints floats
+        where it is a float. Raises ConfigError, a ValueError, on unknown
+        keys and on values that do not have their field's type."""
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError([f"config: unknown config keys: {sorted(unknown)}"])
+        kwargs = {name: _from_json(value, _FIELD_TYPES[name])
+                  for name, value in doc.items()}
+        errors = _type_errors(kwargs)
+        if errors:
+            raise ConfigError(errors)
         return cls(**kwargs)
+
+
+_FIELD_TYPES = typing.get_type_hints(TrainConfig)
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", dict: "an object", tuple[int, ...]: "a list of integers"}
+
+
+def _from_json(value, kind):
+    if typing.get_origin(kind) is tuple and isinstance(value, list):
+        return tuple(_from_json(v, typing.get_args(kind)[0]) for v in value)
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if kind is float and fits_type(value, int):
+        return float(value)
+    return value
+
+
+def fits_type(value, kind) -> bool:
+    """Whether a config value fits a type annotation: int, float, bool,
+    str, dict, tuple[X, ...] (a list or tuple) or X | None. A bool is not
+    a number here, and a float must be finite."""
+    args = typing.get_args(kind)
+    if type(None) in args:
+        return value is None or fits_type(value, args[0])
+    if typing.get_origin(kind) is tuple:
+        return (isinstance(value, (list, tuple))
+                and all(fits_type(v, args[0]) for v in value))
+    if kind in (int, float) and isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, kind)
+
+
+def _type_name(kind) -> str:
+    args = typing.get_args(kind)
+    if type(None) in args:
+        return "null or " + _type_name(args[0])
+    return _TYPE_NAMES[kind]
+
+
+def _type_errors(values: dict) -> list[str]:
+    return [f"{name}: must be {_type_name(_FIELD_TYPES[name])}"
+            for name, value in values.items() if not fits_type(value, _FIELD_TYPES[name])]
 
 
 def _known_systems():
@@ -174,8 +197,7 @@ class RefinementRecord:
     beta: float
 
     def to_dict(self) -> dict:
-        return {"psi": self.psi, "quantile": self.quantile,
-                "epsilon": self.epsilon, "beta": self.beta}
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -186,12 +208,7 @@ class TrainingHistory:
     status: str = STATUS_BUDGET_EXHAUSTED
 
     def to_dict(self) -> dict:
-        return {
-            "epoch_losses": self.epoch_losses,
-            "refinements": [r.to_dict() for r in self.refinements],
-            "phase_seconds": self.phase_seconds,
-            "status": self.status,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -218,7 +235,7 @@ def train_phase(cert: mlp.MlpCertificate, datasets: TrainingDatasets,
     tolerance or the epoch budget runs out. The safety filter feeding the
     decrease term is rebuilt from the current parameters at every batch.
     Returns the best certificate seen (lowest full-dataset loss)."""
-    losses = [total_loss(cert, datasets, _training_filter(cert, sys, config), weights)]
+    losses = [total_loss(cert, datasets, _training_filter(cert, sys, config), weights)[0]]
     if not np.isfinite(losses[0]):
         raise DivergedTrainingError(0)
     best_loss, best_cert = losses[0], cert
@@ -246,7 +263,7 @@ def train_phase(cert: mlp.MlpCertificate, datasets: TrainingDatasets,
             filt = _training_filter(cert, sys, config)
             _, grads = total_loss_and_gradient(cert, batch, filt, weights)
             state, cert = mlp.adam_step(state, cert, grads)
-        loss = total_loss(cert, datasets, _training_filter(cert, sys, config), weights)
+        loss, _ = total_loss(cert, datasets, _training_filter(cert, sys, config), weights)
         if not np.isfinite(loss):
             raise DivergedTrainingError(epoch)
         losses.append(loss)

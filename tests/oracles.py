@@ -8,6 +8,7 @@ that it shares no code path with the implementation under test.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -309,3 +310,71 @@ def reference_rollout_to_csv(ro, path):
             writer.writerow([repr(k * ro.dt)] + [repr(float(v)) for v in x]
                             + [v if v == "" else repr(float(v)) for v in u]
                             + [repr(float(h))] + tail)
+
+
+# Scalar references of the package's batch paths: one state at a time,
+# with the system's f and g evaluated on the single state. The package
+# keeps only the batch forms (controller.filter_batch, certificate
+# score_states); these pin what a single-state decision means.
+
+_DEGENERATE_SQ = 1e-28   # controller's degenerate-gradient threshold
+
+
+def constraint_coefficients(filt, x):
+    """Coefficients (a, b) of the pointwise constraint a.u >= b."""
+    from cbfcert.mlp import values_and_input_gradients
+
+    x = np.asarray(x, dtype=float)
+    h, grad = values_and_input_gradients(filt.certificate, x[None, :])
+    a = grad[0] @ filt.system.g(x)
+    b = -float(grad[0] @ filt.system.f(x)) - filt.kappa_gain * float(h[0])
+    return a, b
+
+
+def _solve_unbounded(u_ref, a, b, cap):
+    """(u, slack, active, feasible) of min |u - u_ref|^2 s.t. a.u >= b,
+    with the correction capped at norm cap when cap is not None."""
+    r = float(a @ u_ref)
+    if r >= b:
+        return u_ref, r - b, False, True
+    norm_sq = float(a @ a)
+    if norm_sq < _DEGENERATE_SQ:
+        return u_ref, r - b, True, False
+    corr = ((b - r) / norm_sq) * a
+    if cap is not None:
+        size = float(np.linalg.norm(corr))
+        if size > cap:
+            scale = cap / size
+            # capped correction leaves a true residual violation
+            return u_ref + scale * corr, (scale - 1.0) * (b - r), True, True
+    return u_ref + corr, 0.0, True, True
+
+
+@dataclass(frozen=True)
+class ViolationTerms:
+    """Pointwise condition violations; inactive terms are None and the
+    score is the max over the active ones (the decrease term is always
+    active)."""
+
+    q1: float | None
+    q2: float | None
+    q3: float
+    score: float
+
+
+def violation_terms(cert, sys, u, x, weights) -> ViolationTerms:
+    from cbfcert.dynamics import Label, closed_loop_field
+    from cbfcert.mlp import values_and_input_gradients
+
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    h_arr, grad = values_and_input_gradients(cert, x[None, :])
+    h = float(h_arr[0])
+    if not math.isfinite(h):
+        raise FloatingPointError(f"non-finite barrier value at {x}")
+    label = sys.label(x)
+    q3 = float(-grad[0] @ closed_loop_field(sys, x, u) - weights.kappa_gain * h)
+    q1 = -h if label == Label.SAFE else None
+    q2 = h + weights.delta if label == Label.UNSAFE else None
+    score = max(v for v in (q1, q2, q3) if v is not None)
+    return ViolationTerms(q1=q1, q2=q2, q3=q3, score=score)

@@ -65,7 +65,7 @@ def _random_pair(sys_, arch, rng):
     dirs = sys_.f(batch[2]) + np.einsum("bnm,bm->bn", sys_.g(batch[2]), inputs)
     weights = LossWeights(psi=float(rng.uniform(-0.3, 0.05)))
     h = mlp.forward_batch(cert, xs)
-    grads = mlp.input_gradient_batch(cert, batch[2])
+    _, grads = mlp.values_and_input_gradients(cert, batch[2])
     args = np.concatenate([
         -h[:2] - weights.psi,
         h[2:4] + weights.delta - weights.psi,

@@ -6,13 +6,12 @@ from cbfcert.certificate import (ConformalReport, EmptyBucketError,
                                  InsufficientSamplesError, InvalidAlphaError,
                                  LossWeights, conformal_quantile, epsilon_for,
                                  quantify_safety, quantile_index, score_states,
-                                 total_loss, total_loss_and_gradient,
-                                 violation_terms)
+                                 total_loss, total_loss_and_gradient)
 from cbfcert.controller import SafetyFilter
 from cbfcert.dynamics import dubins_system, quadruped_system
 from cbfcert.sampling import TrainingDatasets, build_datasets
 
-from oracles import betainc_quadrature, reference_score_states
+from oracles import betainc_quadrature, reference_score_states, violation_terms
 
 
 def constant_cert(n, value):
@@ -81,8 +80,9 @@ def test_total_loss_direct_arithmetic():
     def controller(xs):
         return np.tile([1.0, 0.0], (xs.shape[0], 1))
 
-    loss = total_loss(cert, ds, controller, weights, sys=sys_)
+    loss, parts = total_loss(cert, ds, controller, weights, sys=sys_)
     assert loss == pytest.approx(0.5 + 0.0 + 0.1 * 0.5, rel=1e-12)
+    assert parts == pytest.approx((0.5, 0.0, 0.5), rel=1e-12)
 
 
 def test_total_loss_zero_when_margins_met():
@@ -92,10 +92,10 @@ def test_total_loss_zero_when_margins_met():
     filt = SafetyFilter(certificate=cert, system=sys_)
     weights = LossWeights(delta=0.01)
     # h = 0.8 > 0 on safe, but unsafe bucket violates: q2 = 0.81
-    assert total_loss(cert, ds, filt, weights, sys=sys_) == pytest.approx(0.81)
+    assert total_loss(cert, ds, filt, weights, sys=sys_)[0] == pytest.approx(0.81)
     # negative constant barrier: safe bucket and decrease term violate
     cert2 = constant_cert(3, -0.8)
-    loss2 = total_loss(cert2, ds, filt, weights, sys=sys_)
+    loss2, _ = total_loss(cert2, ds, filt, weights, sys=sys_)
     assert loss2 > 0.8
 
 
@@ -114,7 +114,7 @@ def test_psi_tightening_increases_loss():
     cert = constant_cert(3, 0.8)
     ds = build_datasets(sys_, 30, 30, 30, seed=5)
     filt = SafetyFilter(certificate=cert, system=sys_)
-    losses = [total_loss(cert, ds, filt, LossWeights(psi=psi), sys=sys_)
+    losses = [total_loss(cert, ds, filt, LossWeights(psi=psi), sys=sys_)[0]
               for psi in (0.0, -0.5, -2.0, -8.0)]
     assert all(b > a for a, b in zip(losses, losses[1:]))
 
@@ -259,7 +259,7 @@ def test_gradient_uses_filtered_inputs_consistently():
     ds = build_datasets(sys_, 40, 40, 40, seed=8)
     filt = SafetyFilter(certificate=cert, system=sys_, correction_cap=100.0)
     weights = LossWeights(psi=-0.05)
-    v1 = total_loss(cert, ds, filt, weights, sys=sys_)
+    v1, _ = total_loss(cert, ds, filt, weights, sys=sys_)
     v2, grads = total_loss_and_gradient(cert, ds, filt, weights, sys=sys_)
     assert v1 == pytest.approx(v2, rel=1e-12)
     assert grads.is_finite()

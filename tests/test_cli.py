@@ -336,10 +336,23 @@ _BAD_CONFIG_VALUES = [
     *[("simulation", key, value)
       for key in ("respect_input_bounds", "emit_trajectories")
       for value in ("false", 0, 1, None)],
+    # top-level fields, section None
+    (None, "system_params", {"bogus": 1}),
+    (None, "hidden_layers", "64"),
+    (None, "hidden_layers", [64.5]),
+    (None, "hidden_layers", [True]),
+    (None, "learning_rate", "0.001"),
+    (None, "learning_rate", True),
+    (None, "learning_rate", float("nan")),
+    (None, "kappa_gain", "1"),
+    (None, "correction_cap", -1.0),
+    (None, "correction_cap", 0.0),
+    (None, "correction_cap", "abc"),
+    (None, "correction_cap", float("inf")),
 ]
 
 
-@pytest.mark.parametrize("command", ["train", "levelset", "simulate"])
+@pytest.mark.parametrize("command", ["train", "verify", "levelset", "simulate"])
 @pytest.mark.parametrize("section, key, value", _BAD_CONFIG_VALUES)
 def test_mistyped_config_value_rejected_before_outputs(tmp_path, capsys, command,
                                                        section, key, value):
@@ -349,14 +362,18 @@ def test_mistyped_config_value_rejected_before_outputs(tmp_path, capsys, command
     mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
     base = {"simulation": {"n_rollouts": 3, "horizon_steps": 5},
             "levelset": {"free_axes": [0, 1], "resolution": 2}}
-    base[section][key] = value
+    if section is None:
+        base[key] = value
+    else:
+        base[section][key] = value
     config = tiny_dubins_config(tmp_path, **base)
     argv = [command, "--config", str(config), "--out", str(tmp_path / "x")]
     if command != "train":
         argv += ["--cert", str(cert_path)]
     assert main(argv) == 1
     assert not (tmp_path / "x").exists()
-    assert capsys.readouterr().err.startswith(f"error: {section}.{key}: ")
+    path = key if section is None else f"{section}.{key}"
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 @pytest.mark.parametrize("command", ["train", "levelset", "simulate"])

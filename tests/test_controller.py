@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from cbfcert import mlp
-from cbfcert.controller import (InfeasibleFilterError, SafetyFilter,
-                                constraint_coefficients, filter_batch,
-                                filter_input, _solve_box, _solve_unbounded)
+from cbfcert.controller import (InfeasibleFilterError, SafetyFilter, filter_batch,
+                                filter_input, _solve_box)
 from cbfcert.dynamics import dubins_system, planar_aerial_system, quadruped_system
 from cbfcert.sampling import sample_uniform
 
-from oracles import grid_qp_best
+from oracles import _solve_unbounded, constraint_coefficients, grid_qp_best
 
 
 def constant_cert(n, value):
@@ -163,19 +162,34 @@ def test_idempotence_on_strictly_feasible_output():
 
 
 def test_batch_matches_scalar_decisions():
-    sys_ = dubins_system()
-    cert = mlp.init_certificate([3, 10, 1], seed=11)
-    for bounds in (False, True):
-        filt = SafetyFilter(certificate=cert, system=sys_,
-                            respect_input_bounds=bounds)
-        xs = np.random.default_rng(2).uniform(-2, 2, size=(100, 3))
-        fb = filter_batch(filt, xs)
-        for i in range(xs.shape[0]):
-            if not fb.feasible[i]:
-                with pytest.raises(InfeasibleFilterError):
-                    filter_input(filt, xs[i])
-                continue
-            assert np.allclose(filter_input(filt, xs[i]), fb.inputs[i], atol=1e-12)
+    # filter_batch against the one-state references in oracles: flags
+    # exactly, inputs and slack to 1e-12 (the batch forms a and b with
+    # einsum, the reference with 1-D products)
+    seen = {"active": 0, "infeasible": 0, "capped": 0}
+    for system, layers in ((dubins_system, [3, 10, 1]),
+                           (quadruped_system, [8, 32, 32, 1])):
+        sys_ = system()
+        lo, hi = sys_.input_bounds[:, 0], sys_.input_bounds[:, 1]
+        cert = mlp.init_certificate(layers, seed=11)
+        xs = sample_uniform(sys_.state_bounds, 400, seed=2)
+        for bounds in (False, True):
+            for cap in (None, 1e3, 0.05):
+                filt = SafetyFilter(certificate=cert, system=sys_,
+                                    respect_input_bounds=bounds, correction_cap=cap)
+                fb = filter_batch(filt, xs)
+                for i, x in enumerate(xs):
+                    a, b = constraint_coefficients(filt, x)
+                    u_ref = np.asarray(filt.reference_policy(x), dtype=float)
+                    u, slack, active, feasible = (
+                        _solve_box(u_ref, a, b, lo, hi) if bounds
+                        else _solve_unbounded(u_ref, a, b, cap))
+                    assert active == fb.active[i] and feasible == fb.feasible[i]
+                    assert np.allclose(u, fb.inputs[i], rtol=1e-12, atol=1e-12)
+                    assert np.allclose(slack, fb.slack[i], rtol=1e-12, atol=1e-12)
+                seen["active"] += int(fb.active.sum())
+                seen["infeasible"] += int((~fb.feasible).sum())
+                seen["capped"] += int((fb.feasible & (fb.slack < 0)).sum())
+    assert min(seen.values()) > 0
 
 
 @pytest.mark.parametrize("system, layers", [
@@ -194,6 +208,13 @@ def test_filter_batch_h_is_the_forward_value(system, layers, bounds, count):
     h = filter_batch(filt, xs).h
     assert h.shape == (count,)
     assert np.array_equal(h, mlp.forward_batch(cert, xs))
+
+
+@pytest.mark.parametrize("cap", [-1.0, 0.0, float("nan"), float("inf"), "abc", True])
+def test_correction_cap_must_be_positive_and_finite(cap):
+    with pytest.raises(ValueError, match="correction_cap"):
+        SafetyFilter(certificate=constant_cert(3, 1.0), system=dubins_system(),
+                     correction_cap=cap)
 
 
 def test_correction_cap_limits_magnitude_and_reports_violation():

@@ -219,7 +219,7 @@ def test_nested_gradient_with_active_hinges_20_configs():
             return val, dh, dg
 
         h = mlp.forward_batch(cert, xs)
-        g = mlp.input_gradient_batch(cert, xs)
+        _, g = mlp.values_and_input_gradients(cert, xs)
         args = h - (g * vs).sum(axis=1) - thresh
         # need a strict subset active, and no argument near the kink
         if not (np.any(args > 0) and np.any(args <= 0)):
@@ -230,7 +230,7 @@ def test_nested_gradient_with_active_hinges_20_configs():
 
         def value_of(c, vs=vs, thresh=thresh):
             hh = mlp.forward_batch(c, xs)
-            gg = mlp.input_gradient_batch(c, xs)
+            _, gg = mlp.values_and_input_gradients(c, xs)
             aa = hh - (gg * vs).sum(axis=1) - thresh
             return float(np.sum(aa[aa > 0]))
 

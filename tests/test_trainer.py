@@ -78,8 +78,7 @@ def test_train_phase_toy_reaches_separation():
     # equivalently, the first two loss components vanish on training data
     filt = SafetyFilter(certificate=trained, system=sys_,
                         correction_cap=cfg.correction_cap)
-    from cbfcert.certificate import loss_components
-    l1, l2, _ = loss_components(trained, ds, filt, weights, sys=sys_)
+    _, (l1, l2, _) = total_loss(trained, ds, filt, weights, sys=sys_)
     assert l1 == 0.0 and l2 == 0.0
 
 
@@ -94,7 +93,7 @@ def test_train_phase_best_checkpoint_monotone_running_min():
     assert np.all(np.diff(running) <= 0)
     filt = SafetyFilter(certificate=trained, system=sys_,
                         correction_cap=cfg.correction_cap)
-    final_loss = total_loss(trained, ds, filt, cfg.loss_weights(), sys=sys_)
+    final_loss, _ = total_loss(trained, ds, filt, cfg.loss_weights(), sys=sys_)
     assert final_loss == pytest.approx(min(losses), abs=1e-12)
 
 
@@ -224,3 +223,29 @@ def test_config_coerces_json_numerics():
     assert cfg.epochs == 8 and isinstance(cfg.epochs, int)
     with pytest.raises(ValueError, match="epochs"):
         TrainConfig.from_dict({"epochs": 8.5})
+
+
+@pytest.mark.parametrize("cap", [-1.0, 0.0, float("nan"), float("inf"), "abc", True])
+def test_config_rejects_bad_correction_cap(cap):
+    errors = TrainConfig(correction_cap=cap).validate()
+    assert errors and all(e.startswith("correction_cap: must be null or a") for e in errors)
+    assert TrainConfig(correction_cap=None).validate() == []
+
+
+@pytest.mark.parametrize("name, value", [
+    ("hidden_layers", "64"), ("hidden_layers", [64.5]), ("hidden_layers", [True]),
+    ("learning_rate", "0.001"), ("learning_rate", True),
+    ("learning_rate", float("nan")), ("epochs", "8"), ("seed", None),
+    ("respect_input_bounds_training", 0), ("system_params", []),
+])
+def test_config_rejects_mistyped_fields(name, value):
+    with pytest.raises(ValueError, match=f"^{name}: must be "):
+        TrainConfig.from_dict({name: value})
+    assert TrainConfig(**{name: value}).validate()[0].startswith(f"{name}: must be ")
+
+
+def test_config_from_dict_keeps_json_layer_widths():
+    cfg = TrainConfig.from_dict({"hidden_layers": [32, 16.0], "learning_rate": 1})
+    assert cfg.hidden_layers == (32, 16) and isinstance(cfg.hidden_layers[1], int)
+    assert cfg.learning_rate == 1.0 and isinstance(cfg.learning_rate, float)
+    assert cfg.validate() == []
