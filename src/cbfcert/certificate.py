@@ -6,6 +6,10 @@ on unsafe-labeled states, and failure of the decrease condition under the
 filtered input. The conformal quantile of those scores over fresh i.i.d.
 samples, together with a Beta-distribution tail bound, yields the
 finite-sample probabilistic guarantee.
+
+The loss and scoring functions take the SafetyFilter whose decisions
+they score: the decrease term is minus the filter's constraint slack,
+and the certificate and system they are given must be the filter's own.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .controller import SafetyFilter
 from .dynamics import ControlAffineSystem, Label, closed_loop_field
-from .mlp import (MlpCertificate, ParamGrads, forward_batch,
-                  seeded_loss_param_gradient, values_and_input_gradients)
+from .mlp import MlpCertificate, ParamGrads, forward_batch, seeded_loss_param_gradient
 from .sampling import TrainingDatasets, sample_uniform
 from .special import regularized_incomplete_beta
 
@@ -46,49 +50,26 @@ class EmptyBucketError(ValueError):
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weights of the composite hinge loss and of the barrier conditions."""
+    """Hinge-loss weights and margins; the decrease gain is the filter's kappa_gain."""
 
     lambda1: float = 1.0
     lambda2: float = 0.1
     delta: float = 0.01
     psi: float = 0.0
-    kappa_gain: float = 1.0
 
     def __post_init__(self) -> None:
         if self.lambda1 <= 0 or self.lambda2 <= 0:
             raise ValueError("lambda weights must be positive")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        if self.kappa_gain <= 0:
-            raise ValueError("kappa_gain must be positive")
 
 
-def _control_decisions(controller, xs):
-    """(inputs, exact_slack_or_None, h_or_None) for a batch of states.
-
-    SafetyFilter-like controllers expose batch_decide and report the
-    constraint slack in closed form, with the barrier values they built it
-    from; plain callables map states to inputs and the decrease term is
-    then evaluated from inner products.
-    """
-    decide = getattr(controller, "batch_decide", None)
-    if decide is not None:
-        batch = decide(xs)
-        return batch.inputs, batch.slack, batch.h
-    return np.asarray(controller(xs), dtype=float), None, None
-
-
-def _decrease_scores(cert, sys, xs, inputs, slack, h, kappa_gain):
-    """(q3, closed-loop directions f + g u, h) per state.
-
-    With an exact slack from the filter, q3 is its negation and h is the
-    filter's; otherwise both come from one values_and_input_gradients pass.
-    """
-    dirs = closed_loop_field(sys, xs, inputs)
-    if slack is not None:
-        return -np.asarray(slack, dtype=float), dirs, h
-    h, grads = values_and_input_gradients(cert, xs)
-    return -np.einsum("bn,bn->b", grads, dirs) - kappa_gain * h, dirs, h
+def _check_filter(cert, controller, sys=None) -> None:
+    """Raise ValueError unless controller filters with cert (and sys)."""
+    if getattr(controller, "certificate", None) is not cert:
+        raise ValueError("controller must be a SafetyFilter built on this certificate")
+    if sys is not None and controller.system is not sys:
+        raise ValueError("sys must be the system of the controller's SafetyFilter")
 
 
 def _by_blocks(fn, xs) -> np.ndarray:
@@ -108,23 +89,19 @@ def _by_blocks(fn, xs) -> np.ndarray:
     return out
 
 
-def _domain_decrease(cert, datasets, controller, weights, sys):
-    """(q3, closed-loop directions) on the domain bucket under the
-    controller's inputs, once all three buckets are known nonempty."""
+def _domain_decrease(cert, datasets, controller):
+    """(q3, closed-loop directions f + g u) on the domain bucket under the
+    filter's inputs, once all three buckets are known nonempty."""
     if min(datasets.sizes()) == 0:
         raise EmptyBucketError("all three dataset buckets must be nonempty")
-    sys = getattr(controller, "system", sys)
-    if sys is None:
-        raise ValueError(
-            "a system is required: pass sys= or use a controller that carries one")
-    inputs, slack, h = _control_decisions(controller, datasets.domain)
-    q3, dirs, _ = _decrease_scores(cert, sys, datasets.domain, inputs, slack, h,
-                                   weights.kappa_gain)
-    return q3, dirs
+    _check_filter(cert, controller)
+    batch = controller.batch_decide(datasets.domain)
+    return -batch.slack, closed_loop_field(controller.system, datasets.domain,
+                                           batch.inputs)
 
 
-def total_loss(cert: MlpCertificate, datasets: TrainingDatasets, controller,
-               weights: LossWeights, sys: ControlAffineSystem | None = None
+def total_loss(cert: MlpCertificate, datasets: TrainingDatasets,
+               controller: SafetyFilter, weights: LossWeights
                ) -> tuple[float, tuple[float, float, float]]:
     """The composite hinge loss over the full datasets and its three terms
     (safe, unsafe, decrease): the per-epoch monitoring loss, each bucket in
@@ -138,7 +115,7 @@ def total_loss(cert: MlpCertificate, datasets: TrainingDatasets, controller,
     # measured slower with the domain pass first.
     h_safe = forward_batch(cert, datasets.safe)
     h_unsafe = forward_batch(cert, datasets.unsafe)
-    q3, _ = _domain_decrease(cert, datasets, controller, weights, sys)
+    q3, _ = _domain_decrease(cert, datasets, controller)
     l1 = float(np.mean(np.maximum(0.0, -h_safe - weights.psi)))
     l2 = float(np.mean(np.maximum(0.0, h_unsafe + weights.delta - weights.psi)))
     l3 = float(np.mean(np.maximum(0.0, q3 - weights.psi)))
@@ -147,8 +124,7 @@ def total_loss(cert: MlpCertificate, datasets: TrainingDatasets, controller,
 
 
 def total_loss_and_gradient(cert: MlpCertificate, datasets: TrainingDatasets,
-                            controller, weights: LossWeights,
-                            sys: ControlAffineSystem | None = None
+                            controller: SafetyFilter, weights: LossWeights
                             ) -> tuple[float, ParamGrads]:
     """Composite hinge loss and its exact parameter gradient.
 
@@ -156,13 +132,13 @@ def total_loss_and_gradient(cert: MlpCertificate, datasets: TrainingDatasets,
     to the parameters: it is recomputed from the current certificate every
     call, but not differentiated through.
     """
-    q3_exact, dirs = _domain_decrease(cert, datasets, controller, weights, sys)
+    q3_exact, dirs = _domain_decrease(cert, datasets, controller)
     ns, nu, nd = datasets.sizes()
     xs = np.concatenate([datasets.safe, datasets.unsafe, datasets.domain], axis=0)
     seeds = np.zeros_like(xs)
     seeds[ns + nu:] = dirs
-    lam1, lam2, psi, gamma = (weights.lambda1, weights.lambda2,
-                              weights.psi, weights.kappa_gain)
+    lam1, lam2, psi = weights.lambda1, weights.lambda2, weights.psi
+    gamma = controller.kappa_gain
     delta = weights.delta
 
     def combined(h, d):
@@ -264,9 +240,6 @@ class ConformalReport:
     score_mean: float
     seed: int
 
-    def certified(self, tol: float = 0.0) -> bool:
-        return self.quantile <= tol
-
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -279,25 +252,24 @@ class ConformalReport:
         return cls(**{f.name: doc[f.name] for f in dataclasses.fields(cls)})
 
 
-def score_states(cert: MlpCertificate, sys: ControlAffineSystem, controller,
-                 xs, weights: LossWeights) -> np.ndarray:
-    """Conformal scores for a batch: max over the active condition terms.
+def score_states(cert: MlpCertificate, sys: ControlAffineSystem,
+                 controller: SafetyFilter, xs, weights: LossWeights) -> np.ndarray:
+    """Conformal scores for a batch: max over the active condition terms,
+    with q3 minus the filter's slack.
 
-    Labels, filter decisions and the decrease term run in row blocks of
-    _BLOCK_ROWS states (see _by_blocks; a plain-callable controller is
-    called once per block, in order), so memory beyond xs and the scores
-    stays O(block) whatever the sample size.
+    Labels and filter decisions run in row blocks of _BLOCK_ROWS states
+    (see _by_blocks; the filter decides once per block, in order), so
+    memory beyond xs and the scores stays O(block) whatever the sample size.
     """
+    _check_filter(cert, controller, sys)
     xs = np.asarray(xs, dtype=float)
 
     def block_scores(block):
         labels = sys.label_batch(block)
-        inputs, slack, h = _control_decisions(controller, block)
-        q3, _, h = _decrease_scores(cert, sys, block, inputs, slack, h,
-                                    weights.kappa_gain)
-        if not np.all(np.isfinite(h)) or not np.all(np.isfinite(q3)):
+        batch = controller.batch_decide(block)
+        h, scores = batch.h, -batch.slack
+        if not np.all(np.isfinite(h)) or not np.all(np.isfinite(scores)):
             raise FloatingPointError("non-finite score while sampling the state space")
-        scores = np.array(q3, copy=True)
         safe = labels == Label.SAFE
         unsafe = labels == Label.UNSAFE
         scores[safe] = np.maximum(scores[safe], -h[safe])
@@ -308,7 +280,7 @@ def score_states(cert: MlpCertificate, sys: ControlAffineSystem, controller,
 
 
 def verification_scores(cert: MlpCertificate, sys: ControlAffineSystem,
-                        controller, n_samples: int, seed: int,
+                        controller: SafetyFilter, n_samples: int, seed: int,
                         weights: LossWeights | None = None) -> np.ndarray:
     """The score sample a report with the same seed was calibrated on;
     exposed so score lists can be dumped for audit."""
@@ -333,8 +305,9 @@ def report_from_scores(scores, alpha: float, beta: float, seed: int) -> Conforma
     )
 
 
-def quantify_safety(cert: MlpCertificate, sys: ControlAffineSystem, controller,
-                    n_samples: int, alpha: float, beta: float, seed: int,
+def quantify_safety(cert: MlpCertificate, sys: ControlAffineSystem,
+                    controller: SafetyFilter, n_samples: int, alpha: float,
+                    beta: float, seed: int,
                     weights: LossWeights | None = None) -> ConformalReport:
     """Draw fresh i.i.d. states, score them, and calibrate.
 

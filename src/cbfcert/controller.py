@@ -142,9 +142,9 @@ def filter_batch(filt: SafetyFilter, xs) -> FilterBatch:
     f = filt.system.f(xs)
     a_all = np.einsum("bn,bnm->bm", grads, g)
     b_all = -np.einsum("bn,bn->b", grads, f) - filt.kappa_gain * h
-    # one input row per state; atleast_2d lets a policy written for one
-    # state serve the one-state batch of filter_input
-    refs = np.atleast_2d(np.asarray(filt.reference_policy(xs), dtype=float))
+    refs = np.asarray(filt.reference_policy(xs), dtype=float)
+    if refs.shape != a_all.shape:
+        raise ValueError(f"reference_policy gave {refs.shape}, expected {a_all.shape}")
     box = _box_bounds(filt)
     if box is None:
         return _batch_unbounded(refs, a_all, b_all, filt.correction_cap, h)

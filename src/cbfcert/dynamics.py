@@ -2,8 +2,10 @@
 
 Three built-in benchmarks (unicycle ground vehicle, planar aerial vehicle
 with a geofence, quadruped with a moving obstacle) plus a registry for
-user-defined systems. f, g and the safe/unsafe labeler are vectorized:
-they accept a single state (n,) or a batch (B, n).
+user-defined systems. f, g, the labeler and the reference policy take a
+batch of states (B, n) and return (B, n), (B, n, m), (B,) and (B, m);
+`make_system` checks this once on the box midpoint. `label` is the
+one-state view of the labeler.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ class ControlAffineSystem:
     name: str
     n: int
     m: int
-    f: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
+    f: Callable[[np.ndarray], np.ndarray]  # (B, n) -> (B, n) drift
+    g: Callable[[np.ndarray], np.ndarray]  # (B, n) -> (B, n, m) input matrices
     state_bounds: np.ndarray          # (n, 2) closed intervals, the set X
     input_bounds: np.ndarray | None   # (m, 2) or None for unbounded inputs
     label_batch: Callable[[np.ndarray], np.ndarray]  # (B, n) -> (B,) Label codes
-    reference_policy: Callable[[np.ndarray], np.ndarray]
+    reference_policy: Callable[[np.ndarray], np.ndarray]  # (B, n) -> (B, m)
     angle_dims: tuple[int, ...] = ()  # coordinates wrapped to [-pi, pi) in simulation
     domain_exit_unsafe: bool = False  # leaving X counts as a safety failure
 
@@ -52,25 +54,19 @@ class ControlAffineSystem:
         return Label(int(self.label_batch(np.asarray(x, float)[None, :])[0]))
 
     def contains(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        single = xs.ndim == 1
-        pts = xs[None, :] if single else xs
+        """(B,) bool: which states of a (B, n) batch lie in X."""
         lo, hi = self.state_bounds[:, 0], self.state_bounds[:, 1]
-        inside = np.all((pts >= lo) & (pts <= hi), axis=1)
-        return bool(inside[0]) if single else inside
+        return np.all((xs >= lo) & (xs <= hi), axis=1)
 
 
-def closed_loop_field(sys: ControlAffineSystem, x, u) -> np.ndarray:
-    """f(x) + g(x) u, for a single state or a batch of states."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.ndim == 1:
-        if u.shape != (sys.m,):
-            raise ValueError(f"input shape {u.shape} does not match m={sys.m}")
-        return sys.f(x) + sys.g(x) @ u
-    if u.shape != (x.shape[0], sys.m):
-        raise ValueError(f"input batch shape {u.shape} does not match states {x.shape}")
-    return sys.f(x) + np.einsum("bnm,bm->bn", sys.g(x), u)
+def closed_loop_field(sys: ControlAffineSystem, xs, us) -> np.ndarray:
+    """f(x) + g(x) u for a batch of states (B, n) and inputs (B, m)."""
+    xs = np.asarray(xs, dtype=float)
+    us = np.asarray(us, dtype=float)
+    if xs.ndim != 2 or us.shape != (xs.shape[0], sys.m):
+        raise ValueError(f"need states (B, n) and inputs (B, {sys.m}), "
+                         f"got {xs.shape} and {us.shape}")
+    return sys.f(xs) + np.einsum("bnm,bm->bn", sys.g(xs), us)
 
 
 def _box_mask(pts: np.ndarray, cols, lo, hi) -> np.ndarray:
@@ -93,13 +89,11 @@ def dubins_system() -> ControlAffineSystem:
         return np.zeros_like(x)
 
     def g(x):
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
-        out = np.zeros(pts.shape[:-1] + (3, 2))
-        out[..., 0, 0] = np.cos(pts[..., 2])
-        out[..., 1, 0] = np.sin(pts[..., 2])
-        out[..., 2, 1] = 1.0
-        return out[0] if single else out
+        out = np.zeros((x.shape[0], 3, 2))
+        out[:, 0, 0] = np.cos(x[:, 2])
+        out[:, 1, 0] = np.sin(x[:, 2])
+        out[:, 2, 1] = 1.0
+        return out
 
     lo, hi = bounds[:, 0], bounds[:, 1]
 
@@ -113,10 +107,9 @@ def dubins_system() -> ControlAffineSystem:
         return out
 
     def reference(pts):
-        single = pts.ndim == 1
-        u = np.zeros((1 if single else pts.shape[0], 2))
+        u = np.zeros((pts.shape[0], 2))
         u[:, 0] = 1.0
-        return u[0] if single else u
+        return u
 
     return ControlAffineSystem(
         name="dubins", n=3, m=2, f=f, g=g,
@@ -142,25 +135,21 @@ def planar_aerial_system() -> ControlAffineSystem:
     ])
 
     def f(x):
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
-        out = np.zeros_like(pts)
-        out[:, 0:3] = pts[:, 3:6]
+        out = np.zeros_like(x)
+        out[:, 0:3] = x[:, 3:6]
         out[:, 4] = -GRAVITY
-        return out[0] if single else out
+        return out
 
     def g(x):
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
-        out = np.zeros(pts.shape[:-1] + (6, 2))
-        s, c = np.sin(pts[..., 2]), np.cos(pts[..., 2])
-        out[..., 3, 0] = -s
-        out[..., 3, 1] = -s
-        out[..., 4, 0] = c
-        out[..., 4, 1] = c
-        out[..., 5, 0] = 1.0
-        out[..., 5, 1] = -1.0
-        return out[0] if single else out
+        out = np.zeros((x.shape[0], 6, 2))
+        s, c = np.sin(x[:, 2]), np.cos(x[:, 2])
+        out[:, 3, 0] = -s
+        out[:, 3, 1] = -s
+        out[:, 4, 0] = c
+        out[:, 4, 1] = c
+        out[:, 5, 0] = 1.0
+        out[:, 5, 1] = -1.0
+        return out
 
     def label_batch(pts):
         safe = _box_mask(pts, (0, 1), (-0.8, -0.8), (0.8, 0.8))
@@ -176,9 +165,7 @@ def planar_aerial_system() -> ControlAffineSystem:
     hover = GRAVITY / 2.0
 
     def reference(pts):
-        single = pts.ndim == 1
-        u = np.full((1 if single else pts.shape[0], 2), hover)
-        return u[0] if single else u
+        return np.full((pts.shape[0], 2), hover)
 
     return ControlAffineSystem(
         name="planar_aerial", n=6, m=2, f=f, g=g,
@@ -209,22 +196,18 @@ def quadruped_system(k1: float = 0.0, k2: float = 0.0, kr: float = 0.0,
     drift_tail = np.array([k1, k2, kr])
 
     def f(x):
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
-        out = np.zeros_like(pts)
-        out[:, 3] = pts[:, 5]
-        out[:, 4] = pts[:, 6]
+        out = np.zeros_like(x)
+        out[:, 3] = x[:, 5]
+        out[:, 4] = x[:, 6]
         out[:, 5:8] = drift_tail
-        return out[0] if single else out
+        return out
 
     def g(x):
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
-        out = np.zeros(pts.shape[:-1] + (8, 2))
-        out[..., 0, 0] = np.cos(pts[..., 2])
-        out[..., 1, 0] = np.sin(pts[..., 2])
-        out[..., 2, 1] = 1.0
-        return out[0] if single else out
+        out = np.zeros((x.shape[0], 8, 2))
+        out[:, 0, 0] = np.cos(x[:, 2])
+        out[:, 1, 0] = np.sin(x[:, 2])
+        out[:, 2, 1] = 1.0
+        return out
 
     def label_batch(pts):
         from .sampling import collision_cone_label_batch
@@ -232,10 +215,9 @@ def quadruped_system(k1: float = 0.0, k2: float = 0.0, kr: float = 0.0,
         return collision_cone_label_batch(pts, nominal_speed=nominal_speed, margin=margin)
 
     def reference(pts):
-        single = pts.ndim == 1
-        u = np.zeros((1 if single else pts.shape[0], 2))
+        u = np.zeros((pts.shape[0], 2))
         u[:, 0] = 1.0
-        return u[0] if single else u
+        return u
 
     return ControlAffineSystem(
         name="quadruped", n=8, m=2, f=f, g=g,
@@ -253,8 +235,6 @@ _BUILDERS: dict[str, Callable[..., ControlAffineSystem]] = {
     "quadruped": quadruped_system,
 }
 
-BENCHMARK_NAMES = tuple(sorted(_BUILDERS))
-
 
 def register_system(name: str, builder: Callable[..., ControlAffineSystem]) -> None:
     """Add a user-defined system factory to the registry."""
@@ -262,10 +242,26 @@ def register_system(name: str, builder: Callable[..., ControlAffineSystem]) -> N
 
 
 def make_system(name: str, **params) -> ControlAffineSystem:
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown system {name!r}; registered: {sorted(_BUILDERS)}"
-        ) from None
-    return builder(**params)
+    """The registered system `name` built with params, its batch contract checked."""
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown system {name!r}; registered: {sorted(_BUILDERS)}")
+    sys = _BUILDERS[name](**params)
+    _check_batch_contract(sys)
+    return sys
+
+
+def _check_batch_contract(sys: ControlAffineSystem) -> None:
+    """Evaluate sys once on its box midpoint as a (1, n) batch; raise
+    ValueError unless f, g, the reference and the labeler return finite
+    values of their batch shapes."""
+    x = sys.state_bounds.mean(axis=1)[None, :]
+    shapes = {"f": (1, sys.n), "g": (1, sys.n, sys.m),
+              "reference_policy": (1, sys.m), "label_batch": (1,)}
+    for name, shape in shapes.items():
+        try:
+            out = np.asarray(getattr(sys, name)(x), dtype=float)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ValueError(f"{sys.name}: {name} at the box midpoint: {exc}") from exc
+        if out.shape != shape or not np.all(np.isfinite(out)):
+            raise ValueError(f"{sys.name}: {name} at the box midpoint gave shape "
+                             f"{out.shape} {out.tolist()}, expected finite {shape}")

@@ -218,10 +218,6 @@ class ParamGrads:
             [np.zeros_like(b) for b in cert.biases],
         )
 
-    def max_abs(self) -> float:
-        parts = [np.max(np.abs(g)) if g.size else 0.0 for g in self.weights + self.biases]
-        return float(max(parts)) if parts else 0.0
-
     def is_finite(self) -> bool:
         return all(np.all(np.isfinite(g)) for g in self.weights + self.biases)
 

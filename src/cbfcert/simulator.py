@@ -51,21 +51,22 @@ class NonFiniteStepError(FloatingPointError):
 
 
 def rk4_step(sys: ControlAffineSystem, x, u, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of f(x) + g(x) u with u held constant,
-    for a single state (n,) or a batch (B, n) with inputs (B, m)."""
+    """One classical Runge-Kutta step of f(x) + g(x) u, u held constant, for
+    states (B, n) and inputs (B, m); one state (n,) is the one-state batch."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
+    if x.ndim == 1:
+        return rk4_step(sys, x[None], u[None], dt)[0]
     k1 = closed_loop_field(sys, x, u)
     k2 = closed_loop_field(sys, x + 0.5 * dt * k1, u)
     k3 = closed_loop_field(sys, x + 0.5 * dt * k2, u)
     k4 = closed_loop_field(sys, x + dt * k3, u)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
-        row = int(np.argmin(np.all(np.isfinite(np.atleast_2d(out)), axis=1)))
-        raise NonFiniteStepError(
-            row, f"non-finite state after RK4 step from {np.atleast_2d(x)[row]}")
+        row = int(np.argmin(np.all(np.isfinite(out), axis=1)))
+        raise NonFiniteStepError(row, f"non-finite state after RK4 step from {x[row]}")
     return out
 
 

@@ -25,7 +25,7 @@ from .certificate import (ConformalReport, InvalidAlphaError, LossWeights,
                           epsilon_for, quantile_index, quantify_safety,
                           total_loss, total_loss_and_gradient)
 from .controller import SafetyFilter
-from .dynamics import ControlAffineSystem, make_system
+from .dynamics import _BUILDERS, ControlAffineSystem, make_system
 from .sampling import TrainingDatasets, build_datasets
 
 STATUS_CERTIFIED = "certified"
@@ -81,7 +81,7 @@ class TrainConfig:
         errors = _type_errors(vars(self))
         if errors:
             return errors
-        if self.system not in _known_systems():
+        if self.system not in _BUILDERS:
             errors.append(f"system: unknown {self.system!r}")
         if not self.hidden_layers or any(h <= 0 for h in self.hidden_layers):
             errors.append("hidden_layers: need at least one positive layer width")
@@ -111,7 +111,7 @@ class TrainConfig:
 
     def loss_weights(self, psi: float = 0.0) -> LossWeights:
         return LossWeights(lambda1=self.lambda1, lambda2=self.lambda2,
-                           delta=self.delta, psi=psi, kappa_gain=self.kappa_gain)
+                           delta=self.delta, psi=psi)
 
     def build_system(self) -> ControlAffineSystem:
         return make_system(self.system, **self.system_params)
@@ -181,12 +181,6 @@ def _type_name(kind) -> str:
 def _type_errors(values: dict) -> list[str]:
     return [f"{name}: must be {_type_name(_FIELD_TYPES[name])}"
             for name, value in values.items() if not fits_type(value, _FIELD_TYPES[name])]
-
-
-def _known_systems():
-    from .dynamics import _BUILDERS
-
-    return _BUILDERS
 
 
 @dataclass

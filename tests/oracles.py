@@ -268,21 +268,15 @@ def reference_sigmoid(z):
 
 def reference_score_states(cert, sys, controller, xs, weights):
     """Conformal scores with every pass over the whole batch at once: the
-    one-shot scoring the row-block version must reproduce."""
-    from cbfcert.dynamics import Label, closed_loop_field
-    from cbfcert.mlp import values_and_input_gradients
+    one-shot scoring the row-block version must reproduce. controller is
+    the SafetyFilter built on cert and sys."""
+    from cbfcert.dynamics import Label
 
     xs = np.asarray(xs, dtype=float)
     labels = sys.label_batch(xs)
-    if hasattr(controller, "batch_decide"):
-        batch = controller.batch_decide(xs)
-        q3, h = -np.asarray(batch.slack, dtype=float), batch.h
-    else:
-        inputs = np.asarray(controller(xs), dtype=float)
-        h, grads = values_and_input_gradients(cert, xs)
-        dirs = closed_loop_field(sys, xs, inputs)
-        q3 = -np.einsum("bn,bn->b", grads, dirs) - weights.kappa_gain * h
-    scores = np.array(q3, copy=True)
+    batch = controller.batch_decide(xs)
+    h = batch.h
+    scores = -np.asarray(batch.slack, dtype=float)
     safe = labels == Label.SAFE
     unsafe = labels == Label.UNSAFE
     scores[safe] = np.maximum(scores[safe], -h[safe])
@@ -313,8 +307,8 @@ def reference_rollout_to_csv(ro, path):
 
 
 # Scalar references of the package's batch paths: one state at a time,
-# with the system's f and g evaluated on the single state. The package
-# keeps only the batch forms (controller.filter_batch, certificate
+# with 1-D products on row 0 of the system's one-state f and g. The
+# package keeps only the batch forms (controller.filter_batch, certificate
 # score_states); these pin what a single-state decision means.
 
 _DEGENERATE_SQ = 1e-28   # controller's degenerate-gradient threshold
@@ -326,8 +320,8 @@ def constraint_coefficients(filt, x):
 
     x = np.asarray(x, dtype=float)
     h, grad = values_and_input_gradients(filt.certificate, x[None, :])
-    a = grad[0] @ filt.system.g(x)
-    b = -float(grad[0] @ filt.system.f(x)) - filt.kappa_gain * float(h[0])
+    a = grad[0] @ filt.system.g(x[None, :])[0]
+    b = -float(grad[0] @ filt.system.f(x[None, :])[0]) - filt.kappa_gain * float(h[0])
     return a, b
 
 
@@ -362,8 +356,10 @@ class ViolationTerms:
     score: float
 
 
-def violation_terms(cert, sys, u, x, weights) -> ViolationTerms:
-    from cbfcert.dynamics import Label, closed_loop_field
+def violation_terms(cert, sys, u, x, weights, kappa_gain) -> ViolationTerms:
+    """The three condition terms at one state x under input u, with the
+    decrease term's gain kappa_gain and the margin weights.delta."""
+    from cbfcert.dynamics import Label
     from cbfcert.mlp import values_and_input_gradients
 
     x = np.asarray(x, dtype=float)
@@ -373,7 +369,8 @@ def violation_terms(cert, sys, u, x, weights) -> ViolationTerms:
     if not math.isfinite(h):
         raise FloatingPointError(f"non-finite barrier value at {x}")
     label = sys.label(x)
-    q3 = float(-grad[0] @ closed_loop_field(sys, x, u) - weights.kappa_gain * h)
+    xdot = sys.f(x[None, :])[0] + sys.g(x[None, :])[0] @ u
+    q3 = float(-grad[0] @ xdot - kappa_gain * h)
     q1 = -h if label == Label.SAFE else None
     q2 = h + weights.delta if label == Label.UNSAFE else None
     score = max(v for v in (q1, q2, q3) if v is not None)

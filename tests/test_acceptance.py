@@ -49,9 +49,10 @@ ARCHITECTURES = [
 
 
 def _random_pair(sys_, arch, rng):
-    """A random certificate, 2+2+2 batch, frozen inputs, and loss weights
-    whose hinge arguments stay clear of the kink (finite differences are
-    only a valid oracle away from the subgradient point)."""
+    """A random certificate, 2+2+2 batch, a filter with a random gain and
+    random reference inputs, the closed-loop directions of its decisions,
+    and loss weights whose hinge arguments stay clear of the kink (finite
+    differences are only a valid oracle away from the subgradient point)."""
     base = mlp.init_certificate(arch, seed=int(rng.integers(2**31)))
     cert = mlp.MlpCertificate(
         tuple(arch),
@@ -61,7 +62,11 @@ def _random_pair(sys_, arch, rng):
     xs = sample_uniform(sys_.state_bounds, 6, rng)
     batch = (xs[:2], xs[2:4], xs[4:])
     lo, hi = sys_.input_bounds[:, 0], sys_.input_bounds[:, 1]
-    inputs = rng.uniform(lo, hi, size=(2, sys_.m))
+    refs = rng.uniform(lo, hi, size=(2, sys_.m))
+    filt = SafetyFilter(certificate=cert, system=sys_,
+                        kappa_gain=float(rng.uniform(0.5, 2.0)),
+                        reference_policy=lambda pts, u=refs: u, correction_cap=1.0)
+    inputs = filt.batch_decide(batch[2]).inputs
     dirs = sys_.f(batch[2]) + np.einsum("bnm,bm->bn", sys_.g(batch[2]), inputs)
     weights = LossWeights(psi=float(rng.uniform(-0.3, 0.05)))
     h = mlp.forward_batch(cert, xs)
@@ -69,12 +74,12 @@ def _random_pair(sys_, arch, rng):
     args = np.concatenate([
         -h[:2] - weights.psi,
         h[2:4] + weights.delta - weights.psi,
-        -np.einsum("bn,bn->b", grads, dirs) - weights.kappa_gain * h[4:] - weights.psi,
+        -np.einsum("bn,bn->b", grads, dirs) - filt.kappa_gain * h[4:] - weights.psi,
     ])
     q3_args = args[4:]
     if np.min(np.abs(args)) < 1e-3 or not np.any(q3_args > 0):
         return None
-    return cert, batch, inputs, dirs, weights
+    return cert, batch, filt, dirs, weights
 
 
 def test_acceptance_1_nested_gradients_match_finite_differences():
@@ -89,13 +94,12 @@ def test_acceptance_1_nested_gradients_match_finite_differences():
             pair = _random_pair(sys_, arch, rng)
             if pair is None:
                 continue
-            cert, batch, inputs, dirs, weights = pair
+            cert, batch, filt, dirs, weights = pair
             ds = TrainingDatasets(safe=batch[0], unsafe=batch[1],
                                   domain=batch[2], seed=0)
-            value, grads = total_loss_and_gradient(
-                cert, ds, lambda pts, u=inputs: u, weights, sys=sys_)
+            value, grads = total_loss_and_gradient(cert, ds, filt, weights)
             params = (weights.lambda1, weights.lambda2, weights.delta,
-                      weights.psi, weights.kappa_gain)
+                      weights.psi, filt.kappa_gain)
             oracle_value = composite_loss_values(cert.weights, cert.biases,
                                                  batch, dirs, params)
             assert value == pytest.approx(oracle_value, rel=1e-12, abs=1e-14)

@@ -30,9 +30,8 @@ def linear_cert(w, c=0.0):
 def test_violation_terms_constant_positive_on_safe_point():
     sys_ = dubins_system()
     cert = constant_cert(3, 0.8)
-    weights = LossWeights(kappa_gain=1.0)
     terms = violation_terms(cert, sys_, np.array([0.5, 0.0]),
-                            np.array([1.8, 1.8, 0.0]), weights)
+                            np.array([1.8, 1.8, 0.0]), LossWeights(), kappa_gain=1.0)
     assert terms.q1 == pytest.approx(-0.8)
     assert terms.q2 is None
     assert terms.q3 == pytest.approx(-0.8)
@@ -43,7 +42,8 @@ def test_violation_terms_constant_positive_on_unsafe_point():
     sys_ = dubins_system()
     cert = constant_cert(3, 0.8)
     weights = LossWeights(delta=0.01)
-    terms = violation_terms(cert, sys_, np.zeros(2), np.array([0.0, 0.1, 1.0]), weights)
+    terms = violation_terms(cert, sys_, np.zeros(2), np.array([0.0, 0.1, 1.0]), weights,
+                            kappa_gain=1.0)
     assert terms.q1 is None
     assert terms.q2 == pytest.approx(0.81)
     assert terms.score == pytest.approx(0.81)
@@ -55,8 +55,7 @@ def test_violation_terms_linear_cert_dubins():
     cert = linear_cert(w)
     x = np.array([1.0, 0.2, 0.0])   # heading 0, unlabeled annulus point
     u = np.array([1.0, 0.0])
-    weights = LossWeights(kappa_gain=2.0)
-    terms = violation_terms(cert, sys_, u, x, weights)
+    terms = violation_terms(cert, sys_, u, x, LossWeights(), kappa_gain=2.0)
     # q3 = -w1*u1 - gamma * (w . x) at heading 0 with f = 0
     expected = -w[0] - 2.0 * float(w @ x)
     assert terms.q3 == pytest.approx(expected, rel=1e-12)
@@ -67,8 +66,7 @@ def test_total_loss_direct_arithmetic():
     # single-point buckets with hand-set barrier outcomes:
     # q1 - psi = 0.5 (active), q2 - psi = -1 (inactive), q3 - psi = 2 (active)
     sys_ = dubins_system()
-    weights = LossWeights(lambda1=1.0, lambda2=0.1, delta=0.01, psi=0.0,
-                          kappa_gain=1.0)
+    weights = LossWeights(lambda1=1.0, lambda2=0.1, delta=0.01, psi=0.0)
     cert = constant_cert(3, -0.5)   # h == -0.5 everywhere, grad 0
     safe_pt = np.array([[1.8, 1.8, 0.0]])
     unsafe_pt = np.array([[0.0, 0.0, 0.0]])
@@ -77,10 +75,8 @@ def test_total_loss_direct_arithmetic():
 
     # q1 = 0.5; q2 = -0.5 + 0.01 = -0.49; with gamma=1 and grad=0 the
     # decrease term is infeasible-degenerate: q3 = b - a.u_ref = 0.5
-    def controller(xs):
-        return np.tile([1.0, 0.0], (xs.shape[0], 1))
-
-    loss, parts = total_loss(cert, ds, controller, weights, sys=sys_)
+    filt = SafetyFilter(certificate=cert, system=sys_, kappa_gain=1.0)
+    loss, parts = total_loss(cert, ds, filt, weights)
     assert loss == pytest.approx(0.5 + 0.0 + 0.1 * 0.5, rel=1e-12)
     assert parts == pytest.approx((0.5, 0.0, 0.5), rel=1e-12)
 
@@ -92,11 +88,14 @@ def test_total_loss_zero_when_margins_met():
     filt = SafetyFilter(certificate=cert, system=sys_)
     weights = LossWeights(delta=0.01)
     # h = 0.8 > 0 on safe, but unsafe bucket violates: q2 = 0.81
-    assert total_loss(cert, ds, filt, weights, sys=sys_)[0] == pytest.approx(0.81)
-    # negative constant barrier: safe bucket and decrease term violate
+    assert total_loss(cert, ds, filt, weights)[0] == pytest.approx(0.81)
+    # negative constant barrier: the safe bucket (q1 = 0.8) and the
+    # decrease term (degenerate, q3 = -gamma h = 0.8) violate
     cert2 = constant_cert(3, -0.8)
-    loss2, _ = total_loss(cert2, ds, filt, weights, sys=sys_)
-    assert loss2 > 0.8
+    filt2 = SafetyFilter(certificate=cert2, system=sys_)
+    loss2, parts2 = total_loss(cert2, ds, filt2, weights)
+    assert parts2 == pytest.approx((0.8, 0.0, 0.8))
+    assert loss2 == pytest.approx(0.8 + 0.1 * 0.8)
 
 
 def test_total_loss_empty_bucket_error():
@@ -105,8 +104,7 @@ def test_total_loss_empty_bucket_error():
     ds = TrainingDatasets(safe=np.zeros((0, 3)), unsafe=np.zeros((1, 3)),
                           domain=np.zeros((1, 3)), seed=0)
     with pytest.raises(EmptyBucketError):
-        total_loss(cert, ds, lambda xs: np.zeros((xs.shape[0], 2)),
-                   LossWeights(), sys=sys_)
+        total_loss(cert, ds, SafetyFilter(certificate=cert, system=sys_), LossWeights())
 
 
 def test_psi_tightening_increases_loss():
@@ -114,7 +112,7 @@ def test_psi_tightening_increases_loss():
     cert = constant_cert(3, 0.8)
     ds = build_datasets(sys_, 30, 30, 30, seed=5)
     filt = SafetyFilter(certificate=cert, system=sys_)
-    losses = [total_loss(cert, ds, filt, LossWeights(psi=psi), sys=sys_)[0]
+    losses = [total_loss(cert, ds, filt, LossWeights(psi=psi))[0]
               for psi in (0.0, -0.5, -2.0, -8.0)]
     assert all(b > a for a, b in zip(losses, losses[1:]))
 
@@ -185,18 +183,15 @@ def test_epsilon_for_invalid_alpha():
 
 
 def test_quantify_safety_constant_cert_scores():
-    # constant positive barrier, zero-input controller, gamma=1: every
-    # state has q3 = -c, unsafe-box samples have q2 = c + delta
+    # constant positive barrier, gamma=1: the constraint 0.u >= -c never
+    # binds, so every state has q3 = -c, unsafe-box samples q2 = c + delta
     sys_ = dubins_system()
     c = 0.6
     cert = constant_cert(3, c)
-    weights = LossWeights(delta=0.01, kappa_gain=1.0)
-
-    def controller(xs):
-        return np.zeros((xs.shape[0], 2))
-
+    weights = LossWeights(delta=0.01)
+    filt = SafetyFilter(certificate=cert, system=sys_, kappa_gain=1.0)
     n, alpha = 2000, 0.05
-    report = quantify_safety(cert, sys_, controller, n, alpha, 1e-3, seed=21,
+    report = quantify_safety(cert, sys_, filt, n, alpha, 1e-3, seed=21,
                              weights=weights)
     # brute-force recount from the same sample draw
     from cbfcert.sampling import sample_uniform
@@ -259,10 +254,41 @@ def test_gradient_uses_filtered_inputs_consistently():
     ds = build_datasets(sys_, 40, 40, 40, seed=8)
     filt = SafetyFilter(certificate=cert, system=sys_, correction_cap=100.0)
     weights = LossWeights(psi=-0.05)
-    v1, _ = total_loss(cert, ds, filt, weights, sys=sys_)
-    v2, grads = total_loss_and_gradient(cert, ds, filt, weights, sys=sys_)
+    v1, _ = total_loss(cert, ds, filt, weights)
+    v2, grads = total_loss_and_gradient(cert, ds, filt, weights)
     assert v1 == pytest.approx(v2, rel=1e-12)
     assert grads.is_finite()
+
+
+@pytest.mark.parametrize("name", ["total_loss", "total_loss_and_gradient",
+                                  "score_states", "verification_scores",
+                                  "quantify_safety"])
+def test_certificate_and_system_must_be_the_filters(name):
+    # identity, not equality: a twin with the same parameters is refused too
+    from cbfcert.certificate import verification_scores
+
+    sys_ = dubins_system()
+    cert = mlp.init_certificate([3, 8, 1], seed=1)
+    filt = SafetyFilter(certificate=cert, system=sys_)
+    ds = build_datasets(sys_, 10, 10, 10, seed=1)
+    weights = LossWeights()
+    call = {
+        "total_loss": lambda c, s, f: total_loss(c, ds, f, weights),
+        "total_loss_and_gradient": lambda c, s, f: total_loss_and_gradient(
+            c, ds, f, weights),
+        "score_states": lambda c, s, f: score_states(c, s, f, ds.domain, weights),
+        "verification_scores": lambda c, s, f: verification_scores(c, s, f, 100, 0),
+        "quantify_safety": lambda c, s, f: quantify_safety(c, s, f, 100, 0.05,
+                                                           1e-3, seed=0),
+    }[name]
+    call(cert, sys_, filt)
+    with pytest.raises(ValueError, match="certificate"):
+        call(mlp.init_certificate([3, 8, 1], seed=1), sys_, filt)
+    with pytest.raises(ValueError, match="SafetyFilter"):
+        call(cert, sys_, lambda xs: np.zeros((len(xs), 2)))
+    if not name.startswith("total_loss"):
+        with pytest.raises(ValueError, match="system"):
+            call(cert, dubins_system(), filt)
 
 
 def test_exact_slack_q3_matches_inner_product_form():
@@ -281,7 +307,8 @@ def test_exact_slack_q3_matches_inner_product_form():
     for i in range(xs.shape[0]):
         if not batch.feasible[i]:
             continue
-        terms = violation_terms(cert, sys_, batch.inputs[i], xs[i], weights)
+        terms = violation_terms(cert, sys_, batch.inputs[i], xs[i], weights,
+                                filt.kappa_gain)
         assert terms.q3 == pytest.approx(-batch.slack[i], abs=1e-9)
         if batch.active[i]:
             seen_active += 1
@@ -290,8 +317,7 @@ def test_exact_slack_q3_matches_inner_product_form():
 
 
 def test_score_states_never_forwards_twice(monkeypatch):
-    # a batch_decide controller hands over the h it built its constraint
-    # from; for a plain callable, h comes from the same pass as dh/dx
+    # the filter hands over the h it built its constraint from
     sys_ = dubins_system()
     cert = mlp.init_certificate([3, 12, 1], seed=4)
     filt = SafetyFilter(certificate=cert, system=sys_)
@@ -300,22 +326,12 @@ def test_score_states_never_forwards_twice(monkeypatch):
     xs = sample_uniform(sys_.state_bounds, 400, seed=8)
     weights = LossWeights()
     expected = score_states(cert, sys_, filt, xs, weights)
-    calls = []
 
     def no_second_forward(*_args):
-        raise AssertionError("score_states forwarded a batch_decide controller twice")
-
-    def counted_forward(c, states):
-        calls.append(len(states))
-        return mlp.forward_batch(c, states)
+        raise AssertionError("score_states forwarded the batch a second time")
 
     monkeypatch.setattr(certificate, "forward_batch", no_second_forward)
     assert np.array_equal(score_states(cert, sys_, filt, xs, weights), expected)
-    monkeypatch.setattr(certificate, "forward_batch", counted_forward)
-    plain = score_states(cert, sys_, lambda s: filt.batch_decide(s).inputs, xs, weights)
-    assert calls == []
-    # the inner-product q3 differs from the closed-form slack by roundoff
-    np.testing.assert_allclose(plain, expected, rtol=0, atol=1e-9)
 
 
 R = certificate._BLOCK_ROWS
@@ -371,22 +387,26 @@ def test_block_scores_dubins_20k_within_an_ulp_same_quantile():
 
 
 @pytest.mark.parametrize("n", [1, R - 1, R, 2 * R - 1, 2 * R, 3 * R + 7])
-def test_plain_controller_called_once_per_block_in_order(n):
+def test_filter_decides_once_per_block_in_order(n, monkeypatch):
+    from cbfcert import controller
+
     cert, sys_, filt, xs = scoring_setup(dubins_system, [3, 64, 1], n)
-    blocks = []
-
-    def plain(states):
-        blocks.append(states.copy())
-        return filt.batch_decide(states).inputs
-
     weights = LossWeights()
-    scores = score_states(cert, sys_, plain, xs, weights)
+    expected = reference_score_states(cert, sys_, filt, xs, weights)
+    blocks = []
+    original = controller.filter_batch
+
+    def recorded(f, states):
+        blocks.append(states.copy())
+        return original(f, states)
+
+    monkeypatch.setattr(controller, "filter_batch", recorded)
+    scores = score_states(cert, sys_, filt, xs, weights)
     assert np.array_equal(np.concatenate(blocks), xs)
     assert [len(b) for b in blocks[:-1]] == [R] * (len(blocks) - 1)
     # the remainder joins the last block instead of forming a short one
     assert len(blocks) == max(1, n // R) and len(blocks[-1]) < 2 * R
-    assert np.array_equal(scores, reference_score_states(cert, sys_, plain, xs,
-                                                         weights))
+    assert np.array_equal(scores, expected)
 
 
 def test_block_scoring_memory_is_a_fraction_of_one_shot():

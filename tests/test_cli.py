@@ -275,6 +275,33 @@ def test_quadruped_system_params_flow_through_config(tmp_path):
     assert echoed["system_params"] == doc["system_params"]
 
 
+@pytest.mark.parametrize("command", ["train", "verify", "levelset", "simulate"])
+@pytest.mark.parametrize("params, culprit", [
+    ({"k1": "a"}, "f"),
+    ({"nominal_speed": "a"}, "label_batch"),
+    ({"margin": "a"}, "label_batch"),
+    ({"nominal_speed": [1.0, 2.0]}, "label_batch"),
+    ({"kr": float("nan")}, "f"),
+])
+def test_bad_system_param_value_rejected_before_outputs(tmp_path, capsys, command,
+                                                        params, culprit):
+    # the builder only stores these; evaluating the built system once at
+    # load is what catches them
+    from cbfcert import mlp
+
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(mlp.init_certificate([8, 8, 1], seed=1), cert_path)
+    config = tiny_dubins_config(tmp_path, system="quadruped", system_params=params)
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "x")]
+    if command != "train":
+        argv += ["--cert", str(cert_path)]
+    assert main(argv) == 1
+    assert not (tmp_path / "x").exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: system_params: quadruped: {culprit} "), err
+    assert err.count("\n") == 1
+
+
 def test_unknown_simulation_key_rejected(tmp_path):
     config = tiny_dubins_config(tmp_path, simulation={"rollouts": 5})
     code = main(["train", "--config", str(config), "--out", str(tmp_path / "x")])

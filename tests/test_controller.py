@@ -57,7 +57,7 @@ def test_reference_returned_when_constraint_inactive():
     filt = SafetyFilter(certificate=constant_cert(3, 2.0), system=sys_)
     x = np.array([1.8, 0.0, 0.0])
     u = filter_input(filt, x)
-    assert np.all(u == sys_.reference_policy(x))
+    assert np.all(u == sys_.reference_policy(x[None])[0])
 
 
 def test_axis_aligned_projection():
@@ -157,7 +157,7 @@ def test_idempotence_on_strictly_feasible_output():
         if float(a @ u1) <= b + 1e-9:
             continue   # constraint active: slack not strict
         filt2 = SafetyFilter(certificate=cert, system=sys_,
-                             reference_policy=lambda _x, u1=u1: u1)
+                             reference_policy=lambda xs, u1=u1: u1[None])
         assert np.allclose(filter_input(filt2, x), u1)
 
 
@@ -179,7 +179,7 @@ def test_batch_matches_scalar_decisions():
                 fb = filter_batch(filt, xs)
                 for i, x in enumerate(xs):
                     a, b = constraint_coefficients(filt, x)
-                    u_ref = np.asarray(filt.reference_policy(x), dtype=float)
+                    u_ref = filt.reference_policy(x[None])[0]
                     u, slack, active, feasible = (
                         _solve_box(u_ref, a, b, lo, hi) if bounds
                         else _solve_unbounded(u_ref, a, b, cap))
@@ -208,6 +208,16 @@ def test_filter_batch_h_is_the_forward_value(system, layers, bounds, count):
     h = filter_batch(filt, xs).h
     assert h.shape == (count,)
     assert np.array_equal(h, mlp.forward_batch(cert, xs))
+
+
+@pytest.mark.parametrize("bounds", [False, True])
+def test_reference_must_give_one_input_row_per_state(bounds):
+    sys_ = dubins_system()
+    filt = SafetyFilter(certificate=constant_cert(3, 1.0), system=sys_,
+                        respect_input_bounds=bounds,
+                        reference_policy=lambda xs: np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="reference_policy"):
+        filter_input(filt, np.zeros(3))
 
 
 @pytest.mark.parametrize("cap", [-1.0, 0.0, float("nan"), float("inf"), "abc", True])

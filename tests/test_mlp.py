@@ -137,7 +137,7 @@ def test_empty_batch_loss_is_zero():
 
     value, grads = mlp.loss_param_gradient(cert, np.zeros((0, 3)), loss_fn)
     assert value == 0.0
-    assert grads.max_abs() == 0.0
+    assert all(not g.any() for g in grads.weights + grads.biases)
 
 
 def _fd_param_gradient(cert, value_of, step=1e-6):

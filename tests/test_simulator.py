@@ -25,8 +25,7 @@ def zero_dynamics_system():
     return ControlAffineSystem(
         name="frozen", n=1, m=1,
         f=lambda x: np.zeros_like(x),
-        g=lambda x: (np.zeros(x.shape[:-1] + (1, 1)) if x.ndim > 1
-                     else np.zeros((1, 1))),
+        g=lambda x: np.zeros((x.shape[0], 1, 1)),
         state_bounds=base.state_bounds, input_bounds=None,
         label_batch=lambda pts: np.zeros(pts.shape[0], dtype=int),
         reference_policy=base.reference_policy,
@@ -54,6 +53,19 @@ def test_rk4_free_fall_velocity():
         x = rk4_step(sys_, x, np.zeros(2), 0.01)
     assert x[4] == pytest.approx(-GRAVITY, abs=1e-6)
     assert x[1] == pytest.approx(-0.5 * GRAVITY, abs=1e-6)
+
+
+@pytest.mark.parametrize("system", [dubins_system, planar_aerial_system,
+                                    quadruped_system, toy_system])
+def test_rk4_one_state_is_row_zero_of_the_batch_step(system):
+    sys_ = system()
+    rng = np.random.default_rng(3)
+    xs = sample_safe_starts(sys_, 9, rng)
+    us = rng.uniform(-1.0, 1.0, (9, sys_.m))
+    batch = rk4_step(sys_, xs, us, 0.02)
+    one = rk4_step(sys_, xs[0], us[0], 0.02)
+    assert one.shape == (sys_.n,)
+    assert np.array_equal(one, batch[0])
 
 
 def test_rk4_requires_positive_dt():

@@ -78,7 +78,7 @@ def test_train_phase_toy_reaches_separation():
     # equivalently, the first two loss components vanish on training data
     filt = SafetyFilter(certificate=trained, system=sys_,
                         correction_cap=cfg.correction_cap)
-    _, (l1, l2, _) = total_loss(trained, ds, filt, weights, sys=sys_)
+    _, (l1, l2, _) = total_loss(trained, ds, filt, weights)
     assert l1 == 0.0 and l2 == 0.0
 
 
@@ -93,7 +93,7 @@ def test_train_phase_best_checkpoint_monotone_running_min():
     assert np.all(np.diff(running) <= 0)
     filt = SafetyFilter(certificate=trained, system=sys_,
                         correction_cap=cfg.correction_cap)
-    final_loss, _ = total_loss(trained, ds, filt, cfg.loss_weights(), sys=sys_)
+    final_loss, _ = total_loss(trained, ds, filt, cfg.loss_weights())
     assert final_loss == pytest.approx(min(losses), abs=1e-12)
 
 

@@ -19,10 +19,7 @@ def toy_system() -> ControlAffineSystem:
         return np.zeros_like(x)
 
     def g(x):
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
-        out = np.ones(pts.shape[:-1] + (1, 1))
-        return out[0] if single else out
+        return np.ones((x.shape[0], 1, 1))
 
     def label_batch(pts):
         out = np.zeros(pts.shape[0], dtype=int)
@@ -32,9 +29,7 @@ def toy_system() -> ControlAffineSystem:
         return out
 
     def reference(pts):
-        single = pts.ndim == 1
-        u = np.ones((1 if single else pts.shape[0], 1))
-        return u[0] if single else u
+        return np.ones((pts.shape[0], 1))
 
     return ControlAffineSystem(
         name="toy_integrator", n=1, m=1, f=f, g=g,
