@@ -9,7 +9,7 @@ from .dynamics import (ControlAffineSystem, Label, closed_loop_field,
                        quadruped_system, register_system)
 from .mlp import (MlpCertificate, adam_step, forward, init_adam,
                   init_certificate, input_gradient, load_certificate,
-                  loss_param_gradient, save_certificate)
+                  save_certificate)
 from .sampling import (TrainingDatasets, build_datasets, collision_cone_label,
                        sample_uniform)
 from .simulator import (Rollout, RolloutStatus, SliceSpec,
@@ -25,7 +25,7 @@ __all__ = [
     "collision_cone_label", "conformal_quantile", "dubins_system",
     "empirical_safety_rate", "epsilon_for", "filter_input", "forward",
     "init_adam", "init_certificate", "input_gradient", "levelset_grid",
-    "load_certificate", "loss_param_gradient", "make_system",
+    "load_certificate", "make_system",
     "planar_aerial_system", "quadruped_system", "quantify_safety", "refine",
     "register_system", "regularized_incomplete_beta", "rk4_step", "rollout",
     "sample_uniform", "save_certificate", "total_loss",

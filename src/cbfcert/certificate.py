@@ -89,15 +89,14 @@ def _by_blocks(fn, xs) -> np.ndarray:
     return out
 
 
-def _domain_decrease(cert, datasets, controller):
-    """(q3, closed-loop directions f + g u) on the domain bucket under the
-    filter's inputs, once all three buckets are known nonempty."""
-    if min(datasets.sizes()) == 0:
-        raise EmptyBucketError("all three dataset buckets must be nonempty")
-    _check_filter(cert, controller)
-    batch = controller.batch_decide(datasets.domain)
-    return -batch.slack, closed_loop_field(controller.system, datasets.domain,
-                                           batch.inputs)
+def _hinge(h_safe, h_unsafe, q3, weights: LossWeights):
+    """The composite hinge loss of the three buckets: its value, its terms
+    (safe, unsafe, decrease) and the masks of the active hinges."""
+    psi = weights.psi
+    args = (-h_safe - psi, h_unsafe + weights.delta - psi, q3 - psi)
+    l1, l2, l3 = terms = tuple(float(np.mean(np.maximum(0.0, a))) for a in args)
+    value = l1 + weights.lambda1 * l2 + weights.lambda2 * l3
+    return value, terms, tuple(a > 0 for a in args)
 
 
 def total_loss(cert: MlpCertificate, datasets: TrainingDatasets,
@@ -106,6 +105,9 @@ def total_loss(cert: MlpCertificate, datasets: TrainingDatasets,
     """The composite hinge loss over the full datasets and its three terms
     (safe, unsafe, decrease): the per-epoch monitoring loss, each bucket in
     one pass."""
+    if min(datasets.sizes()) == 0:
+        raise EmptyBucketError("all three dataset buckets must be nonempty")
+    _check_filter(cert, controller)
     # Whole buckets, not row blocks: blocked, the desk dubins loss took 35%
     # less time but the mini-batch steps after it 50% more. glibc malloc
     # raises its mmap and trim thresholds only when a large chunk is freed;
@@ -115,12 +117,9 @@ def total_loss(cert: MlpCertificate, datasets: TrainingDatasets,
     # measured slower with the domain pass first.
     h_safe = forward_batch(cert, datasets.safe)
     h_unsafe = forward_batch(cert, datasets.unsafe)
-    q3, _ = _domain_decrease(cert, datasets, controller)
-    l1 = float(np.mean(np.maximum(0.0, -h_safe - weights.psi)))
-    l2 = float(np.mean(np.maximum(0.0, h_unsafe + weights.delta - weights.psi)))
-    l3 = float(np.mean(np.maximum(0.0, q3 - weights.psi)))
-    value = l1 + weights.lambda1 * l2 + weights.lambda2 * l3
-    return value, (l1, l2, l3)
+    q3 = -controller.batch_decide(datasets.domain).slack
+    value, terms, _ = _hinge(h_safe, h_unsafe, q3, weights)
+    return value, terms
 
 
 def total_loss_and_gradient(cert: MlpCertificate, datasets: TrainingDatasets,
@@ -132,26 +131,19 @@ def total_loss_and_gradient(cert: MlpCertificate, datasets: TrainingDatasets,
     to the parameters: it is recomputed from the current certificate every
     call, but not differentiated through.
     """
-    q3_exact, dirs = _domain_decrease(cert, datasets, controller)
+    if min(datasets.sizes()) == 0:
+        raise EmptyBucketError("all three dataset buckets must be nonempty")
+    _check_filter(cert, controller)
+    batch = controller.batch_decide(datasets.domain)
     ns, nu, nd = datasets.sizes()
     xs = np.concatenate([datasets.safe, datasets.unsafe, datasets.domain], axis=0)
     seeds = np.zeros_like(xs)
-    seeds[ns + nu:] = dirs
-    lam1, lam2, psi = weights.lambda1, weights.lambda2, weights.psi
+    seeds[ns + nu:] = closed_loop_field(controller.system, datasets.domain, batch.inputs)
+    lam1, lam2 = weights.lambda1, weights.lambda2
     gamma = controller.kappa_gain
-    delta = weights.delta
 
     def combined(h, d):
-        q1 = -h[:ns]
-        q2 = h[ns:ns + nu] + delta
-        q3 = q3_exact
-        act1 = q1 - psi > 0
-        act2 = q2 - psi > 0
-        act3 = q3 - psi > 0
-        l1 = np.sum(q1[act1] - psi) / ns
-        l2 = np.sum(q2[act2] - psi) / nu
-        l3 = np.sum(q3[act3] - psi) / nd
-        value = l1 + lam1 * l2 + lam2 * l3
+        value, _, (act1, act2, act3) = _hinge(h[:ns], h[ns:ns + nu], -batch.slack, weights)
         dh = np.zeros_like(h)
         dh[:ns][act1] = -1.0 / ns
         dh[ns:ns + nu][act2] = lam1 / nu

@@ -49,8 +49,8 @@ class SafetyFilter:
     correction_cap: float | None = None  # training-only guard, see filter notes
 
     def __post_init__(self) -> None:
-        if self.kappa_gain <= 0:
-            raise ValueError("kappa_gain must be positive")
+        if not _is_positive_finite(self.kappa_gain):
+            raise ValueError("kappa_gain must be a positive finite number")
         if self.correction_cap is not None and not _is_positive_finite(self.correction_cap):
             raise ValueError("correction_cap must be None or a positive finite number")
         if self.reference_policy is None:

@@ -5,10 +5,11 @@ gradient dh/dx, so parameter gradients need second-order (forward-over-
 reverse) differentiation. Networks are tiny (at most two hidden layers of
 128 units), so everything is explicit numpy and stays auditable:
 
-  * tangent streams are propagated forward through the layer recurrence,
-    one stream per requested input direction;
+  * one tangent per sample (the seed direction of the loss's directional
+    derivative, e.g. the closed-loop field f + g u) is propagated forward
+    through the layer recurrence as a (B, n) array next to the primal one;
   * parameter gradients come from a reverse sweep over the combined
-    primal + tangent graph.
+    primal + tangent graph, in plain (B, k) matrix products per layer.
 
 All arithmetic is float64 and every operation is a pure function.
 
@@ -135,13 +136,12 @@ def init_certificate(layer_sizes, seed: int = 0) -> MlpCertificate:
 
 
 def _check_batch(cert: MlpCertificate, x) -> np.ndarray:
-    """x as a (B, n) float batch; one state (n,) becomes a batch of one."""
+    """x as a (B, n) float batch; anything else, one state (n,) included,
+    is a ShapeError."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != cert.n_inputs:
         raise ShapeError(
-            f"state batch shape {np.shape(x)} does not match input size {cert.n_inputs}"
+            f"state batch shape {arr.shape}, expected (B, {cert.n_inputs})"
         )
     return arr
 
@@ -223,11 +223,12 @@ class ParamGrads:
 
 
 def _forward_with_tangents(cert, xs, tangents):
-    """Propagate primal activations and tangent streams through the layers.
+    """Propagate primal activations and one tangent per sample through the
+    layers.
 
-    tangents has shape (B, S, n): S directional seeds per sample. Returns
-    (h, d, caches) with d of shape (B, S) holding the directional
-    derivatives seed . dh/dx, plus the caches the reverse sweep needs.
+    tangents has shape (B, n). Returns (h, d, caches) with d (B,) holding
+    the directional derivatives tangent . dh/dx, plus the caches the
+    reverse sweep needs.
     """
     a = xs
     t = tangents
@@ -240,23 +241,23 @@ def _forward_with_tangents(cert, xs, tangents):
             sig = sigmoid(z)
             caches.append((a, t, sig, tz))
             a = softplus(z)
-            t = tz * sig[:, None, :]
+            t = tz * sig
         else:
             caches.append((a, t, None, None))
             a = z
             t = tz
-    return a[:, 0], t[:, :, 0], caches
+    return a[:, 0], t[:, 0], caches
 
 
 def _reverse_combined(cert, caches, d_h, d_dir):
     """Reverse sweep over the primal + tangent graph.
 
-    d_h (B,) is the loss adjoint of the barrier values, d_dir (B, S) the
-    adjoints of the directional derivatives. Returns parameter gradients.
+    d_h (B,) is the loss adjoint of the barrier values, d_dir (B,) that of
+    the directional derivatives. Returns parameter gradients.
     """
-    grads = ParamGrads.zeros_like(cert)
+    weights, biases = [], []
     a_bar = d_h[:, None]
-    t_bar = d_dir[:, :, None]
+    t_bar = d_dir[:, None]
     last = cert.n_layers - 1
     for l in range(last, -1, -1):
         a_in, t_in, sig, tz = caches[l]
@@ -265,54 +266,36 @@ def _reverse_combined(cert, caches, d_h, d_dir):
             tz_bar = t_bar
         else:
             curv = sig * (1.0 - sig)
-            z_bar = sig * a_bar + curv * np.einsum("bso,bso->bo", tz, t_bar)
-            tz_bar = sig[:, None, :] * t_bar
+            z_bar = sig * a_bar + curv * (tz * t_bar)
+            tz_bar = sig * t_bar
         w = cert.weights[l]
-        grads.weights[l] += z_bar.T @ a_in + np.einsum("bso,bsi->oi", tz_bar, t_in)
-        grads.biases[l] += z_bar.sum(axis=0)
+        weights.append(z_bar.T @ a_in + tz_bar.T @ t_in)
+        biases.append(z_bar.sum(axis=0))
         a_bar = z_bar @ w
         t_bar = tz_bar @ w
-    return grads
+    return ParamGrads(weights[::-1], biases[::-1])
 
 
-def loss_param_gradient(cert: MlpCertificate, xs, loss_fn) -> tuple[float, ParamGrads]:
-    """Value and parameter gradient of a loss built from h and dh/dx.
+def seeded_loss_param_gradient(cert: MlpCertificate, xs, seed_dirs,
+                               loss_fn) -> tuple[float, ParamGrads]:
+    """Value and parameter gradient of a loss built from h and one
+    directional derivative per sample.
 
-    loss_fn(h, grads) receives the batch barrier values (B,) and input
-    gradients (B, n) and must return (value, dvalue_dh, dvalue_dgrads)
-    with shapes (B,) and (B, n). Hinge kinks must follow the inactive
-    (zero-derivative) convention inside loss_fn. An empty batch yields
-    (0.0, zero gradients).
+    loss_fn(h, d) receives the batch barrier values h (B,) and
+    d[i] = seed_dirs[i] . dh/dx(x_i), the shape the Lie-derivative penalty
+    has, and must return (value, dvalue_dh, dvalue_dd) with (B,) partials.
+    seed_dirs has the (B, n) shape of xs. Hinge kinks must follow the
+    inactive (zero-derivative) convention inside loss_fn. An empty batch
+    yields (0.0, zero gradients).
     """
-    n, b = cert.n_inputs, len(np.atleast_2d(xs))
-    return _nested_gradient(cert, xs, np.broadcast_to(np.eye(n), (b, n, n)).copy(), loss_fn)
-
-
-def seeded_loss_param_gradient(cert: MlpCertificate, xs, seed_dirs, loss_fn):
-    """Like loss_param_gradient but with one fixed direction per sample.
-
-    The loss sees (h, d) where d[i] = seed_dirs[i] . dh/dx(x_i); this is
-    the shape the Lie-derivative penalty has, and it avoids carrying a
-    full gradient stream per sample. loss_fn returns (value, dv_dh, dv_dd)
-    with (B,) partials.
-    """
-    def one_stream(h, d):
-        value, d_h, d_d = loss_fn(h, d[:, 0])
-        return value, d_h, np.asarray(d_d, float)[:, None]
-
-    seeds = np.asarray(seed_dirs, dtype=float)[:, None, :]
-    return _nested_gradient(cert, xs, seeds, one_stream)
-
-
-def _nested_gradient(cert, xs, seeds, loss_fn):
-    """loss_fn(h, d) and its parameter gradient, where d (B, S) holds the
-    directional derivatives seeds[i, s] . dh/dx(x_i) for the (B, S, n)
-    seeds; loss_fn returns (value, dv_dh, dv_dd)."""
-    batch = _check_batch(cert, np.atleast_2d(xs))
+    batch = _check_batch(cert, xs)
+    seeds = np.asarray(seed_dirs, dtype=float)
+    if seeds.shape != batch.shape:
+        raise ShapeError(
+            f"seed directions shape {seeds.shape}, expected one per sample {batch.shape}"
+        )
     if batch.shape[0] == 0:
         return 0.0, ParamGrads.zeros_like(cert)
-    if seeds.shape[0] != batch.shape[0] or seeds.shape[2] != cert.n_inputs:
-        raise ShapeError("one seed direction of input dimension per sample required")
     h, dirs, caches = _forward_with_tangents(cert, batch, seeds)
     _raise_on_nonfinite(h, dirs)
     value, d_h, d_dirs = loss_fn(h, dirs)
@@ -322,9 +305,8 @@ def _nested_gradient(cert, xs, seeds, loss_fn):
     return float(value), grads
 
 
-def _raise_on_nonfinite(h: np.ndarray, extra: np.ndarray) -> None:
-    extra_ok = np.isfinite(np.asarray(extra)).reshape(h.shape[0], -1).all(axis=1)
-    bad = ~np.isfinite(h) | ~extra_ok
+def _raise_on_nonfinite(h: np.ndarray, d: np.ndarray) -> None:
+    bad = ~np.isfinite(h) | ~np.isfinite(d)
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise NumericError(f"non-finite network output at batch element {idx}")

@@ -227,6 +227,25 @@ def test_correction_cap_must_be_positive_and_finite(cap):
                      correction_cap=cap)
 
 
+@pytest.mark.parametrize("gain", [-1.0, 0.0, float("nan"), float("inf"), "abc", True])
+def test_kappa_gain_must_be_positive_and_finite(gain):
+    # a NaN or infinite gain makes a NaN or infinite slack that reads as feasible
+    with pytest.raises(ValueError, match="kappa_gain"):
+        SafetyFilter(certificate=constant_cert(3, 1.0), system=dubins_system(),
+                     kappa_gain=gain)
+
+
+@pytest.mark.parametrize("bounds", [False, True])
+def test_filter_batch_rejects_one_state(bounds):
+    # one state is the B=1 view's job; the batch path names the shape it wants
+    filt = SafetyFilter(certificate=constant_cert(3, 1.0), system=dubins_system(),
+                        respect_input_bounds=bounds)
+    with pytest.raises(mlp.ShapeError, match=r"\(B, 3\)"):
+        filter_batch(filt, np.zeros(3))
+    assert np.array_equal(filter_input(filt, np.zeros(3)),
+                          filter_batch(filt, np.zeros((1, 3))).inputs[0])
+
+
 def test_correction_cap_limits_magnitude_and_reports_violation():
     u, slack, active, feasible = _solve_unbounded(
         np.zeros(2), np.array([1e-3, 0.0]), 1.0, cap=10.0)

@@ -132,10 +132,11 @@ def test_input_gradient_matches_finite_differences_100_pairs():
 def test_empty_batch_loss_is_zero():
     cert = random_cert([3, 6, 1], seed=5)
 
-    def loss_fn(h, grads):
-        return float(np.sum(h)), np.ones_like(h), np.zeros_like(grads)
+    def loss_fn(h, d):
+        return float(np.sum(h)), np.ones_like(h), np.zeros_like(d)
 
-    value, grads = mlp.loss_param_gradient(cert, np.zeros((0, 3)), loss_fn)
+    empty = np.zeros((0, 3))
+    value, grads = mlp.seeded_loss_param_gradient(cert, empty, empty, loss_fn)
     assert value == 0.0
     assert all(not g.any() for g in grads.weights + grads.biases)
 
@@ -171,10 +172,10 @@ def test_plain_value_loss_gradient_matches_fd():
     cert = random_cert([3, 6, 1], seed=9)
     x = np.array([[0.4, -1.0, 0.2]])
 
-    def loss_fn(h, grads):
-        return float(h[0]), np.ones(1), np.zeros((1, 3))
+    def loss_fn(h, d):
+        return float(h[0]), np.ones(1), np.zeros(1)
 
-    _, grads = mlp.loss_param_gradient(cert, x, loss_fn)
+    _, grads = mlp.seeded_loss_param_gradient(cert, x, np.ones_like(x), loss_fn)
     fd_w, fd_b = _fd_param_gradient(cert, lambda c: mlp.forward(c, x[0]))
     _assert_grads_close(grads, fd_w, fd_b)
 
@@ -185,10 +186,10 @@ def test_directional_derivative_loss_gradient_matches_fd():
     v = np.array([1.3, -0.2, 0.8])
     c = -1.7
 
-    def loss_fn(h, grads):
-        return c * float(grads[0] @ v), np.zeros(1), c * v[None, :]
+    def loss_fn(h, d):
+        return c * float(d[0]), np.zeros(1), np.full(1, c)
 
-    _, grads = mlp.loss_param_gradient(cert, x, loss_fn)
+    _, grads = mlp.seeded_loss_param_gradient(cert, x, v[None, :], loss_fn)
     fd_w, fd_b = _fd_param_gradient(
         cert, lambda cc: c * float(mlp.input_gradient(cc, x[0]) @ v)
     )
@@ -210,13 +211,11 @@ def test_nested_gradient_with_active_hinges_20_configs():
         vs = rng.uniform(-1.0, 1.0, size=(4, 3))
         thresh = float(rng.uniform(-0.5, 0.5))
 
-        def loss_fn(h, grads, vs=vs, thresh=thresh):
-            args = h - (grads * vs).sum(axis=1) - thresh
+        def loss_fn(h, d, thresh=thresh):
+            args = h - d - thresh
             act = args > 0
             val = float(np.sum(args[act]))
-            dh = act.astype(float)
-            dg = -vs * act[:, None]
-            return val, dh, dg
+            return val, act.astype(float), -act.astype(float)
 
         h = mlp.forward_batch(cert, xs)
         _, g = mlp.values_and_input_gradients(cert, xs)
@@ -226,7 +225,7 @@ def test_nested_gradient_with_active_hinges_20_configs():
             continue
         if np.min(np.abs(args)) < 1e-3:
             continue
-        _, grads = mlp.loss_param_gradient(cert, xs, loss_fn)
+        _, grads = mlp.seeded_loss_param_gradient(cert, xs, vs, loss_fn)
 
         def value_of(c, vs=vs, thresh=thresh):
             hh = mlp.forward_batch(c, xs)
@@ -345,11 +344,61 @@ def test_nonfinite_batch_element_identified():
     cert = random_cert([2, 4, 1], seed=3)
     xs = np.array([[0.1, 0.2], [np.nan, 0.0], [1.0, 1.0]])
 
-    def loss_fn(h, grads):
-        return float(np.sum(h)), np.ones_like(h), np.zeros_like(grads)
+    def loss_fn(h, d):
+        return float(np.sum(h)), np.ones_like(h), np.zeros_like(d)
 
     with pytest.raises(mlp.NumericError, match="element 1"):
-        mlp.loss_param_gradient(cert, xs, loss_fn)
+        mlp.seeded_loss_param_gradient(cert, xs, np.ones_like(xs), loss_fn)
+
+
+def _linear_loss(coef_h, coef_d):
+    def loss_fn(h, d):
+        return float(coef_h @ h + coef_d @ d), coef_h, coef_d
+    return loss_fn
+
+
+def test_seed_directions_must_match_the_batch_shape():
+    cert = random_cert([3, 6, 1], seed=4)
+    xs = np.random.default_rng(0).standard_normal((5, 3))
+    loss_fn = _linear_loss(np.ones(5), np.ones(5))
+    for seeds in (np.ones((5, 4)), np.ones((4, 3)), np.ones(5), np.ones((5, 1, 3))):
+        with pytest.raises(mlp.ShapeError, match="seed directions"):
+            mlp.seeded_loss_param_gradient(cert, xs, seeds, loss_fn)
+
+
+def test_batch_calls_reject_one_state():
+    cert = random_cert([3, 6, 1], seed=4)
+    x = np.array([0.1, -0.2, 0.3])
+    for call in (lambda: mlp.forward_batch(cert, x),
+                 lambda: mlp.values_and_input_gradients(cert, x),
+                 lambda: mlp.seeded_loss_param_gradient(
+                     cert, x, x, _linear_loss(np.ones(1), np.ones(1)))):
+        with pytest.raises(mlp.ShapeError, match=r"\(B, 3\)"):
+            call()
+
+
+def test_batch_gradient_is_the_sum_of_row_gradients():
+    # 768 rows on [8, 128, 128, 1]: BLAS runs the batch through other
+    # kernels than a row, so the reductions over rows differ in order only
+    rng = np.random.default_rng(21)
+    cert = random_cert([8, 128, 128, 1], seed=21, scale=1.1)
+    xs = rng.uniform(-2.0, 2.0, size=(768, 8))
+    seeds = rng.standard_normal((768, 8))
+    coef_h, coef_d = rng.standard_normal(768), rng.standard_normal(768)
+    value, grads = mlp.seeded_loss_param_gradient(
+        cert, xs, seeds, _linear_loss(coef_h, coef_d))
+    total_value = 0.0
+    total = mlp.ParamGrads.zeros_like(cert)
+    for i in range(768):
+        v, g = mlp.seeded_loss_param_gradient(
+            cert, xs[i:i + 1], seeds[i:i + 1],
+            _linear_loss(coef_h[i:i + 1], coef_d[i:i + 1]))
+        total_value += v
+        for acc, part in zip(total.weights + total.biases, g.weights + g.biases):
+            acc += part
+    assert value == pytest.approx(total_value, rel=1e-12)
+    for got, want in zip(grads.weights + grads.biases, total.weights + total.biases):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_softplus_overflow_guard():
