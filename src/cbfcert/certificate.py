@@ -23,7 +23,7 @@ import numpy as np
 
 from .controller import SafetyFilter
 from .dynamics import ControlAffineSystem, Label, closed_loop_field
-from .mlp import MlpCertificate, ParamGrads, forward_batch, seeded_loss_param_gradient
+from .mlp import MlpCertificate, forward_batch, seeded_loss_param_gradient
 from .sampling import TrainingDatasets, sample_uniform
 from .special import regularized_incomplete_beta
 
@@ -124,7 +124,7 @@ def total_loss(cert: MlpCertificate, datasets: TrainingDatasets,
 
 def total_loss_and_gradient(cert: MlpCertificate, datasets: TrainingDatasets,
                             controller: SafetyFilter, weights: LossWeights
-                            ) -> tuple[float, ParamGrads]:
+                            ) -> tuple[float, tuple[np.ndarray, ...]]:
     """Composite hinge loss and its exact parameter gradient.
 
     The filtered input at each domain point is held constant with respect

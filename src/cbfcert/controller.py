@@ -169,16 +169,15 @@ def _batch_unbounded(refs, a_all, b_all, cap, h) -> FilterBatch:
     # test_batch_matches_scalar_decisions checks that both decide alike.
     r = np.einsum("bm,bm->b", a_all, refs)
     viol = b_all - r
-    active = viol > 0.0
+    gap = r - b_all
+    active = gap < 0
     norm_sq = np.einsum("bm,bm->b", a_all, a_all)
     degenerate = norm_sq < _DEGENERATE_SQ
     feasible = ~(active & degenerate)
     project = active & ~degenerate
-    scale = np.zeros_like(viol)
-    scale[project] = viol[project] / norm_sq[project]
+    scale = np.where(project, viol / np.where(project, norm_sq, 1.0), 0.0)
     corr = scale[:, None] * a_all
-    slack = np.where(active, 0.0, r - b_all)
-    slack[active & degenerate] = (r - b_all)[active & degenerate]
+    slack = np.where(project, 0.0, gap)
     if cap is not None:
         size = np.linalg.norm(corr, axis=1)
         over = size > cap

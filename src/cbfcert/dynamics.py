@@ -76,6 +76,24 @@ def _box_mask(pts: np.ndarray, cols, lo, hi) -> np.ndarray:
     return mask
 
 
+def _unicycle_g(x):
+    """Input matrices of a unicycle whose pose is x[:, 0:3] inside an
+    n = x.shape[1] state: forward speed moves the position along the
+    heading, turn rate turns the heading."""
+    out = np.zeros((x.shape[0], x.shape[1], 2))
+    out[:, 0, 0] = np.cos(x[:, 2])
+    out[:, 1, 0] = np.sin(x[:, 2])
+    out[:, 2, 1] = 1.0
+    return out
+
+
+def _full_speed(x):
+    """The unicycle reference input: full forward speed, no turn."""
+    u = np.zeros((x.shape[0], 2))
+    u[:, 0] = 1.0
+    return u
+
+
 def dubins_system() -> ControlAffineSystem:
     """Unicycle ground vehicle avoiding a static central obstacle.
 
@@ -88,13 +106,6 @@ def dubins_system() -> ControlAffineSystem:
     def f(x):
         return np.zeros_like(x)
 
-    def g(x):
-        out = np.zeros((x.shape[0], 3, 2))
-        out[:, 0, 0] = np.cos(x[:, 2])
-        out[:, 1, 0] = np.sin(x[:, 2])
-        out[:, 2, 1] = 1.0
-        return out
-
     lo, hi = bounds[:, 0], bounds[:, 1]
 
     def label_batch(pts):
@@ -106,17 +117,12 @@ def dubins_system() -> ControlAffineSystem:
         out[unsafe] = Label.UNSAFE
         return out
 
-    def reference(pts):
-        u = np.zeros((pts.shape[0], 2))
-        u[:, 0] = 1.0
-        return u
-
     return ControlAffineSystem(
-        name="dubins", n=3, m=2, f=f, g=g,
+        name="dubins", n=3, m=2, f=f, g=_unicycle_g,
         state_bounds=bounds,
         input_bounds=np.array([[0.0, 1.0], [-1.0, 1.0]]),
         label_batch=label_batch,
-        reference_policy=reference,
+        reference_policy=_full_speed,
         angle_dims=(2,),
     )
 
@@ -202,29 +208,17 @@ def quadruped_system(k1: float = 0.0, k2: float = 0.0, kr: float = 0.0,
         out[:, 5:8] = drift_tail
         return out
 
-    def g(x):
-        out = np.zeros((x.shape[0], 8, 2))
-        out[:, 0, 0] = np.cos(x[:, 2])
-        out[:, 1, 0] = np.sin(x[:, 2])
-        out[:, 2, 1] = 1.0
-        return out
-
     def label_batch(pts):
         from .sampling import collision_cone_label_batch
 
         return collision_cone_label_batch(pts, nominal_speed=nominal_speed, margin=margin)
 
-    def reference(pts):
-        u = np.zeros((pts.shape[0], 2))
-        u[:, 0] = 1.0
-        return u
-
     return ControlAffineSystem(
-        name="quadruped", n=8, m=2, f=f, g=g,
+        name="quadruped", n=8, m=2, f=f, g=_unicycle_g,
         state_bounds=bounds,
         input_bounds=np.array([[0.0, 1.0], [-1.0, 1.0]]),
         label_batch=label_batch,
-        reference_policy=reference,
+        reference_policy=_full_speed,
         angle_dims=(2,),
     )
 

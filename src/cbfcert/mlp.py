@@ -11,6 +11,10 @@ reverse) differentiation. Networks are tiny (at most two hidden layers of
   * parameter gradients come from a reverse sweep over the combined
     primal + tangent graph, in plain (B, k) matrix products per layer.
 
+A parameter gradient is one tuple of arrays in the order
+cert.weights + cert.biases: the layers' weight gradients first, then their
+bias gradients. Adam keeps its moments in the same order.
+
 All arithmetic is float64 and every operation is a pure function.
 
 Batch semantics. `forward` is per-state exact: a state's value does not
@@ -39,6 +43,10 @@ from pathlib import Path
 import numpy as np
 
 _SOFTPLUS_CUTOFF = 30.0
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class ShapeError(ValueError):
@@ -204,24 +212,6 @@ def values_and_input_gradients(cert: MlpCertificate, xs) -> tuple[np.ndarray, np
     return h, d
 
 
-@dataclass
-class ParamGrads:
-    """Per-layer gradients matching an MlpCertificate's parameter shapes."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, cert: MlpCertificate) -> "ParamGrads":
-        return cls(
-            [np.zeros_like(w) for w in cert.weights],
-            [np.zeros_like(b) for b in cert.biases],
-        )
-
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(g)) for g in self.weights + self.biases)
-
-
 def _forward_with_tangents(cert, xs, tangents):
     """Propagate primal activations and one tangent per sample through the
     layers.
@@ -253,7 +243,7 @@ def _reverse_combined(cert, caches, d_h, d_dir):
     """Reverse sweep over the primal + tangent graph.
 
     d_h (B,) is the loss adjoint of the barrier values, d_dir (B,) that of
-    the directional derivatives. Returns parameter gradients.
+    the directional derivatives. Returns the parameter gradient tuple.
     """
     weights, biases = [], []
     a_bar = d_h[:, None]
@@ -273,11 +263,11 @@ def _reverse_combined(cert, caches, d_h, d_dir):
         biases.append(z_bar.sum(axis=0))
         a_bar = z_bar @ w
         t_bar = tz_bar @ w
-    return ParamGrads(weights[::-1], biases[::-1])
+    return tuple(weights[::-1] + biases[::-1])
 
 
 def seeded_loss_param_gradient(cert: MlpCertificate, xs, seed_dirs,
-                               loss_fn) -> tuple[float, ParamGrads]:
+                               loss_fn) -> tuple[float, tuple[np.ndarray, ...]]:
     """Value and parameter gradient of a loss built from h and one
     directional derivative per sample.
 
@@ -295,12 +285,12 @@ def seeded_loss_param_gradient(cert: MlpCertificate, xs, seed_dirs,
             f"seed directions shape {seeds.shape}, expected one per sample {batch.shape}"
         )
     if batch.shape[0] == 0:
-        return 0.0, ParamGrads.zeros_like(cert)
+        return 0.0, tuple(np.zeros_like(p) for p in cert.weights + cert.biases)
     h, dirs, caches = _forward_with_tangents(cert, batch, seeds)
     _raise_on_nonfinite(h, dirs)
     value, d_h, d_dirs = loss_fn(h, dirs)
     grads = _reverse_combined(cert, caches, np.asarray(d_h, float), np.asarray(d_dirs, float))
-    if not grads.is_finite():
+    if not all(np.all(np.isfinite(g)) for g in grads):
         raise NumericError("non-finite parameter gradient")
     return float(value), grads
 
@@ -314,75 +304,49 @@ def _raise_on_nonfinite(h: np.ndarray, d: np.ndarray) -> None:
 
 @dataclass
 class OptimizerState:
-    """Adam accumulators; shapes always mirror the certificate."""
+    """Adam moments, one array per parameter in the gradient order."""
 
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: tuple[np.ndarray, ...]
+    v: tuple[np.ndarray, ...]
     step_count: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(cert: MlpCertificate, learning_rate: float = 1e-3,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> OptimizerState:
+def init_adam(cert: MlpCertificate, learning_rate: float = 1e-3) -> OptimizerState:
     if learning_rate <= 0:
         raise ValueError("learning_rate must be positive")
-    return OptimizerState(
-        [np.zeros_like(w) for w in cert.weights],
-        [np.zeros_like(w) for w in cert.weights],
-        [np.zeros_like(b) for b in cert.biases],
-        [np.zeros_like(b) for b in cert.biases],
-        step_count=0,
-        learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
+    params = cert.weights + cert.biases
+    return OptimizerState(tuple(np.zeros_like(p) for p in params),
+                          tuple(np.zeros_like(p) for p in params),
+                          step_count=0, learning_rate=learning_rate)
 
 
 def adam_step(state: OptimizerState, cert: MlpCertificate,
-              grads: ParamGrads) -> tuple[OptimizerState, MlpCertificate]:
+              grads: tuple[np.ndarray, ...]) -> tuple[OptimizerState, MlpCertificate]:
     """One bias-corrected adaptive-moment update; returns new state and
     parameters, leaving the inputs untouched."""
-    if len(grads.weights) != cert.n_layers or len(grads.biases) != cert.n_layers:
-        raise ShapeError("gradient layer count does not match certificate")
-    for gw, w in zip(grads.weights, cert.weights):
-        if gw.shape != w.shape:
-            raise ShapeError(f"gradient shape {gw.shape} != weight shape {w.shape}")
-    for gb, b in zip(grads.biases, cert.biases):
-        if gb.shape != b.shape:
-            raise ShapeError(f"gradient shape {gb.shape} != bias shape {b.shape}")
+    params = cert.weights + cert.biases
+    if len(grads) != len(params):
+        raise ShapeError(f"{len(grads)} gradient arrays, expected {len(params)}")
+    for g, p in zip(grads, params):
+        if g.shape != p.shape:
+            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    new_mw, new_vw, new_w = [], [], []
-    for m, v, g, w in zip(state.m_weights, state.v_weights, grads.weights, cert.weights):
+    new_m, new_v, new_p = [], [], []
+    for m, v, g, p in zip(state.m, state.v, grads, params):
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * g * g
-        new_mw.append(m)
-        new_vw.append(v)
-        new_w.append(w - state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps))
-    new_mb, new_vb, new_b = [], [], []
-    for m, v, g, b in zip(state.m_biases, state.v_biases, grads.biases, cert.biases):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        new_mb.append(m)
-        new_vb.append(v)
-        new_b.append(b - state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps))
-    new_state = OptimizerState(
-        new_mw, new_vw, new_mb, new_vb,
-        step_count=t,
-        learning_rate=state.learning_rate,
-        beta1=b1, beta2=b2, eps=state.eps,
-    )
-    new_cert = MlpCertificate(
-        cert.layer_sizes, tuple(new_w), tuple(np.asarray(b) for b in new_b)
-    )
+        new_m.append(m)
+        new_v.append(v)
+        new_p.append(p - state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS))
+    new_state = OptimizerState(tuple(new_m), tuple(new_v), step_count=t,
+                               learning_rate=state.learning_rate)
+    layers = cert.n_layers
+    new_cert = MlpCertificate(cert.layer_sizes, tuple(new_p[:layers]),
+                              tuple(new_p[layers:]))
     return new_state, new_cert
 
 

@@ -5,9 +5,7 @@ used by the moving-obstacle benchmark.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +26,6 @@ class TrainingDatasets:
     safe: np.ndarray     # (n_safe, n)
     unsafe: np.ndarray   # (n_unsafe, n)
     domain: np.ndarray   # (n_domain, n)
-    seed: int
 
     def sizes(self) -> tuple[int, int, int]:
         return self.safe.shape[0], self.unsafe.shape[0], self.domain.shape[0]
@@ -84,7 +81,7 @@ def build_datasets(sys: ControlAffineSystem, n_safe: int, n_unsafe: int,
     unsafe = rejection_sample_label(sys, Label.UNSAFE, n_unsafe,
                                     np.random.default_rng([seed, 2]))
     domain = sample_uniform(sys.state_bounds, n_domain, np.random.default_rng([seed, 3]))
-    return TrainingDatasets(safe=safe, unsafe=unsafe, domain=domain, seed=seed)
+    return TrainingDatasets(safe=safe, unsafe=unsafe, domain=domain)
 
 
 def collision_cone_label_batch(states, nominal_speed: float = 1.0,
@@ -127,17 +124,3 @@ def collision_cone_label_batch(states, nominal_speed: float = 1.0,
 def collision_cone_label(state, nominal_speed: float = 1.0, margin: float = 0.2) -> Label:
     return Label(int(collision_cone_label_batch(
         np.asarray(state, float)[None, :], nominal_speed, margin)[0]))
-
-
-def datasets_to_csv(datasets: TrainingDatasets, path) -> None:
-    """One state per row, with a bucket column."""
-    path = Path(path)
-    n = datasets.safe.shape[1]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(n)] + ["bucket"])
-        for bucket, pts in (("safe", datasets.safe),
-                            ("unsafe", datasets.unsafe),
-                            ("domain", datasets.domain)):
-            for row in pts:
-                writer.writerow([repr(float(v)) for v in row] + [bucket])

@@ -190,9 +190,6 @@ class RefinementRecord:
     epsilon: float
     beta: float
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class TrainingHistory:
@@ -252,7 +249,6 @@ def train_phase(cert: mlp.MlpCertificate, datasets: TrainingDatasets,
                 safe=datasets.safe[order_s[s0:s1]],
                 unsafe=datasets.unsafe[order_u[u0:u1]],
                 domain=datasets.domain[order_d[d0:d1]],
-                seed=datasets.seed,
             )
             filt = _training_filter(cert, sys, config)
             _, grads = total_loss_and_gradient(cert, batch, filt, weights)

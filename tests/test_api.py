@@ -1,6 +1,10 @@
 """The public API: every exported name resolves, and the one-state
 functions are views of the batch paths, bit for bit."""
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,12 +16,35 @@ from cbfcert.dynamics import dubins_system, quadruped_system
 from cbfcert.sampling import sample_uniform
 
 _SYSTEMS = [(dubins_system, [3, 10, 1]), (quadruped_system, [8, 32, 32, 1])]
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
     for name in cbfcert.__all__:
         assert getattr(cbfcert, name) is not None, name
     assert len(set(cbfcert.__all__)) == len(cbfcert.__all__)
+
+
+def test_every_definition_has_a_caller():
+    # a top-level function or class of the package must be used by package
+    # code, exported in cbfcert.__all__, or named in bench/, whose tracer
+    # wraps package functions by name
+    trees = [ast.parse(path.read_text())
+             for path in sorted((_ROOT / "src" / "cbfcert").glob("*.py"))]
+    used = set(cbfcert.__all__)
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    for path in (_ROOT / "bench").glob("*.py"):
+        used.update(re.findall(r"\w+", path.read_text()))
+    unused = [node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in used]
+    assert unused == []
 
 
 @pytest.mark.parametrize("system, layers", _SYSTEMS, ids=["dubins", "quadruped"])

@@ -138,7 +138,8 @@ def test_empty_batch_loss_is_zero():
     empty = np.zeros((0, 3))
     value, grads = mlp.seeded_loss_param_gradient(cert, empty, empty, loss_fn)
     assert value == 0.0
-    assert all(not g.any() for g in grads.weights + grads.biases)
+    assert [g.shape for g in grads] == [p.shape for p in cert.weights + cert.biases]
+    assert all(not g.any() for g in grads)
 
 
 def _fd_param_gradient(cert, value_of, step=1e-6):
@@ -162,7 +163,8 @@ def _fd_param_gradient(cert, value_of, step=1e-6):
 
 
 def _assert_grads_close(grads, fd_w, fd_b, rel=1e-4, abs_floor=1e-7):
-    for got, want in zip(grads.weights + grads.biases, fd_w + fd_b):
+    assert len(grads) == len(fd_w + fd_b)
+    for got, want in zip(grads, fd_w + fd_b):
         err = np.abs(got - want)
         tol = np.maximum(abs_floor, rel * np.abs(want))
         assert np.all(err <= tol), f"max excess {np.max(err - tol)}"
@@ -262,25 +264,29 @@ def test_determinism_bit_identical():
 def test_adam_zero_gradient_keeps_parameters():
     cert = random_cert([2, 4, 1], seed=1)
     state = mlp.init_adam(cert, learning_rate=1e-3)
-    new_state, new_cert = mlp.adam_step(state, cert, mlp.ParamGrads.zeros_like(cert))
+    zeros = tuple(np.zeros_like(p) for p in cert.weights + cert.biases)
+    new_state, new_cert = mlp.adam_step(state, cert, zeros)
     assert new_state.step_count == 1
-    for w0, w1 in zip(cert.weights, new_cert.weights):
-        assert np.all(w0 == w1)
+    for p0, p1 in zip(cert.weights + cert.biases, new_cert.weights + new_cert.biases):
+        assert np.all(p0 == p1)
 
 
 def test_adam_first_step_closed_form():
     cert = random_cert([2, 3, 1], seed=2)
     rng = np.random.default_rng(0)
-    grads = mlp.ParamGrads(
-        [rng.standard_normal(w.shape) for w in cert.weights],
-        [rng.standard_normal(b.shape) for b in cert.biases],
-    )
+    # the gradient tuple lists the weights first, then the biases
+    grads = tuple(rng.standard_normal(p.shape) for p in cert.weights + cert.biases)
     lr = 1e-3
     state = mlp.init_adam(cert, learning_rate=lr)
     _, new_cert = mlp.adam_step(state, cert, grads)
-    for w0, w1, g in zip(cert.weights, new_cert.weights, grads.weights):
-        expected = w0 - lr * g / (np.abs(g) + state.eps)
-        assert np.allclose(w1, expected, rtol=1e-12)
+    layers = cert.n_layers
+    pairs = [(cert.weights, new_cert.weights, grads[:layers]),
+             (cert.biases, new_cert.biases, grads[layers:])]
+    for old, new, part in pairs:
+        assert len(new) == layers
+        for p0, p1, g in zip(old, new, part):
+            expected = p0 - lr * g / (np.abs(g) + mlp.ADAM_EPS)
+            assert np.allclose(p1, expected, rtol=1e-12)
 
 
 def test_adam_constant_gradient_step_approaches_sign():
@@ -294,7 +300,7 @@ def test_adam_constant_gradient_step_approaches_sign():
                               (np.zeros((2, 2)), np.zeros((1, 2))),
                               (np.zeros(2), np.zeros(1)))
     state = mlp.init_adam(cert, learning_rate=lr)
-    grads = mlp.ParamGrads([g, np.zeros((1, 2))], [np.zeros(2), np.zeros(1)])
+    grads = (g, np.zeros((1, 2)), np.zeros(2), np.zeros(1))
     for t in range(1, 501):
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
@@ -312,10 +318,15 @@ def test_adam_constant_gradient_step_approaches_sign():
 def test_adam_shape_mismatch():
     cert = random_cert([2, 4, 1], seed=1)
     state = mlp.init_adam(cert)
-    bad = mlp.ParamGrads([np.zeros((4, 3)), np.zeros((1, 4))],
-                         [np.zeros(4), np.zeros(1)])
+    bad = (np.zeros((4, 3)), np.zeros((1, 4)), np.zeros(4), np.zeros(1))
     with pytest.raises(mlp.ShapeError):
         mlp.adam_step(state, cert, bad)
+    with pytest.raises(mlp.ShapeError, match="3 gradient arrays, expected 4"):
+        mlp.adam_step(state, cert, bad[:3])
+    # the right arrays in the wrong order: biases before weights
+    swapped = tuple(np.zeros_like(p) for p in cert.biases + cert.weights)
+    with pytest.raises(mlp.ShapeError, match="gradient shape"):
+        mlp.adam_step(state, cert, swapped)
 
 
 def test_certificate_json_round_trip_exact():
@@ -388,16 +399,16 @@ def test_batch_gradient_is_the_sum_of_row_gradients():
     value, grads = mlp.seeded_loss_param_gradient(
         cert, xs, seeds, _linear_loss(coef_h, coef_d))
     total_value = 0.0
-    total = mlp.ParamGrads.zeros_like(cert)
+    total = [np.zeros_like(p) for p in cert.weights + cert.biases]
     for i in range(768):
         v, g = mlp.seeded_loss_param_gradient(
             cert, xs[i:i + 1], seeds[i:i + 1],
             _linear_loss(coef_h[i:i + 1], coef_d[i:i + 1]))
         total_value += v
-        for acc, part in zip(total.weights + total.biases, g.weights + g.biases):
+        for acc, part in zip(total, g):
             acc += part
     assert value == pytest.approx(total_value, rel=1e-12)
-    for got, want in zip(grads.weights + grads.biases, total.weights + total.biases):
+    for got, want in zip(grads, total):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

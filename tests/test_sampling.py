@@ -5,8 +5,7 @@ from cbfcert.dynamics import ControlAffineSystem, Label, dubins_system, \
     make_system, planar_aerial_system
 from cbfcert.sampling import (LabelingMeasureError, build_datasets,
                               collision_cone_label,
-                              collision_cone_label_batch, datasets_to_csv,
-                              sample_uniform)
+                              collision_cone_label_batch, sample_uniform)
 
 from oracles import min_distance_constant_velocity
 
@@ -107,15 +106,3 @@ def test_collision_cone_oracle_equivalence_10k():
         elif labels[i] == Label.SAFE:
             assert dmin >= pts[i, 7] + 0.2 - 1e-12
 
-
-def test_datasets_csv_round_trip(tmp_path):
-    sys_ = dubins_system()
-    ds = build_datasets(sys_, 5, 5, 5, seed=2)
-    path = tmp_path / "data.csv"
-    datasets_to_csv(ds, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "x0,x1,x2,bucket"
-    assert len(rows) == 16
-    first = rows[1].split(",")
-    assert float(first[0]) == ds.safe[0, 0]
-    assert first[-1] == "safe"
