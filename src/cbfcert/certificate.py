@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import SafetyFilter
-from .dynamics import ControlAffineSystem, Label, closed_loop_field
-from .mlp import MlpCertificate, forward_batch, seeded_loss_param_gradient
+from .controller import SafetyFilter, decide
+from .dynamics import ControlAffineSystem, Label
+from .mlp import (MlpCertificate, forward_batch, primal_input_gradients, primal_pass,
+                  seeded_loss_param_gradient)
 from .sampling import TrainingDatasets, sample_uniform
 from .special import regularized_incomplete_beta
 
@@ -108,13 +109,12 @@ def total_loss(cert: MlpCertificate, datasets: TrainingDatasets,
     if min(datasets.sizes()) == 0:
         raise EmptyBucketError("all three dataset buckets must be nonempty")
     _check_filter(cert, controller)
-    # Whole buckets, not row blocks: blocked, the desk dubins loss took 35%
-    # less time but the mini-batch steps after it 50% more. glibc malloc
-    # raises its mmap and trim thresholds only when a large chunk is freed;
-    # without these multi-MB temporaries it hands the heap back to the
-    # system after every step and faults it in again at the next. The
-    # safe and unsafe forwards go first: the steps that follow were
-    # measured slower with the domain pass first.
+    # Whole buckets, not row blocks: with the one-pass training step,
+    # blocking gains nothing measurable (desk dubins refine 1.22 s blocked,
+    # 1.27 s whole, medians of 6 trains, 2 vCPUs; 107K against 80K minor
+    # faults a train) and moves dubins rows above 5,208 by 1 ulp. The safe
+    # and unsafe forwards go first: the steps that follow were measured
+    # slower with the domain pass first.
     h_safe = forward_batch(cert, datasets.safe)
     h_unsafe = forward_batch(cert, datasets.unsafe)
     q3 = -controller.batch_decide(datasets.domain).slack
@@ -134,25 +134,28 @@ def total_loss_and_gradient(cert: MlpCertificate, datasets: TrainingDatasets,
     if min(datasets.sizes()) == 0:
         raise EmptyBucketError("all three dataset buckets must be nonempty")
     _check_filter(cert, controller)
-    batch = controller.batch_decide(datasets.domain)
     ns, nu, nd = datasets.sizes()
-    xs = np.concatenate([datasets.safe, datasets.unsafe, datasets.domain], axis=0)
-    seeds = np.zeros_like(xs)
-    seeds[ns + nu:] = closed_loop_field(controller.system, datasets.domain, batch.inputs)
+    first = ns + nu
+    domain = datasets.domain
+    # one primal pass over all rows; the filter decides on the domain rows,
+    # which alone carry the closed-loop field f + g u as their tangent
+    primal = primal_pass(cert, np.concatenate([datasets.safe, datasets.unsafe, domain]))
+    f, g = controller.system.f(domain), controller.system.g(domain)
+    batch = decide(controller, domain, primal.h[first:],
+                   primal_input_gradients(cert, primal, first), f, g)
+    seeds = f + np.einsum("bnm,bm->bn", g, batch.inputs)
     lam1, lam2 = weights.lambda1, weights.lambda2
     gamma = controller.kappa_gain
 
     def combined(h, d):
-        value, _, (act1, act2, act3) = _hinge(h[:ns], h[ns:ns + nu], -batch.slack, weights)
+        value, _, (act1, act2, act3) = _hinge(h[:ns], h[ns:first], -batch.slack, weights)
         dh = np.zeros_like(h)
         dh[:ns][act1] = -1.0 / ns
-        dh[ns:ns + nu][act2] = lam1 / nu
-        dh[ns + nu:][act3] = -lam2 * gamma / nd
-        dd = np.zeros_like(d)
-        dd[ns + nu:][act3] = -lam2 / nd
-        return value, dh, dd
+        dh[ns:first][act2] = lam1 / nu
+        dh[first:][act3] = -lam2 * gamma / nd
+        return value, dh, np.where(act3, -lam2 / nd, 0.0)
 
-    return seeded_loss_param_gradient(cert, xs, seeds, combined)
+    return seeded_loss_param_gradient(cert, primal, seeds, combined)
 
 
 def conformal_quantile(scores, alpha: float) -> float:

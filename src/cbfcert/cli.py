@@ -61,7 +61,9 @@ def _load_config(path: str) -> tuple[TrainConfig, dict, dict, ControlAffineSyste
         raise ConfigError(["config: top level must be an object"])
     sections = []
     for name, defaults in (("simulation", _SIM_DEFAULTS), ("levelset", _LEVELSET_DEFAULTS)):
-        given = doc.pop(name, {}) or {}
+        given = doc.pop(name, {})
+        if not isinstance(given, dict):
+            raise ConfigError([f"{name}: must be an object"])
         unknown = set(given) - set(defaults)
         if unknown:
             raise ConfigError([f"{name}: unknown keys {sorted(unknown)}"])

@@ -41,12 +41,18 @@ class InfeasibleFilterError(RuntimeError):
 
 @dataclass(frozen=True)
 class SafetyFilter:
+    """The CBF-QP filter of a certificate and a system. correction_cap, a
+    training-only guard, caps the norm of u - u_ref (the rest stays as
+    negative slack) in the unbounded filter only: the box-bounded solve
+    ignores it, so TrainConfig.correction_cap has no effect under
+    respect_input_bounds_training."""
+
     certificate: MlpCertificate
     system: ControlAffineSystem
     kappa_gain: float = 1.0
     reference_policy: Callable[[np.ndarray], np.ndarray] | None = None
     respect_input_bounds: bool = False
-    correction_cap: float | None = None  # training-only guard, see filter notes
+    correction_cap: float | None = None
 
     def __post_init__(self) -> None:
         if not _is_positive_finite(self.kappa_gain):
@@ -130,16 +136,23 @@ def filter_input(filt: SafetyFilter, x) -> np.ndarray:
 
 
 def filter_batch(filt: SafetyFilter, xs) -> FilterBatch:
-    """Vectorized coefficients, then the closed-form solve per state.
+    """The filter's decisions at a batch of states: evaluate h, dh/dx, f
+    and g, then decide."""
+    xs = np.asarray(xs, dtype=float)
+    h, grads = values_and_input_gradients(filt.certificate, xs)
+    return decide(filt, xs, h, grads, filt.system.f(xs), filt.system.g(xs))
+
+
+def decide(filt: SafetyFilter, xs: np.ndarray, h: np.ndarray, grads: np.ndarray,
+           f: np.ndarray, g: np.ndarray) -> FilterBatch:
+    """The closed-form solve per state, from the barrier values h (B,),
+    their input gradients dh/dx (B, n) and the system's f (B, n) and
+    g (B, n, m) at the states xs (B, n).
 
     Infeasible states fall back to the (clipped) reference input and keep
     their negative slack so that callers can score the violation instead
     of aborting; rollout code treats feasible=False as a hard stop.
     """
-    xs = np.asarray(xs, dtype=float)
-    h, grads = values_and_input_gradients(filt.certificate, xs)
-    g = filt.system.g(xs)
-    f = filt.system.f(xs)
     a_all = np.einsum("bn,bnm->bm", grads, g)
     b_all = -np.einsum("bn,bn->b", grads, f) - filt.kappa_gain * h
     refs = np.asarray(filt.reference_policy(xs), dtype=float)

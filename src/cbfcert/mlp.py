@@ -5,11 +5,13 @@ gradient dh/dx, so parameter gradients need second-order (forward-over-
 reverse) differentiation. Networks are tiny (at most two hidden layers of
 128 units), so everything is explicit numpy and stays auditable:
 
-  * one tangent per sample (the seed direction of the loss's directional
-    derivative, e.g. the closed-loop field f + g u) is propagated forward
-    through the layer recurrence as a (B, n) array next to the primal one;
+  * one primal pass keeps each layer's input and sigmoid(z); input
+    gradients dh/dx are a reverse sweep over those sigmoids;
+  * the seed direction of the loss's directional derivative (e.g. the
+    closed-loop field f + g u) is pushed through the cached layers as an
+    (S, n) tangent on the S seeded rows only;
   * parameter gradients come from a reverse sweep over the combined
-    primal + tangent graph, in plain (B, k) matrix products per layer.
+    primal + tangent graph, in plain matrix products per layer.
 
 A parameter gradient is one tuple of arrays in the order
 cert.weights + cert.biases: the layers' weight gradients first, then their
@@ -31,7 +33,8 @@ size. Its row values equal the one-shot batch's wherever the one-shot
 batch does not switch BLAS kernel by size; the dubins (B, 64) @ (64, 3)
 input-gradient product does above 5208 rows, and moves in the last ulp
 there. The monitoring loss, mini-batch training steps, rollouts and the
-B=1 filter pass their batches through whole.
+B=1 filter pass their batches through whole; a training step's filter
+decides from the h and dh/dx of its whole mini-batch's primal pass.
 """
 
 from __future__ import annotations
@@ -192,114 +195,120 @@ def input_gradient(cert: MlpCertificate, x) -> np.ndarray:
     return values_and_input_gradients(cert, np.asarray(x, dtype=float)[None])[1][0]
 
 
-def values_and_input_gradients(cert: MlpCertificate, xs) -> tuple[np.ndarray, np.ndarray]:
-    """(h, dh/dx) for a batch in one pass; shapes (B,) and (B, n)."""
+@dataclass
+class Primal:
+    """One primal pass over a (B, n) batch: the barrier values, each
+    layer's input and each hidden layer's sigmoid(z), the caches that the
+    input gradients and the nested gradient read."""
+
+    h: np.ndarray                 # (B,)
+    inputs: list[np.ndarray]      # layer l's input, (B, layer_sizes[l])
+    sigs: list[np.ndarray]        # hidden layer l's sigmoid(z), (B, layer_sizes[l+1])
+
+
+def primal_pass(cert: MlpCertificate, xs) -> Primal:
+    """The layer recurrence over a batch, keeping its caches."""
     a = _check_batch(cert, xs)
     last = cert.n_layers - 1
-    sigs = []
+    inputs, sigs = [], []
     for l, (w, b) in enumerate(zip(cert.weights, cert.biases)):
-        z = a @ w.T + b
+        inputs.append(a)
+        z = a @ w.T
+        z += b
         if l < last:
             sigs.append(sigmoid(z))
             a = softplus(z)
         else:
             a = z
-    h = a[:, 0]
-    d = np.ones((a.shape[0], 1))
-    for l in range(last, -1, -1):
-        dz = d if l == last else d * sigs[l]
-        d = dz @ cert.weights[l]
-    return h, d
+    return Primal(a[:, 0], inputs, sigs)
 
 
-def _forward_with_tangents(cert, xs, tangents):
-    """Propagate primal activations and one tangent per sample through the
-    layers.
-
-    tangents has shape (B, n). Returns (h, d, caches) with d (B,) holding
-    the directional derivatives tangent . dh/dx, plus the caches the
-    reverse sweep needs.
-    """
-    a = xs
-    t = tangents
+def primal_input_gradients(cert: MlpCertificate, primal: Primal, first: int) -> np.ndarray:
+    """dh/dx of the primal's rows first: onwards, (B - first, n), by a
+    reverse sweep over the cached sigmoids."""
     last = cert.n_layers - 1
-    caches = []
-    for l, (w, b) in enumerate(zip(cert.weights, cert.biases)):
-        z = a @ w.T + b
-        tz = t @ w.T
+    d = np.ones((primal.h.shape[0] - first, 1))
+    for l in range(last, -1, -1):
         if l < last:
-            sig = sigmoid(z)
-            caches.append((a, t, sig, tz))
-            a = softplus(z)
-            t = tz * sig
-        else:
-            caches.append((a, t, None, None))
-            a = z
-            t = tz
-    return a[:, 0], t[:, 0], caches
+            d *= primal.sigs[l][first:]
+        d = d @ cert.weights[l]
+    return d
 
 
-def _reverse_combined(cert, caches, d_h, d_dir):
-    """Reverse sweep over the primal + tangent graph.
-
-    d_h (B,) is the loss adjoint of the barrier values, d_dir (B,) that of
-    the directional derivatives. Returns the parameter gradient tuple.
-    """
-    weights, biases = [], []
-    a_bar = d_h[:, None]
-    t_bar = d_dir[:, None]
-    last = cert.n_layers - 1
-    for l in range(last, -1, -1):
-        a_in, t_in, sig, tz = caches[l]
-        if l == last:
-            z_bar = a_bar
-            tz_bar = t_bar
-        else:
-            curv = sig * (1.0 - sig)
-            z_bar = sig * a_bar + curv * (tz * t_bar)
-            tz_bar = sig * t_bar
-        w = cert.weights[l]
-        weights.append(z_bar.T @ a_in + tz_bar.T @ t_in)
-        biases.append(z_bar.sum(axis=0))
-        a_bar = z_bar @ w
-        t_bar = tz_bar @ w
-    return tuple(weights[::-1] + biases[::-1])
+def values_and_input_gradients(cert: MlpCertificate, xs) -> tuple[np.ndarray, np.ndarray]:
+    """(h, dh/dx) for a batch in one pass; shapes (B,) and (B, n)."""
+    primal = primal_pass(cert, xs)
+    return primal.h, primal_input_gradients(cert, primal, 0)
 
 
-def seeded_loss_param_gradient(cert: MlpCertificate, xs, seed_dirs,
+def seeded_loss_param_gradient(cert: MlpCertificate, primal: Primal, seed_dirs,
                                loss_fn) -> tuple[float, tuple[np.ndarray, ...]]:
     """Value and parameter gradient of a loss built from h and one
-    directional derivative per sample.
+    directional derivative per seeded row of a primal pass.
 
-    loss_fn(h, d) receives the batch barrier values h (B,) and
-    d[i] = seed_dirs[i] . dh/dx(x_i), the shape the Lie-derivative penalty
-    has, and must return (value, dvalue_dh, dvalue_dd) with (B,) partials.
-    seed_dirs has the (B, n) shape of xs. Hinge kinks must follow the
-    inactive (zero-derivative) convention inside loss_fn. An empty batch
-    yields (0.0, zero gradients).
+    seed_dirs (S, n) seeds the last S rows of the primal's batch; only
+    these carry a tangent. loss_fn(h, d) receives the barrier values
+    h (B,) and d[i] = seed_dirs[i] . dh/dx at the i-th seeded row, the
+    shape the Lie-derivative penalty has, and must return
+    (value, dvalue_dh, dvalue_dd) with (B,) and (S,) partials. Hinge kinks
+    must follow the inactive (zero-derivative) convention inside loss_fn.
+    An empty batch yields (0.0, zero gradients).
     """
-    batch = _check_batch(cert, xs)
     seeds = np.asarray(seed_dirs, dtype=float)
-    if seeds.shape != batch.shape:
-        raise ShapeError(
-            f"seed directions shape {seeds.shape}, expected one per sample {batch.shape}"
-        )
-    if batch.shape[0] == 0:
+    n_rows = primal.h.shape[0]
+    if seeds.ndim != 2 or seeds.shape[1] != cert.n_inputs or seeds.shape[0] > n_rows:
+        raise ShapeError(f"seed directions shape {seeds.shape}, expected (S, "
+                         f"{cert.n_inputs}) for S <= {n_rows} seeded rows")
+    if n_rows == 0:
         return 0.0, tuple(np.zeros_like(p) for p in cert.weights + cert.biases)
-    h, dirs, caches = _forward_with_tangents(cert, batch, seeds)
-    _raise_on_nonfinite(h, dirs)
-    value, d_h, d_dirs = loss_fn(h, dirs)
-    grads = _reverse_combined(cert, caches, np.asarray(d_h, float), np.asarray(d_dirs, float))
+    first = n_rows - seeds.shape[0]
+    last = cert.n_layers - 1
+    # tangent sweep over the seeded rows: t_l is layer l's input tangent
+    t_ins, tzs = [], []
+    t = seeds
+    for l, w in enumerate(cert.weights):
+        t_ins.append(t)
+        t = t @ w.T
+        if l < last:
+            tzs.append(t)
+            t = t * primal.sigs[l][first:]
+    bad = ~np.isfinite(primal.h)
+    bad[first:] |= ~np.isfinite(t[:, 0])
+    if np.any(bad):
+        raise NumericError(f"non-finite network output at batch element {int(np.argmax(bad))}")
+    value, d_h, d_dirs = loss_fn(primal.h, t[:, 0])
+    # reverse sweep, tangent terms on the seeded rows only; in place, as
+    # the hidden adjoints and cached tangents are this call's own:
+    # z_bar = sig a_bar + sig (1 - sig) tz t_bar, tz_bar = sig t_bar
+    weights, biases = [], []
+    a_bar = np.asarray(d_h, float)[:, None]
+    t_bar = np.asarray(d_dirs, float)[:, None]
+    for l in range(last, -1, -1):
+        if l == last:
+            z_bar, tz_bar = a_bar, t_bar
+        else:
+            sig = primal.sigs[l]
+            seeded = sig[first:]
+            z_bar = a_bar
+            z_bar *= sig
+            curv = 1.0 - seeded
+            curv *= seeded
+            tz = tzs[l]
+            tz *= t_bar
+            curv *= tz
+            z_bar[first:] += curv
+            tz_bar = t_bar
+            tz_bar *= seeded
+        w = cert.weights[l]
+        weights.append(z_bar.T @ primal.inputs[l] + tz_bar.T @ t_ins[l])
+        biases.append(z_bar.sum(axis=0))
+        if l:
+            a_bar = z_bar @ w
+            t_bar = tz_bar @ w
+    grads = tuple(weights[::-1] + biases[::-1])
     if not all(np.all(np.isfinite(g)) for g in grads):
         raise NumericError("non-finite parameter gradient")
     return float(value), grads
-
-
-def _raise_on_nonfinite(h: np.ndarray, d: np.ndarray) -> None:
-    bad = ~np.isfinite(h) | ~np.isfinite(d)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise NumericError(f"non-finite network output at batch element {idx}")
 
 
 @dataclass

@@ -375,3 +375,79 @@ def violation_terms(cert, sys, u, x, weights, kappa_gain) -> ViolationTerms:
     q2 = h + weights.delta if label == Label.UNSAFE else None
     score = max(v for v in (q1, q2, q3) if v is not None)
     return ViolationTerms(q1=q1, q2=q2, q3=q3, score=score)
+
+
+# The two-pass training step that the one-pass
+# certificate.total_loss_and_gradient replaced, kept as its regression
+# reference (it shares the filter and the activation kernels with the
+# package): the filter forwards the domain rows on their own, then safe,
+# unsafe and domain rows go through the network again, every row carrying a
+# tangent (zero on the safe and unsafe rows).
+
+def _forward_with_tangents(cert, xs, tangents):
+    from cbfcert.mlp import sigmoid, softplus
+
+    a = xs
+    t = tangents
+    last = cert.n_layers - 1
+    caches = []
+    for l, (w, b) in enumerate(zip(cert.weights, cert.biases)):
+        z = a @ w.T + b
+        tz = t @ w.T
+        if l < last:
+            sig = sigmoid(z)
+            caches.append((a, t, sig, tz))
+            a = softplus(z)
+            t = tz * sig
+        else:
+            caches.append((a, t, None, None))
+            a = z
+            t = tz
+    return a[:, 0], t[:, 0], caches
+
+
+def _reverse_combined(cert, caches, d_h, d_dir):
+    weights, biases = [], []
+    a_bar = d_h[:, None]
+    t_bar = d_dir[:, None]
+    last = cert.n_layers - 1
+    for l in range(last, -1, -1):
+        a_in, t_in, sig, tz = caches[l]
+        if l == last:
+            z_bar = a_bar
+            tz_bar = t_bar
+        else:
+            curv = sig * (1.0 - sig)
+            z_bar = sig * a_bar + curv * (tz * t_bar)
+            tz_bar = sig * t_bar
+        w = cert.weights[l]
+        weights.append(z_bar.T @ a_in + tz_bar.T @ t_in)
+        biases.append(z_bar.sum(axis=0))
+        a_bar = z_bar @ w
+        t_bar = tz_bar @ w
+    return tuple(weights[::-1] + biases[::-1])
+
+
+def reference_total_loss_and_gradient(cert, datasets, controller, weights):
+    """The composite hinge loss and its parameter gradient by the two-pass
+    step: (value, gradient tuple in the order cert.weights + cert.biases)."""
+    from cbfcert.dynamics import closed_loop_field
+
+    batch = controller.batch_decide(datasets.domain)
+    ns, nu, nd = datasets.sizes()
+    xs = np.concatenate([datasets.safe, datasets.unsafe, datasets.domain], axis=0)
+    seeds = np.zeros_like(xs)
+    seeds[ns + nu:] = closed_loop_field(controller.system, datasets.domain, batch.inputs)
+    h, dirs, caches = _forward_with_tangents(cert, xs, seeds)
+    psi = weights.psi
+    args = (-h[:ns] - psi, h[ns:ns + nu] + weights.delta - psi, -batch.slack - psi)
+    l1, l2, l3 = (float(np.mean(np.maximum(0.0, a))) for a in args)
+    value = l1 + weights.lambda1 * l2 + weights.lambda2 * l3
+    act1, act2, act3 = (a > 0 for a in args)
+    d_h = np.zeros_like(h)
+    d_h[:ns][act1] = -1.0 / ns
+    d_h[ns:ns + nu][act2] = weights.lambda1 / nu
+    d_h[ns + nu:][act3] = -weights.lambda2 * controller.kappa_gain / nd
+    d_dirs = np.zeros_like(dirs)
+    d_dirs[ns + nu:][act3] = -weights.lambda2 / nd
+    return value, _reverse_combined(cert, caches, d_h, d_dirs)

@@ -11,7 +11,8 @@ from cbfcert.controller import SafetyFilter
 from cbfcert.dynamics import dubins_system, quadruped_system
 from cbfcert.sampling import TrainingDatasets, build_datasets
 
-from oracles import betainc_quadrature, reference_score_states, violation_terms
+from oracles import (betainc_quadrature, reference_score_states,
+                     reference_total_loss_and_gradient, violation_terms)
 
 
 def constant_cert(n, value):
@@ -436,3 +437,69 @@ def test_report_from_scores_matches_quantify_safety():
     assert report_from_scores(scores, 0.01, 1e-3, 7) == report
     with pytest.raises(InvalidAlphaError):
         report_from_scores(scores, 1e-5, 1e-3, 7)
+
+
+STEP_ARCHITECTURES = [
+    ("dubins", (3, 64, 1)),
+    ("dubins", (3, 12, 1)),
+    ("quadruped", (8, 128, 128, 1)),
+    ("planar_aerial", (6, 32, 32, 1)),
+]
+STEP_BUCKETS = [(1, 1, 1), (2, 3, 5), (7, 9, 33), (248, 249, 244)]
+
+
+def step_case(name, arch, bounded, sizes, seed):
+    """A certificate, its training filter (unbounded with the default
+    training cap, or box-bounded) and a mini-batch of the given sizes."""
+    from cbfcert import make_system
+    from cbfcert.sampling import sample_uniform
+
+    sys_ = make_system(name)
+    cert = mlp.init_certificate(arch, seed=seed)
+    filt = SafetyFilter(certificate=cert, system=sys_, respect_input_bounds=bounded,
+                        correction_cap=None if bounded else 1e3)
+    rng = np.random.default_rng([seed, *sizes])
+    ds = TrainingDatasets(*(sample_uniform(sys_.state_bounds, k, rng) for k in sizes))
+    return cert, filt, ds
+
+
+@pytest.mark.parametrize("name, arch", STEP_ARCHITECTURES,
+                         ids=[f"{n}{list(a[1:-1])}" for n, a in STEP_ARCHITECTURES])
+@pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+@pytest.mark.parametrize("psi", [0.0, -0.3])
+def test_one_pass_step_matches_the_two_pass_step(name, arch, bounded, psi):
+    # the domain rows' z now comes from the whole mini-batch and the
+    # tangent products sum over the domain rows only, so BLAS may round
+    # differently; nothing else changes
+    weights = LossWeights(psi=psi)
+    for sizes in STEP_BUCKETS:
+        cert, filt, ds = step_case(name, arch, bounded, sizes, seed=len(arch) + arch[1])
+        value, grads = total_loss_and_gradient(cert, ds, filt, weights)
+        ref_value, ref_grads = reference_total_loss_and_gradient(cert, ds, filt, weights)
+        assert abs(value - ref_value) <= 1e-14 * abs(ref_value), sizes
+        assert len(grads) == len(ref_grads)
+        for got, want in zip(grads, ref_grads):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), sizes
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+def test_step_evaluates_f_g_and_each_hidden_layer_once(bounded, monkeypatch):
+    import dataclasses
+    from collections import Counter
+
+    counts = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    cert, filt, ds = step_case("quadruped", (8, 128, 128, 1), bounded, (20, 30, 40), seed=3)
+    base = filt.system
+    filt = dataclasses.replace(filt, system=dataclasses.replace(
+        base, f=counted("f", base.f), g=counted("g", base.g)))
+    monkeypatch.setattr(mlp, "sigmoid", counted("sigmoid", mlp.sigmoid))
+    total_loss_and_gradient(cert, ds, filt, LossWeights(psi=-0.3))
+    assert counts == {"f": 1, "g": 1, "sigmoid": 2}

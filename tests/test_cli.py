@@ -309,6 +309,34 @@ def test_unknown_simulation_key_rejected(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "verify", "simulate", "levelset"])
+@pytest.mark.parametrize("section", ["simulation", "levelset"])
+@pytest.mark.parametrize("value", [5, "ab", False, [], 0, None, [{"dt": 0.1}]])
+def test_config_section_must_be_an_object(tmp_path, capsys, command, section, value):
+    from cbfcert import mlp
+
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
+    config = tiny_dubins_config(tmp_path, **{section: value})
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "x")]
+    if command != "train":
+        argv += ["--cert", str(cert_path)]
+    assert main(argv) == 1
+    assert not (tmp_path / "x").exists()
+    assert capsys.readouterr().err == f"error: {section}: must be an object\n"
+
+
+def test_absent_config_sections_mean_their_defaults(tmp_path):
+    from cbfcert.cli import _LEVELSET_DEFAULTS, _SIM_DEFAULTS, _load_config
+
+    config = tiny_dubins_config(tmp_path)
+    doc = json.loads(config.read_text())
+    del doc["simulation"], doc["levelset"]
+    config.write_text(json.dumps(doc))
+    _, sim, lvl, _ = _load_config(str(config))
+    assert sim == _SIM_DEFAULTS and lvl == _LEVELSET_DEFAULTS
+
+
 @pytest.mark.parametrize("limit", [-1, 2.5, True])
 def test_trajectory_limit_must_be_a_non_negative_integer(tmp_path, capsys, limit):
     from cbfcert import mlp

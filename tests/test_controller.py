@@ -252,3 +252,30 @@ def test_correction_cap_limits_magnitude_and_reports_violation():
     assert np.linalg.norm(u) <= 10.0 + 1e-12
     assert active and feasible
     assert slack < 0   # residual violation is reported honestly
+
+
+@pytest.mark.parametrize("system, layers", [
+    (dubins_system, [3, 16, 1]),
+    (quadruped_system, [8, 32, 32, 1]),
+], ids=["dubins", "quadruped"])
+def test_box_bounded_filter_ignores_correction_cap(system, layers):
+    # documented behaviour: only the unbounded filter reads the cap, so a
+    # bounded training filter decides alike with and without one
+    sys_ = system()
+    cert = mlp.init_certificate(layers, seed=6)
+    xs = sample_uniform(sys_.state_bounds, 2000, seed=7)
+    # centre h on the sample, so that some constraints bind
+    shift = np.median(mlp.forward_batch(cert, xs))
+    cert = mlp.MlpCertificate(cert.layer_sizes, cert.weights,
+                              cert.biases[:-1] + (cert.biases[-1] - shift,))
+    uncapped, capped = (filter_batch(SafetyFilter(certificate=cert, system=sys_,
+                                                  respect_input_bounds=True,
+                                                  correction_cap=cap), xs)
+                        for cap in (None, 0.05))
+    assert np.any(uncapped.active)
+    for field in ("inputs", "slack", "active", "feasible", "h"):
+        assert getattr(uncapped, field).tobytes() == getattr(capped, field).tobytes(), field
+    # the same cap binds on the unbounded filter
+    free = filter_batch(SafetyFilter(certificate=cert, system=sys_, correction_cap=0.05), xs)
+    sizes = np.linalg.norm(free.inputs - sys_.reference_policy(xs), axis=1)
+    assert np.max(sizes) <= 0.05 + 1e-12 and np.any(sizes >= 0.05 - 1e-12)

@@ -136,7 +136,8 @@ def test_empty_batch_loss_is_zero():
         return float(np.sum(h)), np.ones_like(h), np.zeros_like(d)
 
     empty = np.zeros((0, 3))
-    value, grads = mlp.seeded_loss_param_gradient(cert, empty, empty, loss_fn)
+    value, grads = mlp.seeded_loss_param_gradient(
+        cert, mlp.primal_pass(cert, empty), empty, loss_fn)
     assert value == 0.0
     assert [g.shape for g in grads] == [p.shape for p in cert.weights + cert.biases]
     assert all(not g.any() for g in grads)
@@ -177,7 +178,8 @@ def test_plain_value_loss_gradient_matches_fd():
     def loss_fn(h, d):
         return float(h[0]), np.ones(1), np.zeros(1)
 
-    _, grads = mlp.seeded_loss_param_gradient(cert, x, np.ones_like(x), loss_fn)
+    _, grads = mlp.seeded_loss_param_gradient(
+        cert, mlp.primal_pass(cert, x), np.ones_like(x), loss_fn)
     fd_w, fd_b = _fd_param_gradient(cert, lambda c: mlp.forward(c, x[0]))
     _assert_grads_close(grads, fd_w, fd_b)
 
@@ -191,7 +193,8 @@ def test_directional_derivative_loss_gradient_matches_fd():
     def loss_fn(h, d):
         return c * float(d[0]), np.zeros(1), np.full(1, c)
 
-    _, grads = mlp.seeded_loss_param_gradient(cert, x, v[None, :], loss_fn)
+    _, grads = mlp.seeded_loss_param_gradient(
+        cert, mlp.primal_pass(cert, x), v[None, :], loss_fn)
     fd_w, fd_b = _fd_param_gradient(
         cert, lambda cc: c * float(mlp.input_gradient(cc, x[0]) @ v)
     )
@@ -227,7 +230,8 @@ def test_nested_gradient_with_active_hinges_20_configs():
             continue
         if np.min(np.abs(args)) < 1e-3:
             continue
-        _, grads = mlp.seeded_loss_param_gradient(cert, xs, vs, loss_fn)
+        _, grads = mlp.seeded_loss_param_gradient(
+            cert, mlp.primal_pass(cert, xs), vs, loss_fn)
 
         def value_of(c, vs=vs, thresh=thresh):
             hh = mlp.forward_batch(c, xs)
@@ -359,7 +363,8 @@ def test_nonfinite_batch_element_identified():
         return float(np.sum(h)), np.ones_like(h), np.zeros_like(d)
 
     with pytest.raises(mlp.NumericError, match="element 1"):
-        mlp.seeded_loss_param_gradient(cert, xs, np.ones_like(xs), loss_fn)
+        mlp.seeded_loss_param_gradient(
+            cert, mlp.primal_pass(cert, xs), np.ones_like(xs), loss_fn)
 
 
 def _linear_loss(coef_h, coef_d):
@@ -368,13 +373,13 @@ def _linear_loss(coef_h, coef_d):
     return loss_fn
 
 
-def test_seed_directions_must_match_the_batch_shape():
+def test_seed_directions_must_fit_the_batch():
     cert = random_cert([3, 6, 1], seed=4)
-    xs = np.random.default_rng(0).standard_normal((5, 3))
+    primal = mlp.primal_pass(cert, np.random.default_rng(0).standard_normal((5, 3)))
     loss_fn = _linear_loss(np.ones(5), np.ones(5))
-    for seeds in (np.ones((5, 4)), np.ones((4, 3)), np.ones(5), np.ones((5, 1, 3))):
+    for seeds in (np.ones((5, 4)), np.ones((6, 3)), np.ones(5), np.ones((5, 1, 3))):
         with pytest.raises(mlp.ShapeError, match="seed directions"):
-            mlp.seeded_loss_param_gradient(cert, xs, seeds, loss_fn)
+            mlp.seeded_loss_param_gradient(cert, primal, seeds, loss_fn)
 
 
 def test_batch_calls_reject_one_state():
@@ -382,10 +387,41 @@ def test_batch_calls_reject_one_state():
     x = np.array([0.1, -0.2, 0.3])
     for call in (lambda: mlp.forward_batch(cert, x),
                  lambda: mlp.values_and_input_gradients(cert, x),
-                 lambda: mlp.seeded_loss_param_gradient(
-                     cert, x, x, _linear_loss(np.ones(1), np.ones(1)))):
+                 lambda: mlp.primal_pass(cert, x)):
         with pytest.raises(mlp.ShapeError, match=r"\(B, 3\)"):
             call()
+
+
+def test_primal_pass_is_values_and_input_gradients():
+    rng = np.random.default_rng(8)
+    cert = random_cert([8, 128, 128, 1], seed=8, scale=1.1)
+    xs = rng.uniform(-2.0, 2.0, size=(300, 8))
+    primal = mlp.primal_pass(cert, xs)
+    h, grads = mlp.values_and_input_gradients(cert, xs)
+    assert np.array_equal(primal.h, h)
+    assert np.array_equal(mlp.primal_input_gradients(cert, primal, 0), grads)
+    assert np.array_equal(primal.h, mlp.forward_batch(cert, xs))
+    # the sweep over a row range reads the same cached sigmoids
+    np.testing.assert_allclose(mlp.primal_input_gradients(cert, primal, 120),
+                               grads[120:], rtol=1e-14, atol=0)
+
+
+def test_unseeded_rows_carry_no_tangent():
+    # seeding the last S rows is seeding every row with zeros in front
+    rng = np.random.default_rng(5)
+    cert = random_cert([8, 128, 128, 1], seed=5, scale=1.1)
+    xs = rng.uniform(-2.0, 2.0, size=(90, 8))
+    seeds = rng.standard_normal((30, 8))
+    coef_h, coef_d = rng.standard_normal(90), rng.standard_normal(30)
+    primal = mlp.primal_pass(cert, xs)
+    value, grads = mlp.seeded_loss_param_gradient(
+        cert, primal, seeds, _linear_loss(coef_h, coef_d))
+    padded = np.concatenate([np.zeros((60, 8)), seeds])
+    v_all, g_all = mlp.seeded_loss_param_gradient(
+        cert, primal, padded, _linear_loss(coef_h, np.concatenate([np.zeros(60), coef_d])))
+    assert value == pytest.approx(v_all, rel=1e-14)
+    for got, want in zip(grads, g_all):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_batch_gradient_is_the_sum_of_row_gradients():
@@ -397,12 +433,12 @@ def test_batch_gradient_is_the_sum_of_row_gradients():
     seeds = rng.standard_normal((768, 8))
     coef_h, coef_d = rng.standard_normal(768), rng.standard_normal(768)
     value, grads = mlp.seeded_loss_param_gradient(
-        cert, xs, seeds, _linear_loss(coef_h, coef_d))
+        cert, mlp.primal_pass(cert, xs), seeds, _linear_loss(coef_h, coef_d))
     total_value = 0.0
     total = [np.zeros_like(p) for p in cert.weights + cert.biases]
     for i in range(768):
         v, g = mlp.seeded_loss_param_gradient(
-            cert, xs[i:i + 1], seeds[i:i + 1],
+            cert, mlp.primal_pass(cert, xs[i:i + 1]), seeds[i:i + 1],
             _linear_loss(coef_h[i:i + 1], coef_d[i:i + 1]))
         total_value += v
         for acc, part in zip(total, g):
