@@ -16,7 +16,7 @@ import csv
 import json
 import os
 import sys as _sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,79 +25,42 @@ from . import mlp
 from .certificate import report_from_scores, verification_scores
 from .controller import SafetyFilter
 from .dynamics import ControlAffineSystem
-from .simulator import (SliceSpec, empirical_safety_rate, levelset_grid,
-                        levelset_to_csv, rollout_to_csv)
+from .simulator import (SimulationConfig, SliceSpec, empirical_safety_rate,
+                        levelset_grid, levelset_to_csv, rollout_to_csv)
 from .trainer import (STATUS_CERTIFIED, ConfigError, TrainConfig,
-                      alpha_epsilon_curve, fits_type, refine)
+                      alpha_epsilon_curve, certifying_filter, parse_section,
+                      refine)
 
 _ENV_OUT_ROOT = "CBFCERT_OUT"
 
-_SIM_DEFAULTS = {
-    "n_rollouts": 100,
-    "horizon_steps": 500,
-    "dt": 0.02,
-    "respect_input_bounds": True,
-    "emit_trajectories": True,
-    "max_trajectory_files": 10,
-}
 
-_LEVELSET_DEFAULTS = {
-    "free_axes": [0, 1],
-    "fixed_values": None,   # None: midpoint of each state interval
-    "resolution": 201,
-}
-
-
-def _load_config(path: str) -> tuple[TrainConfig, dict, dict, ControlAffineSystem]:
-    """The training config, the simulation and levelset sections, and the
-    system they describe; raises ConfigError listing every problem."""
+def _load_config(path: str
+                 ) -> tuple[TrainConfig, SimulationConfig, SliceSpec, ControlAffineSystem]:
+    """The run file's sections and the system they describe; raises
+    ConfigError naming the problems of the first section that has any."""
     try:
         doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError([f"config: file not found: {path}"])
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError([f"config: cannot read {path}: {exc.strerror}"])
+    except ValueError as exc:
         raise ConfigError([f"config: invalid JSON: {exc}"])
     if not isinstance(doc, dict):
         raise ConfigError(["config: top level must be an object"])
-    sections = []
-    for name, defaults in (("simulation", _SIM_DEFAULTS), ("levelset", _LEVELSET_DEFAULTS)):
-        given = doc.pop(name, {})
-        if not isinstance(given, dict):
-            raise ConfigError([f"{name}: must be an object"])
-        unknown = set(given) - set(defaults)
-        if unknown:
-            raise ConfigError([f"{name}: unknown keys {sorted(unknown)}"])
-        sections.append({**defaults, **given})
-    sim, lvl = sections
+    sim = parse_section(SimulationConfig, doc.pop("simulation", {}), "simulation")
+    spec = parse_section(SliceSpec, doc.pop("levelset", {}), "levelset")
     config = TrainConfig.from_dict(doc)
     errors = config.validate()
-    system = None
-    if not errors:
-        try:
-            system = config.build_system()
-        except (TypeError, ValueError) as exc:
-            errors.append(f"system_params: {exc}")
-    for key in ("n_rollouts", "horizon_steps"):
-        if not fits_type(sim[key], int) or sim[key] <= 0:
-            errors.append(f"simulation.{key}: must be a positive integer")
-    if not fits_type(sim["dt"], float) or sim["dt"] <= 0:
-        errors.append("simulation.dt: must be a positive finite number")
-    for key in ("respect_input_bounds", "emit_trajectories"):
-        if not isinstance(sim[key], bool):
-            errors.append(f"simulation.{key}: must be true or false")
-    limit = sim["max_trajectory_files"]
-    if not fits_type(limit, int) or limit < 0:
-        errors.append("simulation.max_trajectory_files: must be a non-negative integer")
-    if not fits_type(lvl["resolution"], int) or lvl["resolution"] < 2:
-        errors.append("levelset.resolution: must be an integer of at least 2")
-    axes = lvl["free_axes"]
-    if not fits_type(axes, tuple[int, ...]) or len(axes) != 2 or axes[0] == axes[1]:
-        errors.append("levelset.free_axes: need a list of two distinct integer indices")
-    if not fits_type(lvl["fixed_values"], tuple[float, ...] | None):
-        errors.append("levelset.fixed_values: must be null or a list of finite numbers")
     if errors:
         raise ConfigError(errors)
-    return config, sim, lvl, system
+    try:
+        system = config.build_system()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError([f"system_params: {exc}"]) from None
+    try:
+        spec.fixed_state(system.state_bounds)
+    except ValueError as exc:
+        raise ConfigError([f"levelset.{exc}"]) from None
+    return config, sim, spec, system
 
 
 def _out_dir(args, command: str) -> Path:
@@ -113,21 +76,15 @@ def _write_status(out: Path, text: str) -> None:
     (out / "STATUS").write_text(text + "\n")
 
 
-def _echo_config(out: Path, config: TrainConfig, sim: dict, lvl: dict) -> None:
-    doc = config.to_dict()
-    doc["simulation"] = sim
-    doc["levelset"] = lvl
-    (out / "run_config.json").write_text(json.dumps(doc, indent=2))
-
-
 def cmd_train(args) -> int:
-    config, sim, lvl, _ = _load_config(args.config)
+    config, sim, spec, _ = _load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     out = _out_dir(args, "train")
     out.mkdir(parents=True, exist_ok=True)
     _write_status(out, "running")
-    _echo_config(out, config, sim, lvl)
+    echo = {**config.to_dict(), "simulation": asdict(sim), "levelset": asdict(spec)}
+    (out / "run_config.json").write_text(json.dumps(echo, indent=2))
 
     def checkpoint(round_idx, cert_k):
         mlp.save_certificate(cert_k, out / f"certificate_round_{round_idx}.json")
@@ -155,31 +112,29 @@ def cmd_train(args) -> int:
 
 
 def _load_deployment(args):
-    """(config, sim, lvl, system, cert) for a command that reads a
+    """(config, sim, spec, system, cert) for a command that reads a
     certificate; raises ConfigError."""
-    config, sim, lvl, system = _load_config(args.config)
+    config, sim, spec, system = _load_config(args.config)
     try:
         cert = mlp.load_certificate(args.cert)
-    except FileNotFoundError:
-        raise ConfigError([f"certificate file not found: {args.cert}"])
-    except (ValueError, KeyError) as exc:
+    except OSError as exc:
+        raise ConfigError([f"cannot read certificate {args.cert}: {exc.strerror}"])
+    except ValueError as exc:
         raise ConfigError([f"unreadable certificate: {exc}"])
     if cert.n_inputs != system.n:
         raise ConfigError([f"certificate input size {cert.n_inputs} != system "
                            f"dimension {system.n}"])
-    return config, sim, lvl, system, cert
+    return config, sim, spec, system, cert
 
 
 def cmd_verify(args) -> int:
-    config, sim, lvl, system, cert = _load_deployment(args)
+    config, _, _, system, cert = _load_deployment(args)
     seed = args.seed if args.seed is not None else config.seed
     out = _out_dir(args, "verify")
     out.mkdir(parents=True, exist_ok=True)
-    verifier = SafetyFilter(certificate=cert, system=system,
-                            kappa_gain=config.kappa_gain,
-                            respect_input_bounds=config.respect_input_bounds_training)
-    scores = verification_scores(cert, system, verifier, config.conformal_samples,
-                                 seed=seed, weights=config.loss_weights())
+    scores = verification_scores(cert, system, certifying_filter(cert, system, config),
+                                 config.conformal_samples, seed=seed,
+                                 weights=config.loss_weights())
     report = report_from_scores(scores, config.alpha, config.beta, seed)
     (out / "report.json").write_text(report.to_json())
     if args.emit_scores:
@@ -194,22 +149,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config, sim, lvl, system, cert = _load_deployment(args)
+    config, sim, _, system, cert = _load_deployment(args)
     seed = args.seed if args.seed is not None else config.seed
     out = _out_dir(args, "simulate")
     out.mkdir(parents=True, exist_ok=True)
     filt = SafetyFilter(certificate=cert, system=system,
                         kappa_gain=config.kappa_gain,
-                        respect_input_bounds=sim["respect_input_bounds"])
+                        respect_input_bounds=sim.respect_input_bounds)
     rate, counts, rollouts = empirical_safety_rate(
-        system, filt, int(sim["n_rollouts"]), int(sim["horizon_steps"]),
-        float(sim["dt"]), seed=seed)
+        system, filt, sim.n_rollouts, sim.horizon_steps, sim.dt, seed=seed)
     summary = {
         "rate": rate,
         "counts": dict(counts),
-        "n_rollouts": int(sim["n_rollouts"]),
-        "horizon_steps": int(sim["horizon_steps"]),
-        "dt": float(sim["dt"]),
+        "n_rollouts": sim.n_rollouts,
+        "horizon_steps": sim.horizon_steps,
+        "dt": sim.dt,
         "seed": seed,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
@@ -219,33 +173,22 @@ def cmd_simulate(args) -> int:
         for i, ro in enumerate(rollouts):
             writer.writerow([i, ro.status.value, ro.states.shape[0] - 1,
                              repr(float(np.min(ro.h_values)))])
-    if sim["emit_trajectories"]:
-        for i, ro in enumerate(rollouts[:sim["max_trajectory_files"]]):
+    if sim.emit_trajectories:
+        for i, ro in enumerate(rollouts[:sim.max_trajectory_files]):
             rollout_to_csv(ro, out / f"trajectory_{i:04d}.csv")
-    print(f"safety rate {rate:.4f} over {sim['n_rollouts']} rollouts; "
+    print(f"safety rate {rate:.4f} over {sim.n_rollouts} rollouts; "
           f"counts: {dict(counts)}")
     return 0
 
 
 def cmd_levelset(args) -> int:
-    config, sim, lvl, system, cert = _load_deployment(args)
-    fixed = lvl["fixed_values"]
-    if fixed is None:
-        fixed = [float(0.5 * (lo + hi)) for lo, hi in system.state_bounds]
-    if len(fixed) != system.n:
-        raise ConfigError([f"levelset.fixed_values needs {system.n} entries"])
-    if not all(0 <= i < system.n for i in lvl["free_axes"]):
-        raise ConfigError([f"levelset.free_axes {lvl['free_axes']} outside state "
-                           f"dimension {system.n}"])
-    spec = SliceSpec(free_axes=tuple(lvl["free_axes"]),
-                     fixed_values=tuple(float(v) for v in fixed),
-                     resolution=lvl["resolution"])
+    _, _, spec, system, cert = _load_deployment(args)
     out = _out_dir(args, "levelset")
     out.mkdir(parents=True, exist_ok=True)
     vals0, vals1, grid = levelset_grid(cert, spec, system.state_bounds)
     sidecar = {
         "axes": list(spec.free_axes),
-        "fixed_values": list(spec.fixed_values),
+        "fixed_values": list(spec.fixed_state(system.state_bounds)),
         "resolution": spec.resolution,
         "bounds": system.state_bounds.tolist(),
     }

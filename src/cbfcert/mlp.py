@@ -373,14 +373,21 @@ def certificate_to_json(cert: MlpCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> MlpCertificate:
+    """The certificate in a JSON document; raises ValueError when the
+    document is not a certificate."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a certificate must be a JSON object")
     version = doc.get("format_version")
     if version != CERT_FORMAT_VERSION:
         raise ValueError(f"unsupported certificate format_version: {version}")
-    sizes = tuple(int(s) for s in doc["layer_sizes"])
-    weights = tuple(np.asarray(w, dtype=float) for w in doc["weights"])
-    biases = tuple(np.asarray(b, dtype=float) for b in doc["biases"])
-    return MlpCertificate(sizes, weights, biases)
+    try:
+        sizes = tuple(int(s) for s in doc["layer_sizes"])
+        weights = tuple(np.asarray(w, dtype=float) for w in doc["weights"])
+        biases = tuple(np.asarray(b, dtype=float) for b in doc["biases"])
+        return MlpCertificate(sizes, weights, biases)
+    except (KeyError, TypeError, NumericError) as exc:
+        raise ValueError(f"malformed certificate: {exc!r}") from None
 
 
 def save_certificate(cert: MlpCertificate, path) -> None:

@@ -158,18 +158,50 @@ def empirical_safety_rate(sys: ControlAffineSystem, filt: SafetyFilter,
 
 
 @dataclass(frozen=True)
-class SliceSpec:
-    """A 2-D slice through the state space for level-set extraction."""
+class SimulationConfig:
+    """The simulation section of a run file: the campaign `simulate` runs."""
 
-    free_axes: tuple[int, int]
-    fixed_values: tuple[float, ...]
-    resolution: int
+    n_rollouts: int = 100
+    horizon_steps: int = 500
+    dt: float = 0.02
+    respect_input_bounds: bool = True
+    emit_trajectories: bool = True
+    max_trajectory_files: int = 10
+
+    def __post_init__(self) -> None:
+        for name in ("n_rollouts", "horizon_steps", "dt"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be positive")
+        if self.max_trajectory_files < 0:
+            raise ValueError("max_trajectory_files: must be non-negative")
+
+
+@dataclass(frozen=True)
+class SliceSpec:
+    """A 2-D slice through the state space for level-set extraction: the
+    levelset section of a run file."""
+
+    free_axes: tuple[int, ...] = (0, 1)
+    fixed_values: tuple[float, ...] | None = None   # None: box midpoint
+    resolution: int = 201
 
     def __post_init__(self) -> None:
         if len(self.free_axes) != 2 or self.free_axes[0] == self.free_axes[1]:
-            raise ValueError("free_axes must be two distinct indices")
+            raise ValueError("free_axes: need two distinct indices")
         if self.resolution < 2:
-            raise ValueError("resolution must be at least 2")
+            raise ValueError("resolution: must be at least 2")
+
+    def fixed_state(self, bounds) -> tuple[float, ...]:
+        """The state the slice goes through, for state bounds (n, 2); raises
+        ValueError, naming the field, when the slice does not fit n."""
+        n = len(bounds)
+        if not all(0 <= i < n for i in self.free_axes):
+            raise ValueError(f"free_axes: {list(self.free_axes)} outside state dimension {n}")
+        if self.fixed_values is None:
+            return tuple(float(0.5 * (lo + hi)) for lo, hi in bounds)
+        if len(self.fixed_values) != n:
+            raise ValueError(f"fixed_values: needs one value per state dimension ({n})")
+        return self.fixed_values
 
 
 def levelset_grid(cert: MlpCertificate, spec: SliceSpec, bounds
@@ -180,17 +212,13 @@ def levelset_grid(cert: MlpCertificate, spec: SliceSpec, bounds
     at free_axes[0] = axis0_values[i], free_axes[1] = axis1_values[j].
     """
     bounds = np.asarray(bounds, dtype=float)
-    n = bounds.shape[0]
+    fixed = spec.fixed_state(bounds)
     i0, i1 = spec.free_axes
-    if not (0 <= i0 < n and 0 <= i1 < n):
-        raise ValueError(f"free axes {spec.free_axes} outside state dimension {n}")
-    if len(spec.fixed_values) != n:
-        raise ValueError("fixed_values must list one value per state dimension")
     vals0 = np.linspace(bounds[i0, 0], bounds[i0, 1], spec.resolution)
     vals1 = np.linspace(bounds[i1, 0], bounds[i1, 1], spec.resolution)
     # one grid row per call: forward is per-state exact, so every node is
     # bit-identical to a direct barrier evaluation at that node
-    row = np.tile(np.asarray(spec.fixed_values, dtype=float), (spec.resolution, 1))
+    row = np.tile(np.asarray(fixed, dtype=float), (spec.resolution, 1))
     row[:, i1] = vals1
     grid = np.empty((spec.resolution, spec.resolution))
     for i, v0 in enumerate(vals0):

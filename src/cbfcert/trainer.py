@@ -11,6 +11,7 @@ seen is returned.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import mlp
 from .certificate import (ConformalReport, InvalidAlphaError, LossWeights,
-                          epsilon_for, quantile_index, quantify_safety,
+                          _checked_quantile_index, epsilon_for, quantify_safety,
                           total_loss, total_loss_and_gradient)
 from .controller import SafetyFilter
 from .dynamics import _BUILDERS, ControlAffineSystem, make_system
@@ -78,7 +79,7 @@ class TrainConfig:
 
     def validate(self) -> list[str]:
         """Field-path error messages; empty when the config is usable."""
-        errors = _type_errors(vars(self))
+        errors = _type_errors(type(self), vars(self))
         if errors:
             return errors
         if self.system not in _BUILDERS:
@@ -97,12 +98,10 @@ class TrainConfig:
         if not (0.0 < self.beta < 1.0):
             errors.append("beta: must lie in (0, 1)")
         if not errors:
-            l = quantile_index(self.conformal_samples, self.alpha)
-            if l < 1 or l > self.conformal_samples:
-                errors.append(
-                    "alpha: floor((N+1) alpha) = "
-                    f"{l} outside [1, N] for N={self.conformal_samples}"
-                )
+            try:
+                _checked_quantile_index(self.conformal_samples, self.alpha)
+            except InvalidAlphaError as exc:
+                errors.append(f"alpha: {exc}")
         if self.psi_update not in ("cumulative", "reset"):
             errors.append("psi_update: must be 'cumulative' or 'reset'")
         if self.correction_cap is not None and self.correction_cap <= 0:
@@ -124,30 +123,48 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        """The config in a JSON document: lists become tuples and integral
-        floats integers where the field is an integer, and ints floats
-        where it is a float. Raises ConfigError, a ValueError, on unknown
-        keys and on values that do not have their field's type."""
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError([f"config: unknown config keys: {sorted(unknown)}"])
-        kwargs = {name: _from_json(value, _FIELD_TYPES[name])
-                  for name, value in doc.items()}
-        errors = _type_errors(kwargs)
-        if errors:
-            raise ConfigError(errors)
-        return cls(**kwargs)
+        """The top level of a run file, integral floats as integers where
+        the field is an integer; raises ConfigError as parse_section."""
+        return parse_section(cls, doc, integral_floats=True)
 
 
-_FIELD_TYPES = typing.get_type_hints(TrainConfig)
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
-               str: "a string", dict: "an object", tuple[int, ...]: "a list of integers"}
+               str: "a string", dict: "an object", tuple[int, ...]: "a list of integers",
+               tuple[float, ...]: "a list of finite numbers"}
+# evaluating a class's annotations takes longer than the rest of loading a run file
+_field_types = functools.cache(typing.get_type_hints)
 
 
-def _from_json(value, kind):
+def parse_section(cls, doc, section: str | None = None, integral_floats: bool = False):
+    """The frozen dataclass cls from one JSON object of a run file, lists
+    as tuples and ints as floats where the field is a float. Raises
+    ConfigError on unknown keys, mistyped values and values the class
+    refuses, naming the field as section.field."""
+    name, prefix = (section, section + ".") if section else ("config", "")
+    if not isinstance(doc, dict):
+        raise ConfigError([f"{name}: must be an object"])
+    unknown = set(doc) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError([f"{name}: unknown keys {sorted(unknown)}"])
+    kinds = _field_types(cls)
+    kwargs = {key: _from_json(value, kinds[key], integral_floats)
+              for key, value in doc.items()}
+    errors = _type_errors(cls, kwargs)
+    if errors:
+        raise ConfigError([prefix + e for e in errors])
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # the class's own range checks
+        raise ConfigError([f"{prefix}{exc}"]) from None
+
+
+def _from_json(value, kind, integral_floats: bool):
+    args = typing.get_args(kind)
+    if type(None) in args:
+        return None if value is None else _from_json(value, args[0], integral_floats)
     if typing.get_origin(kind) is tuple and isinstance(value, list):
-        return tuple(_from_json(v, typing.get_args(kind)[0]) for v in value)
-    if kind is int and isinstance(value, float) and value.is_integer():
+        return tuple(_from_json(v, args[0], integral_floats) for v in value)
+    if integral_floats and kind is int and isinstance(value, float) and value.is_integer():
         return int(value)
     if kind is float and fits_type(value, int):
         return float(value)
@@ -178,9 +195,10 @@ def _type_name(kind) -> str:
     return _TYPE_NAMES[kind]
 
 
-def _type_errors(values: dict) -> list[str]:
-    return [f"{name}: must be {_type_name(_FIELD_TYPES[name])}"
-            for name, value in values.items() if not fits_type(value, _FIELD_TYPES[name])]
+def _type_errors(cls, values: dict) -> list[str]:
+    kinds = _field_types(cls)
+    return [f"{name}: must be {_type_name(kinds[name])}"
+            for name, value in values.items() if not fits_type(value, kinds[name])]
 
 
 @dataclass
@@ -205,11 +223,14 @@ class TrainingHistory:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _training_filter(cert, sys, config: TrainConfig) -> SafetyFilter:
+def certifying_filter(cert, sys, config: TrainConfig,
+                      correction_cap: float | None = None) -> SafetyFilter:
+    """The filter that refine certifies under and verify scores under;
+    training adds the config's correction_cap."""
     return SafetyFilter(
         certificate=cert, system=sys, kappa_gain=config.kappa_gain,
         respect_input_bounds=config.respect_input_bounds_training,
-        correction_cap=config.correction_cap,
+        correction_cap=correction_cap,
     )
 
 
@@ -226,7 +247,10 @@ def train_phase(cert: mlp.MlpCertificate, datasets: TrainingDatasets,
     tolerance or the epoch budget runs out. The safety filter feeding the
     decrease term is rebuilt from the current parameters at every batch.
     Returns the best certificate seen (lowest full-dataset loss)."""
-    losses = [total_loss(cert, datasets, _training_filter(cert, sys, config), weights)[0]]
+    def training_filter(cert):
+        return certifying_filter(cert, sys, config, config.correction_cap)
+
+    losses = [total_loss(cert, datasets, training_filter(cert), weights)[0]]
     if not np.isfinite(losses[0]):
         raise DivergedTrainingError(0)
     best_loss, best_cert = losses[0], cert
@@ -250,10 +274,9 @@ def train_phase(cert: mlp.MlpCertificate, datasets: TrainingDatasets,
                 unsafe=datasets.unsafe[order_u[u0:u1]],
                 domain=datasets.domain[order_d[d0:d1]],
             )
-            filt = _training_filter(cert, sys, config)
-            _, grads = total_loss_and_gradient(cert, batch, filt, weights)
+            _, grads = total_loss_and_gradient(cert, batch, training_filter(cert), weights)
             state, cert = mlp.adam_step(state, cert, grads)
-        loss, _ = total_loss(cert, datasets, _training_filter(cert, sys, config), weights)
+        loss, _ = total_loss(cert, datasets, training_filter(cert), weights)
         if not np.isfinite(loss):
             raise DivergedTrainingError(epoch)
         losses.append(loss)
@@ -292,13 +315,9 @@ def refine(config: TrainConfig,
         history.epoch_losses.append(losses)
         if on_phase is not None:
             on_phase(round_idx, cert)
-        verifier = SafetyFilter(
-            certificate=cert, system=sys, kappa_gain=config.kappa_gain,
-            respect_input_bounds=config.respect_input_bounds_training,
-        )
         report = quantify_safety(
-            cert, sys, verifier, config.conformal_samples, config.alpha,
-            config.beta, seed=int(np.random.default_rng(
+            cert, sys, certifying_filter(cert, sys, config), config.conformal_samples,
+            config.alpha, config.beta, seed=int(np.random.default_rng(
                 [config.seed, 211, round_idx]).integers(2**31)),
             weights=weights,
         )
@@ -328,7 +347,7 @@ def alpha_epsilon_curve(n_samples: int, beta: float, alphas) -> list[dict]:
         try:
             row["epsilon"] = epsilon_for(n_samples, float(alpha), beta)
             row["error"] = None
-        except (InvalidAlphaError, ValueError) as exc:
+        except ValueError as exc:
             row["epsilon"] = None
             row["error"] = str(exc)
         rows.append(row)

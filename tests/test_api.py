@@ -25,15 +25,27 @@ def test_every_exported_name_resolves():
     assert len(set(cbfcert.__all__)) == len(cbfcert.__all__)
 
 
+def _top_level_names(node) -> list[str]:
+    """The names a module-level statement defines: a function, a class or
+    the plain names a constant is assigned to (dunders aside)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
 def test_every_definition_has_a_caller():
-    # a top-level function or class of the package must be used by package
-    # code, exported in cbfcert.__all__, or named in bench/, whose tracer
-    # wraps package functions by name
+    # a top-level function, class or constant of the package must be used
+    # by package code, exported in cbfcert.__all__, or named in bench/,
+    # whose tracer wraps package functions by name; a name counts as used
+    # where it is read, not where it is assigned
     trees = [ast.parse(path.read_text())
              for path in sorted((_ROOT / "src" / "cbfcert").glob("*.py"))]
     used = set(cbfcert.__all__)
     for node in (n for tree in trees for n in ast.walk(tree)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
@@ -41,9 +53,8 @@ def test_every_definition_has_a_caller():
             used.add(node.name)
     for path in (_ROOT / "bench").glob("*.py"):
         used.update(re.findall(r"\w+", path.read_text()))
-    unused = [node.name for tree in trees for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and node.name not in used]
+    unused = [name for tree in trees for node in tree.body
+              for name in _top_level_names(node) if name not in used]
     assert unused == []
 
 

@@ -327,14 +327,38 @@ def test_config_section_must_be_an_object(tmp_path, capsys, command, section, va
 
 
 def test_absent_config_sections_mean_their_defaults(tmp_path):
-    from cbfcert.cli import _LEVELSET_DEFAULTS, _SIM_DEFAULTS, _load_config
+    from cbfcert.cli import _load_config
+    from cbfcert.simulator import SimulationConfig, SliceSpec
 
     config = tiny_dubins_config(tmp_path)
     doc = json.loads(config.read_text())
     del doc["simulation"], doc["levelset"]
     config.write_text(json.dumps(doc))
-    _, sim, lvl, _ = _load_config(str(config))
-    assert sim == _SIM_DEFAULTS and lvl == _LEVELSET_DEFAULTS
+    _, sim, spec, _ = _load_config(str(config))
+    assert sim == SimulationConfig() and spec == SliceSpec()
+
+
+def test_echoed_run_config_loads_back_to_the_same_sections(tmp_path):
+    from dataclasses import replace
+
+    from cbfcert.cli import _load_config
+
+    # ints where floats belong and a reordered slice: the echo is typed
+    config = tiny_dubins_config(
+        tmp_path, learning_rate=1, correction_cap=None,
+        simulation={"n_rollouts": 3, "horizon_steps": 50, "dt": 1,
+                    "respect_input_bounds": False, "max_trajectory_files": 0},
+        levelset={"free_axes": [2, 0], "fixed_values": [0, 1, 0], "resolution": 7})
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out),
+                 "--seed", "4"]) in (0, 2)
+    train, sim, spec, _ = _load_config(str(config))
+    echoed = _load_config(str(out / "run_config.json"))
+    assert echoed[:3] == (replace(train, seed=4), sim, spec)
+    doc = json.loads((out / "run_config.json").read_text())
+    assert doc["simulation"]["dt"] == 1.0 and isinstance(doc["simulation"]["dt"], float)
+    assert doc["levelset"]["fixed_values"] == [0.0, 1.0, 0.0]
+    assert all(isinstance(v, float) for v in doc["levelset"]["fixed_values"])
 
 
 @pytest.mark.parametrize("limit", [-1, 2.5, True])
@@ -497,3 +521,78 @@ def test_verify_scores_the_sample_once(tmp_path, monkeypatch):
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
     assert (tmp_path / "v1" / "scores.csv").exists()
+
+
+def _cert_text(drop=None, **changes) -> str:
+    from cbfcert import mlp
+
+    doc = json.loads(mlp.certificate_to_json(mlp.init_certificate([3, 8, 1], seed=1)))
+    doc.update(changes)
+    doc.pop(drop, None)
+    return json.dumps(doc)
+
+
+_MALFORMED_CERTIFICATES = {
+    "array": "[]",
+    "string": '"x"',
+    "truncated": '{"layer_sizes": [3, 8, 1]',
+    "binary": "\udcff",
+    "sizes-null": _cert_text(layer_sizes=None),
+    "sizes-text": _cert_text(layer_sizes=["a", 8, 1]),
+    "sizes-mismatch": _cert_text(layer_sizes=[3, 9, 1]),
+    "weights-number": _cert_text(weights=5),
+    "weights-objects": _cert_text(weights=[{}, {}]),
+    "weights-ragged": _cert_text(weights=[[[1.0], [1.0, 2.0]], [[0.0]]]),
+    "biases-missing": _cert_text(drop="biases"),
+    "biases-null": _cert_text(biases=[[None] * 8, [0.0]]),
+    "biases-nan": _cert_text(biases=[[float("nan")] * 8, [0.0]]),
+    "version": _cert_text(format_version=99),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "levelset"])
+@pytest.mark.parametrize("text", list(_MALFORMED_CERTIFICATES.values()),
+                         ids=list(_MALFORMED_CERTIFICATES))
+def test_malformed_certificate_exits_1_before_outputs(tmp_path, capsys, command, text):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    config = tiny_dubins_config(tmp_path)
+    out = tmp_path / "x"
+    assert main([command, "--config", str(config), "--cert", str(cert_path),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable certificate: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--config"), *[(command, flag) for command in ("verify", "simulate", "levelset")
+                             for flag in ("--config", "--cert")]])
+def test_directory_for_an_input_file_exits_1_before_outputs(tmp_path, capsys, command,
+                                                            flag):
+    from cbfcert import mlp
+
+    paths = {"--config": str(tiny_dubins_config(tmp_path)),
+             "--cert": str(tmp_path / "cert.json")}
+    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), paths["--cert"])
+    paths[flag] = str(tmp_path)
+    argv = [command, "--config", paths["--config"], "--out", str(tmp_path / "x")]
+    if command != "train":
+        argv += ["--cert", paths["--cert"]]
+    assert main(argv) == 1
+    assert not (tmp_path / "x").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{tmp_path}: Is a directory" in err
+
+
+@pytest.mark.parametrize("command", ["train", "verify", "simulate", "levelset"])
+def test_unreadable_config_exits_1_before_outputs(tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xff\xfe{")
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "x")]
+    if command != "train":
+        argv += ["--cert", str(tmp_path / "cert.json")]
+    assert main(argv) == 1
+    assert not (tmp_path / "x").exists()
+    assert capsys.readouterr().err.startswith("error: config: invalid JSON: ")
