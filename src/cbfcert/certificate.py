@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -26,9 +27,14 @@ from .dynamics import ControlAffineSystem, Label
 from .mlp import (MlpCertificate, forward_batch, primal_input_gradients, primal_pass,
                   seeded_loss_param_gradient)
 from .sampling import TrainingDatasets, sample_uniform
-from .special import regularized_incomplete_beta
+from .special import _log_front, regularized_incomplete_beta
 
 _INDEX_NUDGE = 1e-9
+
+# epsilon_for answers on the grid j * 2**-40 that 40 halvings of [0, 1] visit.
+_GRID_BITS = 40
+_GRID = 1 << _GRID_BITS
+_CELL = 2.0 ** -_GRID_BITS
 
 # Rows per block of score_states: a block's (R, 128) temporaries stay in
 # the caches, and numpy's per-call cost is spread over R rows. Picked by a
@@ -179,6 +185,8 @@ def conformal_quantile(scores, alpha: float) -> float:
 
 def quantile_index(n: int, alpha: float) -> int:
     """l = floor((N+1) * alpha), the Beta-parameter index of the quantile."""
+    if not math.isfinite(alpha):
+        raise InvalidAlphaError(f"alpha must be finite, got {alpha}")
     return math.floor((n + 1) * alpha + _INDEX_NUDGE)
 
 
@@ -191,11 +199,46 @@ def _checked_quantile_index(n_samples: int, alpha: float) -> int:
     return l
 
 
+def _tail_bracket(n: int, l: int, beta: float) -> tuple[int, int, float]:
+    """Grid indices (lo, hi) on either side of the root of S(eps) = beta,
+    from binomial tail bounds, and a lower bound on log S at lo.
+
+    S(eps) = I_{1-eps}(N-l+1, l) = P(Binomial(N, eps) <= l-1). Up to lo,
+    S >= min(e beta, (1+beta)/2); from hi on, S <= beta/e. The margins
+    dwarf the rounding error of the computed S, so neither end needs an
+    evaluation.
+    """
+    log_beta = math.log(beta)
+    log_lo = min(log_beta + 1.0, math.log1p(beta) - math.log(2.0))
+    log_hi = log_beta - 1.0
+    k = l - 1
+    # S = 1 - P(X >= l) for X ~ Binomial(N, eps), mean mu = N eps, and
+    # Chernoff: P(X >= (1+d) mu) <= exp(-d^2 mu / (2+d))
+    c = -math.log1p(-math.exp(log_lo))
+    lower = (l - (math.sqrt(c * c + 8.0 * c * l) - c) / 2.0) / n
+    # S <= C(N, k) (1-eps)^(N-k), some N-k trials all failing, and
+    # Chernoff: P(X <= (1-d) mu) <= exp(-d^2 mu / 2)
+    log_choose = math.lgamma(n + 1) - math.lgamma(l) - math.lgamma(n - k + 1)
+    c = -log_hi
+    upper = min(-math.expm1((log_hi - log_choose) / (n - k)),
+                (k + c + math.sqrt(c * c + 2.0 * k * c)) / n)
+    return (max(0, math.floor(lower / _CELL) - 1),
+            min(_GRID, math.ceil(upper / _CELL) + 1), log_lo)
+
+
 def epsilon_for(n_samples: int, alpha: float, beta: float) -> float:
     """Smallest violation level epsilon whose Beta tail bound holds.
 
-    Bisects the monotone condition I_{1-eps}(N-l+1, l) <= beta; the
-    returned value satisfies it, and values 1e-6 smaller do not.
+    Returns the smallest grid point eps = j * 2**-40 with
+    S(eps) = I_{1-eps}(N-l+1, l) <= beta: the value 40 halvings of [0, 1]
+    return, bit for bit. S is the survival function of Beta(l, N-l+1),
+    log-concave in eps and in v = log(1 - eps). Newton steps on
+    log S(v) = log beta, snapped to the grid, shrink a bracket (lo, hi)
+    of grid indices with S > beta at lo and S <= beta at hi, and the
+    chord of log S across the bracket raises lo without an evaluation.
+    Each step lands where either outcome leaves a bracket that halving
+    could still close in the evaluations left, so no call evaluates the
+    incomplete beta more than 40 times; most take 3 to 8.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -203,21 +246,42 @@ def epsilon_for(n_samples: int, alpha: float, beta: float) -> float:
         raise ValueError("beta must lie in (0, 1)")
     l = _checked_quantile_index(n_samples, alpha)
     a, b = n_samples - l + 1, l
-
-    def ok(eps: float) -> bool:
-        return regularized_incomplete_beta(1.0 - eps, a, b) <= beta
-
-    lo, hi = 0.0, 1.0
-    # I_{1-0}=1 > beta always; I_{1-1}=0 <= beta always
-    for _ in range(200):
-        if hi - lo < 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
+    log_beta = math.log(beta)
+    lo, hi, y_lo = _tail_bracket(n_samples, l, beta)
+    y_hi = -math.inf  # log S at hi, once evaluated
+    # start at the normal approximation of the Beta(l, N-l+1) quantile
+    mean = l / (n_samples + 1)
+    guess = mean - NormalDist().inv_cdf(beta) * math.sqrt(mean * (1.0 - mean) / (n_samples + 2))
+    j = math.ceil(guess / _CELL) if guess < 1.0 else (lo + hi) // 2
+    left = _GRID_BITS
+    while hi - lo > 1:
+        # either outcome must leave at most 2**(left-1) cells for halving
+        half = 1 << (left - 1)
+        j = min(max(j, hi - half, lo + 1), lo + half, hi - 1)
+        eps = j * _CELL
+        x = 1.0 - eps
+        s = regularized_incomplete_beta(x, a, b)
+        left -= 1
+        y = math.log(s) if s > 0.0 else -math.inf
+        if s <= beta:
+            hi, y_hi = j, y
         else:
-            lo = mid
-    return hi
+            lo, y_lo = j, y
+        j = (lo + hi) // 2
+        if s > 0.0:
+            # Newton on log S(v): d log S / dv = x pdf(x) / S = e^front / (eps S)
+            step = (y - log_beta) * eps * math.exp(min(y - _log_front(x, a, b), 700.0))
+            v = math.log(x) - step
+            j = math.ceil(-math.expm1(min(v, 0.0)) / _CELL)
+        if y_lo > y_hi > -math.inf:
+            # log S lies above its chord; 2e-12 and two cells cover rounding
+            v_lo, v_hi = math.log1p(-lo * _CELL), math.log1p(-hi * _CELL)
+            v_cut = v_lo + (v_hi - v_lo) * (y_lo - log_beta - 2e-12) / (y_lo - y_hi)
+            cut = math.floor(-math.expm1(v_cut) / _CELL) - 2
+            if cut > lo:
+                y_lo += (y_hi - y_lo) * (math.log1p(-cut * _CELL) - v_lo) / (v_hi - v_lo)
+                lo = cut
+    return hi * _CELL
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys as _sys
 from dataclasses import asdict, replace
@@ -206,6 +207,9 @@ def cmd_curve(args) -> int:
     for n in ns:
         if n < 1:
             raise ConfigError([f"N must be >= 1, got {n}"])
+    for flag, value in (("--alpha-min", args.alpha_min), ("--alpha-max", args.alpha_max)):
+        if not math.isfinite(value):
+            raise ConfigError([f"{flag} must be finite, got {value}"])
     if args.alpha_count < 0 or args.alpha_min > args.alpha_max:
         raise ConfigError(["empty or negative alpha range"])
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_count)

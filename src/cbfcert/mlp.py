@@ -382,7 +382,9 @@ def certificate_from_json(text: str) -> MlpCertificate:
     if version != CERT_FORMAT_VERSION:
         raise ValueError(f"unsupported certificate format_version: {version}")
     try:
-        sizes = tuple(int(s) for s in doc["layer_sizes"])
+        sizes = tuple(doc["layer_sizes"])
+        if not all(isinstance(s, int) and not isinstance(s, bool) for s in sizes):
+            raise TypeError(f"layer_sizes must be JSON integers, got {list(sizes)}")
         weights = tuple(np.asarray(w, dtype=float) for w in doc["weights"])
         biases = tuple(np.asarray(b, dtype=float) for b in doc["biases"])
         return MlpCertificate(sizes, weights, biases)

@@ -2,7 +2,8 @@
 
 This is the only special function the certification math needs: it is the
 CDF of the Beta distribution, used to convert a conformal quantile index
-into a (violation rate, confidence) pair.
+into a (violation rate, confidence) pair. certificate.epsilon_for inverts
+it by Newton steps, with the Beta density taken from _log_front.
 """
 
 from __future__ import annotations

@@ -212,6 +212,22 @@ def betainc_quadrature(x: float, a: float, b: float) -> float:
     return 1.0 - val
 
 
+def reference_epsilon_for(n_samples: int, l: int, beta: float) -> float:
+    """The Beta tail inversion by plain bisection: 40 halvings of [0, 1]
+    on the monotone condition I_{1-eps}(N-l+1, l) <= beta."""
+    from cbfcert.special import regularized_incomplete_beta
+
+    a, b = n_samples - l + 1, l
+    lo, hi = 0.0, 1.0   # I_{1-0} = 1 > beta; I_{1-1} = 0 <= beta
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if regularized_incomplete_beta(1.0 - mid, a, b) <= beta:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def grid_qp_best(u_ref, a, b, lo, hi, resolution=201):
     """Dense grid search for min ||u - u_ref|| s.t. a.u >= b over the box.
 

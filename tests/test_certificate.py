@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from cbfcert.controller import SafetyFilter
 from cbfcert.dynamics import dubins_system, quadruped_system
 from cbfcert.sampling import TrainingDatasets, build_datasets
 
-from oracles import (betainc_quadrature, reference_score_states,
+from oracles import (betainc_quadrature, reference_epsilon_for, reference_score_states,
                      reference_total_loss_and_gradient, violation_terms)
 
 
@@ -181,6 +183,65 @@ def test_epsilon_for_monotone_in_beta():
 def test_epsilon_for_invalid_alpha():
     with pytest.raises(InvalidAlphaError):
         epsilon_for(10, 0.01, 0.5)   # l = 0
+
+
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_non_finite_alpha_is_an_invalid_alpha(alpha):
+    with pytest.raises(InvalidAlphaError, match="finite"):
+        quantile_index(100, alpha)
+    with pytest.raises(InvalidAlphaError, match="finite"):
+        epsilon_for(100, alpha, 1e-3)
+
+
+def _epsilon_cases():
+    """5,000 seeded (N, alpha, beta): a grid over N in [1, 3e6] with
+    l = 1, 2, N/100, N/2, N-1, N, then random N, l and log-uniform beta in
+    [1e-15, 0.9]; alpha puts (N+1) alpha strictly inside (l, l+1)."""
+    rng = np.random.default_rng(2107)
+    cases = []
+    for n in (1, 2, 3, 10, 100, 1000, 10**4, 10**5, 10**6, 3 * 10**6):
+        for l in sorted({1, 2, max(1, n // 100), max(1, n // 2), max(1, n - 1), n}):
+            if l <= n:
+                for beta in (1e-15, 1e-9, 1e-6, 1e-3, 0.05, 0.5, 0.9):
+                    cases.append((n, l, beta))
+    while len(cases) < 5000:
+        n = int(10 ** rng.uniform(0.0, 6.5))
+        l = int(rng.integers(1, n + 1))
+        cases.append((n, l, float(10 ** rng.uniform(-15.0, math.log10(0.9)))))
+    return [(n, (l + float(rng.uniform(0.05, 0.95))) / (n + 1), beta) for n, l, beta in cases]
+
+
+@pytest.fixture(scope="module")
+def epsilon_sweep():
+    """(N, alpha, beta, epsilon, incomplete-beta evaluations) per case."""
+    original = certificate.regularized_incomplete_beta
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    rows = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certificate, "regularized_incomplete_beta", counted)
+        for n, alpha, beta in _epsilon_cases():
+            calls[0] = 0
+            rows.append((n, alpha, beta, epsilon_for(n, alpha, beta), calls[0]))
+    return rows
+
+
+def test_epsilon_for_matches_the_bisection_oracle_bit_for_bit(epsilon_sweep):
+    indices = {(n, quantile_index(n, alpha)) for n, alpha, *_ in epsilon_sweep}
+    assert {(1, 1), (10**6, 1), (10**6, 10**6), (3 * 10**6, 3 * 10**6)} <= indices
+    mismatches = [(n, alpha, beta, eps) for n, alpha, beta, eps, _ in epsilon_sweep
+                  if eps != reference_epsilon_for(n, quantile_index(n, alpha), beta)]
+    assert mismatches == []
+
+
+def test_epsilon_for_evaluation_count(epsilon_sweep):
+    counts = [calls for *_, calls in epsilon_sweep]
+    assert max(counts) <= 40
+    assert sum(counts) / len(counts) <= 12
 
 
 def test_quantify_safety_constant_cert_scores():

@@ -217,6 +217,17 @@ def test_curve_invalid_beta_exits_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("bounds", [("0.01", "inf"), ("nan", "0.1")])
+def test_curve_non_finite_alpha_exits_1_before_any_output(tmp_path, capsys, bounds):
+    out = tmp_path / "c"
+    code = main(["curve", "--n", "100", "--alpha-min", bounds[0],
+                 "--alpha-max", bounds[1], "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --alpha-") and "finite" in err[0]
+    assert not out.exists()
+
+
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("CBFCERT_OUT", str(tmp_path / "root"))
     code = main(["curve", "--n", "100", "--beta", "0.5", "--alpha-min", "0.05",
@@ -539,6 +550,10 @@ _MALFORMED_CERTIFICATES = {
     "binary": "\udcff",
     "sizes-null": _cert_text(layer_sizes=None),
     "sizes-text": _cert_text(layer_sizes=["a", 8, 1]),
+    "sizes-fraction": _cert_text(layer_sizes=[3.7, 8, 1]),
+    "sizes-float": _cert_text(layer_sizes=[3, 8.0, 1]),
+    "sizes-bool": _cert_text(layer_sizes=[3, 8, True]),
+    "sizes-string": _cert_text(layer_sizes=[3, "8", 1]),
     "sizes-mismatch": _cert_text(layer_sizes=[3, 9, 1]),
     "weights-number": _cert_text(weights=5),
     "weights-objects": _cert_text(weights=[{}, {}]),
