@@ -22,10 +22,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .controller import SafetyFilter, decide
+from .controller import SafetyFilter, decide, filter_batch
 from .dynamics import ControlAffineSystem, Label
-from .mlp import (MlpCertificate, forward_batch, primal_input_gradients, primal_pass,
-                  seeded_loss_param_gradient)
+from .mlp import (MlpCertificate, Workspace, forward_batch, primal_input_gradients,
+                  primal_pass, seeded_loss_param_gradient)
 from .sampling import TrainingDatasets, sample_uniform
 from .special import _log_front, regularized_incomplete_beta
 
@@ -48,7 +48,8 @@ class InsufficientSamplesError(ValueError):
 
 
 class InvalidAlphaError(ValueError):
-    """floor((N+1) * alpha) falls outside [1, N]."""
+    """alpha is not finite, or floor((N+1) * alpha) or the quantile rank
+    falls outside [1, N]."""
 
 
 class EmptyBucketError(ValueError):
@@ -107,31 +108,34 @@ def _hinge(h_safe, h_unsafe, q3, weights: LossWeights):
 
 
 def total_loss(cert: MlpCertificate, datasets: TrainingDatasets,
-               controller: SafetyFilter, weights: LossWeights
+               controller: SafetyFilter, weights: LossWeights,
+               workspace: Workspace | None = None
                ) -> tuple[float, tuple[float, float, float]]:
     """The composite hinge loss over the full datasets and its three terms
     (safe, unsafe, decrease): the per-epoch monitoring loss, each bucket in
-    one pass."""
+    one pass, its hidden-layer arrays in the workspace if one is given."""
     if min(datasets.sizes()) == 0:
         raise EmptyBucketError("all three dataset buckets must be nonempty")
     _check_filter(cert, controller)
-    # Whole buckets, not row blocks: with the one-pass training step,
-    # blocking gains nothing measurable (desk dubins refine 1.22 s blocked,
-    # 1.27 s whole, medians of 6 trains, 2 vCPUs; 107K against 80K minor
-    # faults a train) and moves dubins rows above 5,208 by 1 ulp. The safe
-    # and unsafe forwards go first: the steps that follow were measured
-    # slower with the domain pass first.
-    h_safe = forward_batch(cert, datasets.safe)
-    h_unsafe = forward_batch(cert, datasets.unsafe)
-    q3 = -controller.batch_decide(datasets.domain).slack
+    # Whole buckets, not row blocks, so that every row keeps its bits
+    # (blocking moves dubins rows above 5,208 by 1 ulp). With a workspace
+    # the buckets allocate no hidden-layer arrays: a desk dubins call
+    # (6,700/6,700/6,600 rows) took 17 ms and 239 minor faults, the rest
+    # in the filter's f, g and decide, against 29-33 ms and 6,353 faults
+    # allocating fresh ones (2 vCPUs, one BLAS thread, medians of 15).
+    h_safe = forward_batch(cert, datasets.safe, workspace)
+    h_unsafe = forward_batch(cert, datasets.unsafe, workspace)
+    q3 = -filter_batch(controller, datasets.domain, workspace).slack
     value, terms, _ = _hinge(h_safe, h_unsafe, q3, weights)
     return value, terms
 
 
 def total_loss_and_gradient(cert: MlpCertificate, datasets: TrainingDatasets,
-                            controller: SafetyFilter, weights: LossWeights
+                            controller: SafetyFilter, weights: LossWeights,
+                            workspace: Workspace | None = None
                             ) -> tuple[float, tuple[np.ndarray, ...]]:
-    """Composite hinge loss and its exact parameter gradient.
+    """Composite hinge loss and its exact parameter gradient, the
+    hidden-layer arrays in the workspace (a fresh one if None).
 
     The filtered input at each domain point is held constant with respect
     to the parameters: it is recomputed from the current certificate every
@@ -145,10 +149,11 @@ def total_loss_and_gradient(cert: MlpCertificate, datasets: TrainingDatasets,
     domain = datasets.domain
     # one primal pass over all rows; the filter decides on the domain rows,
     # which alone carry the closed-loop field f + g u as their tangent
-    primal = primal_pass(cert, np.concatenate([datasets.safe, datasets.unsafe, domain]))
+    primal = primal_pass(cert, np.concatenate([datasets.safe, datasets.unsafe, domain]),
+                         workspace)
     f, g = controller.system.f(domain), controller.system.g(domain)
     batch = decide(controller, domain, primal.h[first:],
-                   primal_input_gradients(cert, primal, first), f, g)
+                   primal_input_gradients(cert, primal, first, workspace), f, g)
     seeds = f + np.einsum("bnm,bm->bn", g, batch.inputs)
     lam1, lam2 = weights.lambda1, weights.lambda2
     gamma = controller.kappa_gain
@@ -161,7 +166,7 @@ def total_loss_and_gradient(cert: MlpCertificate, datasets: TrainingDatasets,
         dh[first:][act3] = -lam2 * gamma / nd
         return value, dh, np.where(act3, -lam2 / nd, 0.0)
 
-    return seeded_loss_param_gradient(cert, primal, seeds, combined)
+    return seeded_loss_param_gradient(cert, primal, seeds, combined, workspace)
 
 
 def conformal_quantile(scores, alpha: float) -> float:
@@ -173,8 +178,13 @@ def conformal_quantile(scores, alpha: float) -> float:
     arr = np.asarray(scores, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("scores must be a nonempty 1-D collection")
+    if not math.isfinite(alpha):
+        raise InvalidAlphaError(f"alpha must be finite, got {alpha}")
     n = arr.size
     rank = math.ceil((n + 1) * (1.0 - alpha) - _INDEX_NUDGE)
+    if rank < 1:
+        raise InvalidAlphaError(f"quantile rank {rank} below 1 for alpha={alpha}; "
+                                f"need alpha < 1")
     if rank > n:
         raise InsufficientSamplesError(
             f"quantile rank {rank} exceeds N={n}; increase N or alpha "

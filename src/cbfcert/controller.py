@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import ControlAffineSystem
-from .mlp import MlpCertificate, values_and_input_gradients
+from .mlp import MlpCertificate, Workspace, values_and_input_gradients
 
 _DEGENERATE_SQ = 1e-28
 
@@ -135,11 +135,11 @@ def filter_input(filt: SafetyFilter, x) -> np.ndarray:
     return batch.inputs[0]
 
 
-def filter_batch(filt: SafetyFilter, xs) -> FilterBatch:
-    """The filter's decisions at a batch of states: evaluate h, dh/dx, f
-    and g, then decide."""
+def filter_batch(filt: SafetyFilter, xs, workspace: Workspace | None = None) -> FilterBatch:
+    """The filter's decisions at a batch of states: evaluate h, dh/dx
+    (in the workspace, if one is given), f and g, then decide."""
     xs = np.asarray(xs, dtype=float)
-    h, grads = values_and_input_gradients(filt.certificate, xs)
+    h, grads = values_and_input_gradients(filt.certificate, xs, workspace)
     return decide(filt, xs, h, grads, filt.system.f(xs), filt.system.g(xs))
 
 

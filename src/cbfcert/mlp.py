@@ -17,7 +17,24 @@ A parameter gradient is one tuple of arrays in the order
 cert.weights + cert.biases: the layers' weight gradients first, then their
 bias gradients. Adam keeps its moments in the same order.
 
-All arithmetic is float64 and every operation is a pure function.
+All arithmetic is float64. No function changes its inputs; what a
+function returns (h, dh/dx, gradients, parameters) is the caller's own,
+except a Primal's caches, as below.
+
+Workspaces. `forward_batch`, `primal_pass`, `primal_input_gradients`,
+`values_and_input_gradients` and `seeded_loss_param_gradient` take an
+optional `Workspace` and write their (B, width) hidden-layer arrays into
+views of its buffers: z and the activations of the forward, the sigmoids
+a primal pass keeps, the adjoints of the reverse sweeps and the tangents
+of the nested gradient. Called without one, each makes a fresh one, so
+every batch size runs the same code. A Primal built in a workspace holds
+views of it in `inputs[1:]` and `sigs`; they stay valid until the next
+`forward_batch` or `primal_pass` on that workspace.
+`primal_input_gradients` and `seeded_loss_param_gradient` on that primal
+may share its workspace: they write only into buffers the primal does
+not keep. A training phase passes one workspace to every monitoring loss
+and step, so its pages are faulted in once per phase instead of once per
+call.
 
 Batch semantics. `forward` is per-state exact: a state's value does not
 depend on how many states it is evaluated with, so any stack of states
@@ -60,40 +77,73 @@ class NumericError(FloatingPointError):
     """A non-finite value appeared while evaluating the network."""
 
 
-def softplus(z: np.ndarray) -> np.ndarray:
+def softplus(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # ln(1+e^z) with linear/exponential tails to avoid overflow; the
     # switch at |z|=30 is below the 64-bit rounding error of the exact
     # form. Non-finite inputs must propagate, not collapse to a tail.
-    # Computed in place into an explicit buffer, so that 0-d input stays a
-    # 0-d array; the tails are written only when some element needs one.
+    # Computed in place into out (a fresh array if None; it must not
+    # overlap z), so that 0-d input stays a 0-d array; the tails are
+    # written only when some element needs one. fmax/fmin skip NaNs,
+    # which take no tail.
     z = np.asarray(z, dtype=float)
-    out = np.clip(z, -_SOFTPLUS_CUTOFF, _SOFTPLUS_CUTOFF, out=np.empty_like(z))
+    out = np.clip(z, -_SOFTPLUS_CUTOFF, _SOFTPLUS_CUTOFF,
+                  out=np.empty_like(z) if out is None else out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    upper = z > _SOFTPLUS_CUTOFF
-    if upper.any():
-        np.copyto(out, z, where=upper)
-    lower = z < -_SOFTPLUS_CUTOFF
-    if lower.any():
-        np.copyto(out, np.exp(np.minimum(z, 0.0)), where=lower)
+    if z.size and np.fmax.reduce(z, axis=None) > _SOFTPLUS_CUTOFF:
+        np.copyto(out, z, where=z > _SOFTPLUS_CUTOFF)
+    if z.size and np.fmin.reduce(z, axis=None) < -_SOFTPLUS_CUTOFF:
+        np.copyto(out, np.exp(np.minimum(z, 0.0)), where=z < -_SOFTPLUS_CUTOFF)
     return out
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None,
+            scratch: np.ndarray | None = None) -> np.ndarray:
     # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, from one e = exp(-|z|):
     # the same operands, hence the same bits, as evaluating the two
     # branches separately. -|z| is minimum(z, -z), which returns a NaN z
     # itself and so keeps its sign bit, as exp(z) would. The numerator is
     # max(z >= 0, e), exact since e <= 1, and branch-free where a
-    # mask-driven select is not.
+    # mask-driven select is not. out receives the result and scratch, a
+    # z-shaped array, holds e (fresh arrays if None; neither may overlap z).
     z = np.asarray(z, dtype=float)
-    e = np.negative(z, out=np.empty_like(z))
+    e = np.negative(z, out=np.empty_like(z) if scratch is None else scratch)
     np.minimum(z, e, out=e)
     np.exp(e, out=e)
-    out = np.greater_equal(z, 0.0, out=np.empty_like(z))
+    out = np.greater_equal(z, 0.0, out=np.empty_like(z) if out is None else out)
     np.maximum(out, e, out=out)
     e += 1.0
     return np.divide(out, e, out=out)
+
+
+class Workspace:
+    """Buffers that the batch functions write their hidden-layer arrays
+    into, reused from call to call, so that repeated calls fault their
+    pages in once instead of once per call.
+
+    A buffer, named and of one width, is allocated at its first use and
+    grows to the largest batch asked of it; a call on B rows writes into
+    its first B rows. Functions called without a workspace make a fresh one.
+    """
+
+    __slots__ = ("_buffers",)
+
+    def __init__(self):
+        self._buffers: dict = {}
+
+    def take(self, name: str, rows: int, width: int) -> np.ndarray:
+        """The first rows rows of the buffer called name, of this width."""
+        buf = self._buffers.get((name, width))
+        if buf is None or buf.shape[0] < rows:
+            buf = self._buffers[name, width] = np.empty((rows, width))
+        return buf if buf.shape[0] == rows else buf[:rows]
+
+
+def _reverse_buffer(ws: Workspace, l: int, rows: int, width: int) -> np.ndarray:
+    # The reverse sweeps' products alternate between the forward's z
+    # buffer, free once the primal pass is done, and a second one, so that
+    # no product overwrites the adjoint it is computed from.
+    return ws.take("z" if l % 2 else "z_next", rows, width)
 
 
 @dataclass(frozen=True)
@@ -157,14 +207,17 @@ def _check_batch(cert: MlpCertificate, x) -> np.ndarray:
     return arr
 
 
-def forward_batch(cert: MlpCertificate, xs) -> np.ndarray:
+def forward_batch(cert: MlpCertificate, xs, workspace: Workspace | None = None) -> np.ndarray:
     """Barrier values for a batch of states, shape (B,)."""
     a = _check_batch(cert, xs)
-    last = cert.n_layers - 1
-    for l, (w, b) in enumerate(zip(cert.weights, cert.biases)):
-        z = a @ w.T + b
-        a = softplus(z) if l < last else z
-    return a[:, 0]
+    rows = a.shape[0]
+    ws = workspace or Workspace()
+    for l in range(cert.n_layers - 1):
+        width = cert.layer_sizes[l + 1]
+        z = np.matmul(a, cert.weights[l].T, out=ws.take("z", rows, width))
+        z += cert.biases[l]
+        a = softplus(z, ws.take(f"act{l}", rows, width))
+    return (a @ cert.weights[-1].T + cert.biases[-1])[:, 0]
 
 
 def forward(cert: MlpCertificate, x) -> float | np.ndarray:
@@ -199,50 +252,67 @@ def input_gradient(cert: MlpCertificate, x) -> np.ndarray:
 class Primal:
     """One primal pass over a (B, n) batch: the barrier values, each
     layer's input and each hidden layer's sigmoid(z), the caches that the
-    input gradients and the nested gradient read."""
+    input gradients and the nested gradient read. Built in a workspace,
+    the hidden inputs and sigmoids are views of its buffers."""
 
     h: np.ndarray                 # (B,)
     inputs: list[np.ndarray]      # layer l's input, (B, layer_sizes[l])
     sigs: list[np.ndarray]        # hidden layer l's sigmoid(z), (B, layer_sizes[l+1])
 
 
-def primal_pass(cert: MlpCertificate, xs) -> Primal:
+def primal_pass(cert: MlpCertificate, xs, workspace: Workspace | None = None) -> Primal:
     """The layer recurrence over a batch, keeping its caches."""
     a = _check_batch(cert, xs)
-    last = cert.n_layers - 1
-    inputs, sigs = [], []
-    for l, (w, b) in enumerate(zip(cert.weights, cert.biases)):
+    rows = a.shape[0]
+    ws = workspace or Workspace()
+    inputs, sigs = [a], []
+    for l in range(cert.n_layers - 1):
+        width = cert.layer_sizes[l + 1]
+        z = np.matmul(a, cert.weights[l].T, out=ws.take("z", rows, width))
+        z += cert.biases[l]
+        # sigmoid's scratch is the activation buffer, which softplus then fills
+        act = ws.take(f"act{l}", rows, width)
+        sigs.append(sigmoid(z, ws.take(f"sig{l}", rows, width), act))
+        a = softplus(z, act)
         inputs.append(a)
-        z = a @ w.T
-        z += b
-        if l < last:
-            sigs.append(sigmoid(z))
-            a = softplus(z)
-        else:
-            a = z
-    return Primal(a[:, 0], inputs, sigs)
+    z = a @ cert.weights[-1].T
+    z += cert.biases[-1]
+    return Primal(z[:, 0], inputs, sigs)
 
 
-def primal_input_gradients(cert: MlpCertificate, primal: Primal, first: int) -> np.ndarray:
+def primal_input_gradients(cert: MlpCertificate, primal: Primal, first: int,
+                           workspace: Workspace | None = None) -> np.ndarray:
     """dh/dx of the primal's rows first: onwards, (B - first, n), by a
     reverse sweep over the cached sigmoids."""
+    rows = primal.h.shape[0] - first
+    ws = workspace or Workspace()
     last = cert.n_layers - 1
-    d = np.ones((primal.h.shape[0] - first, 1))
-    for l in range(last, -1, -1):
-        if l < last:
-            d *= primal.sigs[l][first:]
-        d = d @ cert.weights[l]
-    return d
+    # The sweep's first product, ones((rows, 1)) @ w_last, is w_last's row
+    # on every row, with -0.0 read as +0.0 (BLAS sums the one term onto
+    # zero); the sigmoids of the last hidden layer broadcast that row.
+    d = cert.weights[last] + 0.0
+    for l in range(last - 1, -1, -1):
+        sig = primal.sigs[l][first:]
+        if l < last - 1:
+            d *= sig
+        else:
+            d = np.multiply(d, sig, out=_reverse_buffer(ws, l + 1, rows, sig.shape[1]))
+        w = cert.weights[l]
+        d = d @ w if l == 0 else np.matmul(d, w, out=_reverse_buffer(ws, l, rows, w.shape[1]))
+    return d if last else np.repeat(d, rows, axis=0)
 
 
-def values_and_input_gradients(cert: MlpCertificate, xs) -> tuple[np.ndarray, np.ndarray]:
+def values_and_input_gradients(cert: MlpCertificate, xs, workspace: Workspace | None = None
+                               ) -> tuple[np.ndarray, np.ndarray]:
     """(h, dh/dx) for a batch in one pass; shapes (B,) and (B, n)."""
-    primal = primal_pass(cert, xs)
-    return primal.h, primal_input_gradients(cert, primal, 0)
+    ws = workspace or Workspace()
+    primal = primal_pass(cert, xs, ws)
+    return primal.h, primal_input_gradients(cert, primal, 0, ws)
 
 
 def seeded_loss_param_gradient(cert: MlpCertificate, primal: Primal, seed_dirs,
-                               loss_fn) -> tuple[float, tuple[np.ndarray, ...]]:
+                               loss_fn, workspace: Workspace | None = None
+                               ) -> tuple[float, tuple[np.ndarray, ...]]:
     """Value and parameter gradient of a loss built from h and one
     directional derivative per seeded row of a primal pass.
 
@@ -261,17 +331,20 @@ def seeded_loss_param_gradient(cert: MlpCertificate, primal: Primal, seed_dirs,
                          f"{cert.n_inputs}) for S <= {n_rows} seeded rows")
     if n_rows == 0:
         return 0.0, tuple(np.zeros_like(p) for p in cert.weights + cert.biases)
-    first = n_rows - seeds.shape[0]
+    ws = workspace or Workspace()
+    n_seeded = seeds.shape[0]
+    first = n_rows - n_seeded
     last = cert.n_layers - 1
     # tangent sweep over the seeded rows: t_l is layer l's input tangent
-    t_ins, tzs = [], []
+    t_ins, tzs = [seeds], []
     t = seeds
-    for l, w in enumerate(cert.weights):
+    for l in range(last):
+        width = cert.layer_sizes[l + 1]
+        tz = np.matmul(t, cert.weights[l].T, out=ws.take(f"tz{l}", n_seeded, width))
+        tzs.append(tz)
+        t = np.multiply(tz, primal.sigs[l][first:], out=ws.take(f"t{l}", n_seeded, width))
         t_ins.append(t)
-        t = t @ w.T
-        if l < last:
-            tzs.append(t)
-            t = t * primal.sigs[l][first:]
+    t = t @ cert.weights[last].T
     bad = ~np.isfinite(primal.h)
     bad[first:] |= ~np.isfinite(t[:, 0])
     if np.any(bad):
@@ -291,7 +364,7 @@ def seeded_loss_param_gradient(cert: MlpCertificate, primal: Primal, seed_dirs,
             seeded = sig[first:]
             z_bar = a_bar
             z_bar *= sig
-            curv = 1.0 - seeded
+            curv = np.subtract(1.0, seeded, out=ws.take("curv", n_seeded, seeded.shape[1]))
             curv *= seeded
             tz = tzs[l]
             tz *= t_bar
@@ -303,8 +376,9 @@ def seeded_loss_param_gradient(cert: MlpCertificate, primal: Primal, seed_dirs,
         weights.append(z_bar.T @ primal.inputs[l] + tz_bar.T @ t_ins[l])
         biases.append(z_bar.sum(axis=0))
         if l:
-            a_bar = z_bar @ w
-            t_bar = tz_bar @ w
+            width = w.shape[1]
+            a_bar = np.matmul(z_bar, w, out=_reverse_buffer(ws, l, n_rows, width))
+            t_bar = np.matmul(tz_bar, w, out=ws.take(f"t_bar{l % 2}", n_seeded, width))
     grads = tuple(weights[::-1] + biases[::-1])
     if not all(np.all(np.isfinite(g)) for g in grads):
         raise NumericError("non-finite parameter gradient")

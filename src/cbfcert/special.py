@@ -32,10 +32,18 @@ def _stirling_remainder(z: float) -> float:
 
 def _log_front(x: float, a: float, b: float) -> float:
     """log of x^a (1-x)^b / B(a, b), organized to avoid the catastrophic
-    cancellation the plain lgamma form suffers for large a, b."""
-    if min(a, b) < 50.0:
-        return a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
+    cancellation the plain lgamma form suffers when a or b is large."""
     total = a + b
+    small, big = min(a, b), max(a, b)
+    if small < 50.0:
+        powers = a * math.log(x) + b * math.log1p(-x)
+        if big < 50.0:
+            return powers - _log_beta(a, b)
+        # lgamma(big) - lgamma(a + b) through Stirling's series: the two
+        # lgammas would cancel to a few hundred from about big ln(big)
+        big_minus_total = (-small * math.log(total) - (big - 0.5) * math.log1p(small / big)
+                           + small + _stirling_remainder(big) - _stirling_remainder(total))
+        return powers - math.lgamma(small) - big_minus_total
     mu = a / total
     t1 = a * math.log1p((x - mu) / mu)
     t2 = b * math.log1p((mu - x) / (1.0 - mu))

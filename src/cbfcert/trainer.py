@@ -21,6 +21,11 @@ from typing import Callable
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on every platform (Windows)
+    resource = None
+
 from . import mlp
 from .certificate import (ConformalReport, InvalidAlphaError, LossWeights,
                           _checked_quantile_index, epsilon_for, quantify_safety,
@@ -214,6 +219,8 @@ class TrainingHistory:
     epoch_losses: list[list[float]] = field(default_factory=list)
     refinements: list[RefinementRecord] = field(default_factory=list)
     phase_seconds: list[float] = field(default_factory=list)
+    # minor page faults of each phase; None where resource is unavailable
+    phase_minor_faults: list[int | None] = field(default_factory=list)
     status: str = STATUS_BUDGET_EXHAUSTED
 
     def to_dict(self) -> dict:
@@ -234,6 +241,11 @@ def certifying_filter(cert, sys, config: TrainConfig,
     )
 
 
+def _minor_faults() -> int | None:
+    """This process's minor page faults so far, or None without resource."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _batch_slices(total: int, n_batches: int):
     cuts = np.linspace(0, total, n_batches + 1).astype(int)
     return [(cuts[i], cuts[i + 1]) for i in range(n_batches)]
@@ -250,7 +262,10 @@ def train_phase(cert: mlp.MlpCertificate, datasets: TrainingDatasets,
     def training_filter(cert):
         return certifying_filter(cert, sys, config, config.correction_cap)
 
-    losses = [total_loss(cert, datasets, training_filter(cert), weights)[0]]
+    # one workspace for the monitoring losses and steps of the phase,
+    # dropped when the phase ends
+    workspace = mlp.Workspace()
+    losses = [total_loss(cert, datasets, training_filter(cert), weights, workspace)[0]]
     if not np.isfinite(losses[0]):
         raise DivergedTrainingError(0)
     best_loss, best_cert = losses[0], cert
@@ -274,9 +289,10 @@ def train_phase(cert: mlp.MlpCertificate, datasets: TrainingDatasets,
                 unsafe=datasets.unsafe[order_u[u0:u1]],
                 domain=datasets.domain[order_d[d0:d1]],
             )
-            _, grads = total_loss_and_gradient(cert, batch, training_filter(cert), weights)
+            _, grads = total_loss_and_gradient(cert, batch, training_filter(cert), weights,
+                                               workspace)
             state, cert = mlp.adam_step(state, cert, grads)
-        loss, _ = total_loss(cert, datasets, training_filter(cert), weights)
+        loss, _ = total_loss(cert, datasets, training_filter(cert), weights, workspace)
         if not np.isfinite(loss):
             raise DivergedTrainingError(epoch)
         losses.append(loss)
@@ -309,9 +325,10 @@ def refine(config: TrainConfig,
     for round_idx in range(config.max_refinements + 1):
         weights = config.loss_weights(psi=psi)
         rng = np.random.default_rng([config.seed, 101, round_idx])
-        started = time.perf_counter()
+        started, faults = time.perf_counter(), _minor_faults()
         cert, losses = train_phase(cert, datasets, weights, config, sys, rng)
         history.phase_seconds.append(time.perf_counter() - started)
+        history.phase_minor_faults.append(None if faults is None else _minor_faults() - faults)
         history.epoch_losses.append(losses)
         if on_phase is not None:
             on_phase(round_idx, cert)

@@ -193,6 +193,19 @@ def test_non_finite_alpha_is_an_invalid_alpha(alpha):
         epsilon_for(100, alpha, 1e-3)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_conformal_quantile_rejects_a_non_finite_alpha(alpha):
+    with pytest.raises(InvalidAlphaError, match="finite"):
+        conformal_quantile([1.0, 2.0, 3.0], alpha)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+def test_conformal_quantile_rejects_an_alpha_of_one_or_more(alpha):
+    # the rank would be 0 or negative and index the sorted scores from the end
+    with pytest.raises(InvalidAlphaError, match="rank"):
+        conformal_quantile([1.0, 2.0, 3.0], alpha)
+
+
 def _epsilon_cases():
     """5,000 seeded (N, alpha, beta): a grid over N in [1, 3e6] with
     l = 1, 2, N/100, N/2, N-1, N, then random N, l and log-uniform beta in
@@ -564,3 +577,78 @@ def test_step_evaluates_f_g_and_each_hidden_layer_once(bounded, monkeypatch):
     monkeypatch.setattr(mlp, "sigmoid", counted("sigmoid", mlp.sigmoid))
     total_loss_and_gradient(cert, ds, filt, LossWeights(psi=-0.3))
     assert counts == {"f": 1, "g": 1, "sigmoid": 2}
+
+
+def desk_loss_case():
+    """The desk dubins [3, 64, 1] barrier, its training filter, the
+    6,700/6,700/6,600-row buckets of the monitoring loss and one
+    256/256/256-row step batch."""
+    sys_ = dubins_system()
+    cert = mlp.init_certificate([3, 64, 1], seed=0)
+    filt = SafetyFilter(certificate=cert, system=sys_, correction_cap=1e3)
+    ds = build_datasets(sys_, 6700, 6700, 6600, seed=0)
+    step = TrainingDatasets(ds.safe[:256], ds.unsafe[:256], ds.domain[:256])
+    return cert, filt, ds, step
+
+
+def _traced_peak(fn) -> int:
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_warm_workspace_leaves_no_hidden_layer_allocations():
+    # tracemalloc sees numpy's buffers. Without a workspace the desk
+    # monitoring loss peaks at 10.6 MiB of transient arrays and a step at
+    # 1.7 MiB; with a warm one at 1.6 MiB (f, g and the filter's arrays
+    # on 6,600 domain rows) and 0.08 MiB. One (6,700, 64) hidden array
+    # is 3.3 MiB and one (768, 64) array 0.38 MiB, so either bound fails
+    # if a single hidden-layer array is allocated again.
+    cert, filt, ds, step = desk_loss_case()
+    weights = LossWeights()
+    workspace = mlp.Workspace()
+    loss = lambda: total_loss(cert, ds, filt, weights, workspace)
+    grad = lambda: total_loss_and_gradient(cert, step, filt, weights, workspace)
+    loss()
+    grad()  # warm-up: the workspace allocates its buffers
+    assert _traced_peak(loss) < 2.5 * 2**20
+    assert _traced_peak(grad) < 0.25 * 2**20
+    # the same calls without a workspace allocate their hidden arrays
+    assert _traced_peak(lambda: total_loss(cert, ds, filt, weights)) > 8 * 2**20
+
+
+def test_a_reused_workspace_gives_the_values_of_fresh_ones():
+    # shrinking and growing batches and other certificates in one
+    # workspace must never read what an earlier call left in it
+    from cbfcert import make_system
+    from cbfcert.sampling import sample_uniform
+
+    workspace = mlp.Workspace()
+    weights = LossWeights(psi=-0.2)
+    cases = [("dubins", (3, 64, 1), (100, 100, 100)), ("dubins", (3, 64, 1), (20, 10, 5)),
+             ("dubins", (3, 64, 1), (1, 1, 1)), ("dubins", (3, 64, 1), (150, 160, 170)),
+             ("quadruped", (8, 128, 128, 1), (40, 50, 60)),
+             ("planar_aerial", (6, 32, 16, 1), (90, 100, 110)),
+             ("quadruped", (8, 128, 128, 1), (3, 2, 7)), ("dubins", (3, 12, 1), (99, 1, 200))]
+    for seed, (name, arch, sizes) in enumerate(cases):
+        sys_ = make_system(name)
+        cert = biased_cert(arch, seed)
+        filt = SafetyFilter(certificate=cert, system=sys_, correction_cap=1e3)
+        rng = np.random.default_rng([seed, *sizes])
+        ds = TrainingDatasets(*(sample_uniform(sys_.state_bounds, k, rng) for k in sizes))
+        xs = np.concatenate([ds.safe, ds.unsafe, ds.domain])
+        value, grads = total_loss_and_gradient(cert, ds, filt, weights, workspace)
+        ref_value, ref_grads = total_loss_and_gradient(cert, ds, filt, weights)
+        assert value == ref_value, (name, sizes)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads, strict=True))
+        assert total_loss(cert, ds, filt, weights, workspace) == total_loss(cert, ds, filt,
+                                                                            weights)
+        assert np.array_equal(mlp.forward_batch(cert, xs, workspace), mlp.forward_batch(cert, xs))
+        h, dh_dx = mlp.values_and_input_gradients(cert, xs, workspace)
+        ref_h, ref_dh_dx = mlp.values_and_input_gradients(cert, xs)
+        assert np.array_equal(h, ref_h) and np.array_equal(dh_dx, ref_dh_dx)

@@ -493,3 +493,32 @@ def test_activations_bit_identical_to_reference(kernel, reference, z):
     assert got.dtype == np.float64
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_activations_write_into_the_buffers_they_are_given():
+    z = np.concatenate([_EDGE_VALUES, np.random.default_rng(4).normal(0.0, 20.0, 48)])
+    z = z.reshape(8, 8)
+    out, scratch = np.full_like(z, 7.0), np.full_like(z, 7.0)
+    assert mlp.softplus(z, out) is out
+    assert np.array_equal(out, mlp.softplus(z), equal_nan=True)
+    assert mlp.sigmoid(z, out, scratch) is out
+    assert np.array_equal(out, mlp.sigmoid(z), equal_nan=True)
+
+
+@pytest.mark.parametrize("sizes", [(3, 64, 1), (8, 16, 12, 1), (4, 1)])
+def test_input_gradients_equal_the_sweep_from_a_column_of_ones(sizes):
+    # the sweep starts from ones((B, 1)) @ w_last, negative zeros included
+    cert = random_cert(list(sizes), seed=5)
+    w_last = cert.weights[-1].copy()
+    w_last[0, ::3] = -0.0
+    cert = mlp.MlpCertificate(cert.layer_sizes, cert.weights[:-1] + (w_last,), cert.biases)
+    xs = np.random.default_rng(5).standard_normal((40, sizes[0]))
+    primal = mlp.primal_pass(cert, xs)
+    for first in (0, 25):
+        d = np.ones((40 - first, 1))
+        for l in range(cert.n_layers - 1, -1, -1):
+            if l < cert.n_layers - 1:
+                d *= primal.sigs[l][first:]
+            d = d @ cert.weights[l]
+        got = mlp.primal_input_gradients(cert, primal, first)
+        assert np.array_equal(got, d) and np.array_equal(np.signbit(got), np.signbit(d))

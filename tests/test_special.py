@@ -32,6 +32,25 @@ def test_accuracy_against_scipy(a, b):
         assert abs(mine - ref) < 1e-10, (x, a, b, mine, ref)
 
 
+def test_one_small_parameter_with_a_large_one_matches_scipy():
+    # lgamma(big) - lgamma(a + b) cancels from about big ln(big) when
+    # min(a, b) < 50: this point was off by 1.5e-9 before that difference
+    # went through Stirling's series
+    ref = float(sp_special.betainc(1e6, 40.0, 0.99996))
+    assert abs(regularized_incomplete_beta(0.99996, 1e6, 40.0) - ref) < 1e-12
+    for small in (0.5, 1.0, 3.0, 10.0, 40.0, 49.9):
+        for big in (50.0, 1e3, 1e5, 1e6, 1e7):
+            for a, b in ((big, small), (small, big)):
+                mean = a / (a + b)
+                for q in (0.3, 0.7, 1.0, 1.5, 2.5):
+                    # around the mean, where I_x moves
+                    x = 1.0 - q * (1.0 - mean) if a > b else q * mean
+                    if 0.0 < x < 1.0:
+                        mine = regularized_incomplete_beta(x, a, b)
+                        ref = float(sp_special.betainc(a, b, x))
+                        assert abs(mine - ref) < 1e-10, (x, a, b, mine, ref)
+
+
 def test_huge_parameters_converge():
     # the scale used by the largest verification sample counts
     val = regularized_incomplete_beta(0.95, 950001.0, 50000.0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -125,9 +127,30 @@ def test_refine_reproducible_modulo_wall_clock():
     assert mlp.certificate_to_json(c1) == mlp.certificate_to_json(c2)
     assert r1 == r2
     d1, d2 = h1.to_dict(), h2.to_dict()
-    d1.pop("phase_seconds")
-    d2.pop("phase_seconds")
+    for key in ("phase_seconds", "phase_minor_faults"):  # measurements of the machine
+        d1.pop(key)
+        d2.pop(key)
     assert d1 == d2
+
+
+def test_history_records_each_phases_minor_faults(monkeypatch):
+    from cbfcert import trainer
+
+    import resource
+
+    def process_faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    cfg = toy_config(epochs=3, max_refinements=1, seed=11)
+    before = process_faults()
+    _, history, _ = refine(cfg)
+    faults = history.phase_minor_faults
+    assert len(faults) == len(history.phase_seconds) == len(history.epoch_losses) == 2
+    assert all(isinstance(f, int) and f >= 0 for f in faults)
+    assert sum(faults) <= process_faults() - before  # each phase's own faults
+    monkeypatch.setattr(trainer, "resource", None)
+    _, history, _ = refine(cfg)
+    assert json.loads(history.to_json())["phase_minor_faults"] == [None, None]
 
 
 def test_refine_budget_exhausted_returns_best():
