@@ -35,9 +35,10 @@ from .trainer import (STATUS_CERTIFIED, ConfigError, TrainConfig,
 _ENV_OUT_ROOT = "CBFCERT_OUT"
 
 
-def _load_config(path: str
+def _load_config(path: str, seed: int | None = None
                  ) -> tuple[TrainConfig, SimulationConfig, SliceSpec, ControlAffineSystem]:
-    """The run file's sections and the system they describe; raises
+    """The run file's sections, the top level with seed in place of its
+    own when one is given, and the system they describe; raises
     ConfigError naming the problems of the first section that has any."""
     try:
         doc = json.loads(Path(path).read_text())
@@ -50,9 +51,8 @@ def _load_config(path: str
     sim = parse_section(SimulationConfig, doc.pop("simulation", {}), "simulation")
     spec = parse_section(SliceSpec, doc.pop("levelset", {}), "levelset")
     config = TrainConfig.from_dict(doc)
-    errors = config.validate()
-    if errors:
-        raise ConfigError(errors)
+    if seed is not None:
+        config = replace(config, seed=seed)
     try:
         system = config.build_system()
     except (TypeError, ValueError) as exc:
@@ -78,9 +78,7 @@ def _write_status(out: Path, text: str) -> None:
 
 
 def cmd_train(args) -> int:
-    config, sim, spec, _ = _load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config, sim, spec, _ = _load_config(args.config, args.seed)
     out = _out_dir(args, "train")
     out.mkdir(parents=True, exist_ok=True)
     _write_status(out, "running")
@@ -114,8 +112,9 @@ def cmd_train(args) -> int:
 
 def _load_deployment(args):
     """(config, sim, spec, system, cert) for a command that reads a
-    certificate; raises ConfigError."""
-    config, sim, spec, system = _load_config(args.config)
+    certificate, with --seed applied where the command has it; raises
+    ConfigError."""
+    config, sim, spec, system = _load_config(args.config, getattr(args, "seed", None))
     try:
         cert = mlp.load_certificate(args.cert)
     except OSError as exc:
@@ -130,13 +129,12 @@ def _load_deployment(args):
 
 def cmd_verify(args) -> int:
     config, _, _, system, cert = _load_deployment(args)
-    seed = args.seed if args.seed is not None else config.seed
     out = _out_dir(args, "verify")
     out.mkdir(parents=True, exist_ok=True)
     scores = verification_scores(cert, system, certifying_filter(cert, system, config),
-                                 config.conformal_samples, seed=seed,
+                                 config.conformal_samples, seed=config.seed,
                                  weights=config.loss_weights())
-    report = report_from_scores(scores, config.alpha, config.beta, seed)
+    report = report_from_scores(scores, config.alpha, config.beta, config.seed)
     (out / "report.json").write_text(report.to_json())
     if args.emit_scores:
         with (out / "scores.csv").open("w", newline="") as fh:
@@ -151,21 +149,20 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     config, sim, _, system, cert = _load_deployment(args)
-    seed = args.seed if args.seed is not None else config.seed
     out = _out_dir(args, "simulate")
     out.mkdir(parents=True, exist_ok=True)
     filt = SafetyFilter(certificate=cert, system=system,
                         kappa_gain=config.kappa_gain,
                         respect_input_bounds=sim.respect_input_bounds)
     rate, counts, rollouts = empirical_safety_rate(
-        system, filt, sim.n_rollouts, sim.horizon_steps, sim.dt, seed=seed)
+        system, filt, sim.n_rollouts, sim.horizon_steps, sim.dt, seed=config.seed)
     summary = {
         "rate": rate,
         "counts": dict(counts),
         "n_rollouts": sim.n_rollouts,
         "horizon_steps": sim.horizon_steps,
         "dt": sim.dt,
-        "seed": seed,
+        "seed": config.seed,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     with (out / "rollout_statuses.csv").open("w", newline="") as fh:

@@ -21,6 +21,7 @@ from .controller import SafetyFilter
 from .dynamics import ControlAffineSystem, Label, closed_loop_field
 from .mlp import MlpCertificate, forward, forward_batch
 from .sampling import rejection_sample_label
+from .trainer import ConfigError, check_types
 
 
 class RolloutStatus(str, Enum):
@@ -159,7 +160,8 @@ def empirical_safety_rate(sys: ControlAffineSystem, filt: SafetyFilter,
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """The simulation section of a run file: the campaign `simulate` runs."""
+    """The simulation section of a run file: the campaign `simulate` runs.
+    Building one with a mistyped or out-of-range field raises ConfigError."""
 
     n_rollouts: int = 100
     horizon_steps: int = 500
@@ -169,27 +171,34 @@ class SimulationConfig:
     max_trajectory_files: int = 10
 
     def __post_init__(self) -> None:
-        for name in ("n_rollouts", "horizon_steps", "dt"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name}: must be positive")
+        check_types(self)
+        errors = [f"{name}: must be positive"
+                  for name in ("n_rollouts", "horizon_steps", "dt") if getattr(self, name) <= 0]
         if self.max_trajectory_files < 0:
-            raise ValueError("max_trajectory_files: must be non-negative")
+            errors.append("max_trajectory_files: must be non-negative")
+        if errors:
+            raise ConfigError(errors)
 
 
 @dataclass(frozen=True)
 class SliceSpec:
     """A 2-D slice through the state space for level-set extraction: the
-    levelset section of a run file."""
+    levelset section of a run file. Building one with a mistyped or
+    out-of-range field raises ConfigError."""
 
     free_axes: tuple[int, ...] = (0, 1)
     fixed_values: tuple[float, ...] | None = None   # None: box midpoint
     resolution: int = 201
 
     def __post_init__(self) -> None:
+        check_types(self)
+        errors = []
         if len(self.free_axes) != 2 or self.free_axes[0] == self.free_axes[1]:
-            raise ValueError("free_axes: need two distinct indices")
+            errors.append("free_axes: need two distinct indices")
         if self.resolution < 2:
-            raise ValueError("resolution: must be at least 2")
+            errors.append("resolution: must be at least 2")
+        if errors:
+            raise ConfigError(errors)
 
     def fixed_state(self, bounds) -> tuple[float, ...]:
         """The state the slice goes through, for state bounds (n, 2); raises

@@ -57,7 +57,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything a training run needs; defaults mirror the benchmark
-    hyperparameters at desk scale."""
+    hyperparameters at desk scale. Building one with a mistyped or
+    out-of-range field raises ConfigError."""
 
     system: str = "dubins"
     system_params: dict = field(default_factory=dict)
@@ -82,11 +83,9 @@ class TrainConfig:
     respect_input_bounds_training: bool = False
     correction_cap: float | None = 1e3
 
-    def validate(self) -> list[str]:
-        """Field-path error messages; empty when the config is usable."""
-        errors = _type_errors(type(self), vars(self))
-        if errors:
-            return errors
+    def __post_init__(self) -> None:
+        check_types(self)
+        errors = []
         if self.system not in _BUILDERS:
             errors.append(f"system: unknown {self.system!r}")
         if not self.hidden_layers or any(h <= 0 for h in self.hidden_layers):
@@ -96,8 +95,9 @@ class TrainConfig:
                      "lambda1", "lambda2", "delta", "kappa_gain"):
             if getattr(self, name) <= 0:
                 errors.append(f"{name}: must be positive")
-        if self.loss_tolerance < 0:
-            errors.append("loss_tolerance: must be non-negative")
+        for name in ("loss_tolerance", "seed"):
+            if getattr(self, name) < 0:
+                errors.append(f"{name}: must be non-negative")
         if not (0.0 < self.alpha < 1.0):
             errors.append("alpha: must lie in (0, 1)")
         if not (0.0 < self.beta < 1.0):
@@ -111,7 +111,8 @@ class TrainConfig:
             errors.append("psi_update: must be 'cumulative' or 'reset'")
         if self.correction_cap is not None and self.correction_cap <= 0:
             errors.append("correction_cap: must be null or a positive finite number")
-        return errors
+        if errors:
+            raise ConfigError(errors)
 
     def loss_weights(self, psi: float = 0.0) -> LossWeights:
         return LossWeights(lambda1=self.lambda1, lambda2=self.lambda2,
@@ -128,9 +129,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        """The top level of a run file, integral floats as integers where
-        the field is an integer; raises ConfigError as parse_section."""
-        return parse_section(cls, doc, integral_floats=True)
+        """The top level of a run file; raises ConfigError as parse_section."""
+        return parse_section(cls, doc)
 
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
@@ -140,11 +140,11 @@ _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false
 _field_types = functools.cache(typing.get_type_hints)
 
 
-def parse_section(cls, doc, section: str | None = None, integral_floats: bool = False):
+def parse_section(cls, doc, section: str | None = None):
     """The frozen dataclass cls from one JSON object of a run file, lists
     as tuples and ints as floats where the field is a float. Raises
-    ConfigError on unknown keys, mistyped values and values the class
-    refuses, naming the field as section.field."""
+    ConfigError on unknown keys and on every field the class refuses when
+    built, naming the field as section.field."""
     name, prefix = (section, section + ".") if section else ("config", "")
     if not isinstance(doc, dict):
         raise ConfigError([f"{name}: must be an object"])
@@ -152,25 +152,18 @@ def parse_section(cls, doc, section: str | None = None, integral_floats: bool = 
     if unknown:
         raise ConfigError([f"{name}: unknown keys {sorted(unknown)}"])
     kinds = _field_types(cls)
-    kwargs = {key: _from_json(value, kinds[key], integral_floats)
-              for key, value in doc.items()}
-    errors = _type_errors(cls, kwargs)
-    if errors:
-        raise ConfigError([prefix + e for e in errors])
     try:
-        return cls(**kwargs)
-    except ValueError as exc:  # the class's own range checks
-        raise ConfigError([f"{prefix}{exc}"]) from None
+        return cls(**{key: _from_json(value, kinds[key]) for key, value in doc.items()})
+    except ConfigError as exc:
+        raise ConfigError([prefix + m for m in exc.messages]) from None
 
 
-def _from_json(value, kind, integral_floats: bool):
+def _from_json(value, kind):
     args = typing.get_args(kind)
     if type(None) in args:
-        return None if value is None else _from_json(value, args[0], integral_floats)
+        return None if value is None else _from_json(value, args[0])
     if typing.get_origin(kind) is tuple and isinstance(value, list):
-        return tuple(_from_json(v, args[0], integral_floats) for v in value)
-    if integral_floats and kind is int and isinstance(value, float) and value.is_integer():
-        return int(value)
+        return tuple(_from_json(v, args[0]) for v in value)
     if kind is float and fits_type(value, int):
         return float(value)
     return value
@@ -200,10 +193,14 @@ def _type_name(kind) -> str:
     return _TYPE_NAMES[kind]
 
 
-def _type_errors(cls, values: dict) -> list[str]:
-    kinds = _field_types(cls)
-    return [f"{name}: must be {_type_name(kinds[name])}"
-            for name, value in values.items() if not fits_type(value, kinds[name])]
+def check_types(config) -> None:
+    """Raise one ConfigError naming each field of the dataclass instance
+    config whose value does not fit its annotation."""
+    kinds = _field_types(type(config))
+    errors = [f"{name}: must be {_type_name(kinds[name])}"
+              for name, value in vars(config).items() if not fits_type(value, kinds[name])]
+    if errors:
+        raise ConfigError(errors)
 
 
 @dataclass
@@ -312,9 +309,6 @@ def refine(config: TrainConfig,
     that decided the final status. With status budget_exhausted, the
     certificate (and report) with the smallest quantile is returned.
     """
-    errors = config.validate()
-    if errors:
-        raise ValueError("invalid config: " + "; ".join(errors))
     sys = config.build_system()
     datasets = build_datasets(sys, config.n_safe, config.n_unsafe, config.n_domain,
                               seed=config.seed)

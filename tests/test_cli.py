@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cbfcert.cli import main
+from cbfcert.cli import _load_config, main
+from cbfcert.simulator import SimulationConfig, SliceSpec
+from cbfcert.trainer import ConfigError, TrainConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_DIR = REPO_ROOT / "docs" / "schemas"
@@ -338,9 +340,6 @@ def test_config_section_must_be_an_object(tmp_path, capsys, command, section, va
 
 
 def test_absent_config_sections_mean_their_defaults(tmp_path):
-    from cbfcert.cli import _load_config
-    from cbfcert.simulator import SimulationConfig, SliceSpec
-
     config = tiny_dubins_config(tmp_path)
     doc = json.loads(config.read_text())
     del doc["simulation"], doc["levelset"]
@@ -351,8 +350,6 @@ def test_absent_config_sections_mean_their_defaults(tmp_path):
 
 def test_echoed_run_config_loads_back_to_the_same_sections(tmp_path):
     from dataclasses import replace
-
-    from cbfcert.cli import _load_config
 
     # ints where floats belong and a reordered slice: the echo is typed
     config = tiny_dubins_config(
@@ -370,6 +367,33 @@ def test_echoed_run_config_loads_back_to_the_same_sections(tmp_path):
     assert doc["simulation"]["dt"] == 1.0 and isinstance(doc["simulation"]["dt"], float)
     assert doc["levelset"]["fixed_values"] == [0.0, 1.0, 0.0]
     assert all(isinstance(v, float) for v in doc["levelset"]["fixed_values"])
+
+
+def test_run_config_schema_requires_every_section_field():
+    from dataclasses import fields
+
+    schema = json.loads((SCHEMA_DIR / "run_config.schema.json").read_text())
+    sections = {"simulation": SimulationConfig, "levelset": SliceSpec}
+    top = {f.name for f in fields(TrainConfig)} | set(sections)
+    assert set(schema["required"]) == set(schema["properties"]) == top
+    for section, cls in sections.items():
+        part = schema["properties"][section]
+        assert set(part["required"]) == set(part["properties"]) == {
+            f.name for f in fields(cls)}, section
+
+
+@pytest.mark.parametrize("section, cls, key, value", [
+    ("simulation", SimulationConfig, "dt", "x"),
+    ("levelset", SliceSpec, "resolution", True),
+])
+def test_section_built_in_python_refuses_like_the_run_file(tmp_path, section, cls,
+                                                           key, value):
+    config = tiny_dubins_config(tmp_path, **{section: {key: value}})
+    with pytest.raises(ConfigError) as from_file:
+        _load_config(str(config))
+    with pytest.raises(ConfigError) as built:
+        cls(**{key: value})
+    assert from_file.value.messages == [f"{section}.{m}" for m in built.value.messages]
 
 
 @pytest.mark.parametrize("limit", [-1, 2.5, True])
@@ -428,6 +452,7 @@ _BAD_CONFIG_VALUES = [
       for value in ("false", 0, 1, None)],
     # top-level fields, section None
     (None, "system_params", {"bogus": 1}),
+    (None, "epochs", 8.0),
     (None, "hidden_layers", "64"),
     (None, "hidden_layers", [64.5]),
     (None, "hidden_layers", [True]),
@@ -464,6 +489,27 @@ def test_mistyped_config_value_rejected_before_outputs(tmp_path, capsys, command
     assert not (tmp_path / "x").exists()
     path = key if section is None else f"{section}.{key}"
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("command, flag", [
+    *[(command, False) for command in ("train", "verify", "simulate", "levelset")],
+    *[(command, True) for command in ("train", "verify", "simulate")],
+])
+def test_negative_seed_exits_1_before_outputs(tmp_path, capsys, command, flag):
+    # a --seed override is checked like the seed in the file
+    from cbfcert import mlp
+
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
+    config = tiny_dubins_config(tmp_path, **({} if flag else {"seed": -1}))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "x")]
+    if command != "train":
+        argv += ["--cert", str(cert_path)]
+    if flag:
+        argv += ["--seed", "-1"]
+    assert main(argv) == 1
+    assert not (tmp_path / "x").exists()
+    assert capsys.readouterr().err == "error: seed: must be non-negative\n"
 
 
 @pytest.mark.parametrize("command", ["train", "levelset", "simulate"])

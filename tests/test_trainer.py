@@ -9,8 +9,8 @@ from cbfcert.controller import SafetyFilter
 from cbfcert.dynamics import register_system
 from cbfcert.sampling import build_datasets, sample_uniform
 from cbfcert.trainer import (STATUS_BUDGET_EXHAUSTED, STATUS_CERTIFIED,
-                             TrainConfig, alpha_epsilon_curve, refine,
-                             train_phase)
+                             ConfigError, TrainConfig, alpha_epsilon_curve,
+                             refine, train_phase)
 
 from toy import analytic_toy_barrier, toy_system
 
@@ -34,15 +34,15 @@ def toy_config(**overrides) -> TrainConfig:
 
 
 def test_config_validation_messages():
-    cfg = TrainConfig(system="nope", alpha=0.0001, conformal_samples=100,
-                      epochs=0)
-    errors = cfg.validate()
-    joined = " | ".join(errors)
+    with pytest.raises(ConfigError) as info:
+        TrainConfig(system="nope", alpha=0.0001, conformal_samples=100, epochs=0)
+    joined = " | ".join(info.value.messages)
     assert "system" in joined
     assert "epochs" in joined
-    cfg2 = TrainConfig(alpha=0.001, conformal_samples=100)
-    assert any("alpha" in e for e in cfg2.validate())
-    assert toy_config().validate() == []
+    with pytest.raises(ConfigError) as info:
+        TrainConfig(alpha=0.001, conformal_samples=100)
+    assert any("alpha" in e for e in info.value.messages)
+    toy_config()
 
 
 def test_config_round_trip():
@@ -242,17 +242,21 @@ def test_psi_reset_mode_sets_margin_to_negated_quantile():
 
 
 def test_config_coerces_json_numerics():
-    cfg = TrainConfig.from_dict({"epochs": 8.0, "alpha": 0.05, "seed": 2})
-    assert cfg.epochs == 8 and isinstance(cfg.epochs, int)
-    with pytest.raises(ValueError, match="epochs"):
-        TrainConfig.from_dict({"epochs": 8.5})
+    cfg = TrainConfig.from_dict({"epochs": 8, "kappa_gain": 2, "seed": 2})
+    assert cfg.kappa_gain == 2.0 and isinstance(cfg.kappa_gain, float)
+    for epochs in (8.0, 8.5):
+        with pytest.raises(ConfigError) as info:
+            TrainConfig.from_dict({"epochs": epochs})
+        assert info.value.messages == ["epochs: must be an integer"]
 
 
 @pytest.mark.parametrize("cap", [-1.0, 0.0, float("nan"), float("inf"), "abc", True])
 def test_config_rejects_bad_correction_cap(cap):
-    errors = TrainConfig(correction_cap=cap).validate()
+    with pytest.raises(ConfigError) as info:
+        TrainConfig(correction_cap=cap)
+    errors = info.value.messages
     assert errors and all(e.startswith("correction_cap: must be null or a") for e in errors)
-    assert TrainConfig(correction_cap=None).validate() == []
+    TrainConfig(correction_cap=None)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -262,13 +266,17 @@ def test_config_rejects_bad_correction_cap(cap):
     ("respect_input_bounds_training", 0), ("system_params", []),
 ])
 def test_config_rejects_mistyped_fields(name, value):
-    with pytest.raises(ValueError, match=f"^{name}: must be "):
+    with pytest.raises(ConfigError, match=f"^{name}: must be "):
         TrainConfig.from_dict({name: value})
-    assert TrainConfig(**{name: value}).validate()[0].startswith(f"{name}: must be ")
+    with pytest.raises(ConfigError) as info:
+        TrainConfig(**{name: value})
+    assert info.value.messages[0].startswith(f"{name}: must be ")
 
 
 def test_config_from_dict_keeps_json_layer_widths():
-    cfg = TrainConfig.from_dict({"hidden_layers": [32, 16.0], "learning_rate": 1})
-    assert cfg.hidden_layers == (32, 16) and isinstance(cfg.hidden_layers[1], int)
+    cfg = TrainConfig.from_dict({"hidden_layers": [32, 16], "learning_rate": 1})
+    assert cfg.hidden_layers == (32, 16)
     assert cfg.learning_rate == 1.0 and isinstance(cfg.learning_rate, float)
-    assert cfg.validate() == []
+    with pytest.raises(ConfigError) as info:
+        TrainConfig.from_dict({"hidden_layers": [32, 16.0]})
+    assert info.value.messages == ["hidden_layers: must be a list of integers"]
