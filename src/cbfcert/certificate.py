@@ -43,13 +43,12 @@ _CELL = 2.0 ** -_GRID_BITS
 _BLOCK_ROWS = 512
 
 
-class InsufficientSamplesError(ValueError):
-    """alpha is too small for the sample count: the quantile index exceeds N."""
-
-
 class InvalidAlphaError(ValueError):
-    """alpha is not finite, or floor((N+1) * alpha) or the quantile rank
-    falls outside [1, N]."""
+    """alpha is not finite, or l = floor((N+1) alpha) falls outside [1, N]."""
+
+
+class InsufficientSamplesError(InvalidAlphaError):
+    """alpha is too small for the sample count: l = floor((N+1) alpha) < 1."""
 
 
 class EmptyBucketError(ValueError):
@@ -170,42 +169,27 @@ def total_loss_and_gradient(cert: MlpCertificate, datasets: TrainingDatasets,
 
 
 def conformal_quantile(scores, alpha: float) -> float:
-    """The ceil((N+1)(1-alpha))-th smallest score.
-
-    The index arithmetic nudges against floating-point error so exact
-    integer products are read as integers.
-    """
+    """The (N+1-l)-th smallest of N scores, l = quantile_index(N, alpha)."""
     arr = np.asarray(scores, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("scores must be a nonempty 1-D collection")
-    if not math.isfinite(alpha):
-        raise InvalidAlphaError(f"alpha must be finite, got {alpha}")
-    n = arr.size
-    rank = math.ceil((n + 1) * (1.0 - alpha) - _INDEX_NUDGE)
-    if rank < 1:
-        raise InvalidAlphaError(f"quantile rank {rank} below 1 for alpha={alpha}; "
-                                f"need alpha < 1")
-    if rank > n:
-        raise InsufficientSamplesError(
-            f"quantile rank {rank} exceeds N={n}; increase N or alpha "
-            f"(need (N+1)(1-alpha) <= N)"
-        )
-    return float(np.sort(arr)[rank - 1])
+    # a full sort, not a partition: it fixes which of tied zeros (-0.0 or
+    # 0.0) is returned
+    return float(np.sort(arr)[arr.size - quantile_index(arr.size, alpha)])
 
 
 def quantile_index(n: int, alpha: float) -> int:
-    """l = floor((N+1) * alpha), the Beta-parameter index of the quantile."""
+    """l = floor((N+1) alpha): the conformal quantile is the (N+1-l)-th
+    smallest of N scores, and Beta(l, N+1-l) bounds its coverage. The
+    arithmetic nudges against floating-point error so exact integer
+    products are read as integers. Raises InvalidAlphaError unless alpha
+    is finite and l lies in [1, N], InsufficientSamplesError if l < 1."""
     if not math.isfinite(alpha):
         raise InvalidAlphaError(f"alpha must be finite, got {alpha}")
-    return math.floor((n + 1) * alpha + _INDEX_NUDGE)
-
-
-def _checked_quantile_index(n_samples: int, alpha: float) -> int:
-    l = quantile_index(n_samples, alpha)
-    if l < 1 or l > n_samples:
-        raise InvalidAlphaError(
-            f"floor((N+1) alpha) = {l} outside [1, N] for N={n_samples}, alpha={alpha}"
-        )
+    l = math.floor((n + 1) * alpha + _INDEX_NUDGE)
+    if l < 1 or l > n:
+        error = InsufficientSamplesError if l < 1 else InvalidAlphaError
+        raise error(f"floor((N+1) alpha) = {l} outside [1, N] for N={n}, alpha={alpha}")
     return l
 
 
@@ -254,7 +238,7 @@ def epsilon_for(n_samples: int, alpha: float, beta: float) -> float:
         raise ValueError("n_samples must be >= 1")
     if not (0.0 < beta < 1.0):
         raise ValueError("beta must lie in (0, 1)")
-    l = _checked_quantile_index(n_samples, alpha)
+    l = quantile_index(n_samples, alpha)
     a, b = n_samples - l + 1, l
     log_beta = math.log(beta)
     lo, hi, y_lo = _tail_bracket(n_samples, l, beta)
@@ -364,7 +348,7 @@ def report_from_scores(scores, alpha: float, beta: float, seed: int) -> Conforma
     summary."""
     scores = np.asarray(scores, dtype=float)
     n_samples = scores.size
-    l = _checked_quantile_index(n_samples, alpha)
+    l = quantile_index(n_samples, alpha)
     return ConformalReport(
         n_samples=n_samples, alpha=alpha, beta=beta, index_l=l,
         quantile=conformal_quantile(scores, alpha),
@@ -384,6 +368,6 @@ def quantify_safety(cert: MlpCertificate, sys: ControlAffineSystem,
     1 - epsilon fraction of the state space scores no worse than the
     returned quantile.
     """
-    _checked_quantile_index(n_samples, alpha)  # before the scoring work
+    quantile_index(n_samples, alpha)  # before the scoring work
     scores = verification_scores(cert, sys, controller, n_samples, seed, weights)
     return report_from_scores(scores, alpha, beta, seed)

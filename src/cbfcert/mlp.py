@@ -453,17 +453,27 @@ def certificate_from_json(text: str) -> MlpCertificate:
     if not isinstance(doc, dict):
         raise ValueError("a certificate must be a JSON object")
     version = doc.get("format_version")
-    if version != CERT_FORMAT_VERSION:
-        raise ValueError(f"unsupported certificate format_version: {version}")
+    if type(version) is not int or version != CERT_FORMAT_VERSION:
+        raise ValueError(f"unsupported certificate format_version: {version!r}")
     try:
         sizes = tuple(doc["layer_sizes"])
         if not all(isinstance(s, int) and not isinstance(s, bool) for s in sizes):
             raise TypeError(f"layer_sizes must be JSON integers, got {list(sizes)}")
-        weights = tuple(np.asarray(w, dtype=float) for w in doc["weights"])
-        biases = tuple(np.asarray(b, dtype=float) for b in doc["biases"])
+        weights = tuple(_number_array(w) for w in doc["weights"])
+        biases = tuple(_number_array(b) for b in doc["biases"])
         return MlpCertificate(sizes, weights, biases)
     except (KeyError, TypeError, NumericError) as exc:
         raise ValueError(f"malformed certificate: {exc!r}") from None
+
+
+def _number_array(value) -> np.ndarray:
+    """value as a float array; raises TypeError unless numpy reads it as
+    numbers (not bools, strings or nulls). A bool among floats is read as
+    a float: checking each element would cost more than the whole load."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"parameters must be JSON numbers, got {arr.dtype} values")
+    return arr.astype(float, copy=False)
 
 
 def save_certificate(cert: MlpCertificate, path) -> None:

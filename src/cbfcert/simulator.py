@@ -261,13 +261,13 @@ def rollout_to_csv(ro: Rollout, path) -> None:
                             + [repr(h)] + tail)
 
 
-def levelset_to_csv(vals0, vals1, grid, path, sidecar: dict | None = None) -> None:
-    """Row-major grid CSV with an axis header; optional JSON sidecar."""
+def levelset_to_csv(vals0, vals1, grid, path, sidecar: dict) -> None:
+    """Row-major grid CSV with an axis header, and the sidecar as JSON
+    next to it."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["axis0\\axis1"] + [repr(float(v)) for v in vals1])
         for v0, row in zip(vals0, grid):
             writer.writerow([repr(float(v0))] + [repr(float(v)) for v in row])
-    if sidecar is not None:
-        path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
+    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))

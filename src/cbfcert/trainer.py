@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
+import sys as _sys
 import time
 import typing
 from dataclasses import dataclass, field
@@ -27,9 +27,9 @@ except ImportError:  # not on every platform (Windows)
     resource = None
 
 from . import mlp
-from .certificate import (ConformalReport, InvalidAlphaError, LossWeights,
-                          _checked_quantile_index, epsilon_for, quantify_safety,
-                          total_loss, total_loss_and_gradient)
+from .certificate import (ConformalReport, InvalidAlphaError, LossWeights, epsilon_for,
+                          quantify_safety, quantile_index, total_loss,
+                          total_loss_and_gradient)
 from .controller import SafetyFilter
 from .dynamics import _BUILDERS, ControlAffineSystem, make_system
 from .sampling import TrainingDatasets, build_datasets
@@ -104,7 +104,7 @@ class TrainConfig:
             errors.append("beta: must lie in (0, 1)")
         if not errors:
             try:
-                _checked_quantile_index(self.conformal_samples, self.alpha)
+                quantile_index(self.conformal_samples, self.alpha)
             except InvalidAlphaError as exc:
                 errors.append(f"alpha: {exc}")
         if self.psi_update not in ("cumulative", "reset"):
@@ -141,8 +141,7 @@ _field_types = functools.cache(typing.get_type_hints)
 
 
 def parse_section(cls, doc, section: str | None = None):
-    """The frozen dataclass cls from one JSON object of a run file, lists
-    as tuples and ints as floats where the field is a float. Raises
+    """The frozen dataclass cls from one JSON object of a run file. Raises
     ConfigError on unknown keys and on every field the class refuses when
     built, naming the field as section.field."""
     name, prefix = (section, section + ".") if section else ("config", "")
@@ -151,39 +150,35 @@ def parse_section(cls, doc, section: str | None = None):
     unknown = set(doc) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError([f"{name}: unknown keys {sorted(unknown)}"])
-    kinds = _field_types(cls)
     try:
-        return cls(**{key: _from_json(value, kinds[key]) for key, value in doc.items()})
+        return cls(**doc)
     except ConfigError as exc:
         raise ConfigError([prefix + m for m in exc.messages]) from None
 
 
-def _from_json(value, kind):
-    args = typing.get_args(kind)
-    if type(None) in args:
-        return None if value is None else _from_json(value, args[0])
-    if typing.get_origin(kind) is tuple and isinstance(value, list):
-        return tuple(_from_json(v, args[0]) for v in value)
-    if kind is float and fits_type(value, int):
-        return float(value)
-    return value
+_MISFIT = object()
 
 
-def fits_type(value, kind) -> bool:
-    """Whether a config value fits a type annotation: int, float, bool,
-    str, dict, tuple[X, ...] (a list or tuple) or X | None. A bool is not
-    a number here, and a float must be finite."""
+def _coerce(value, kind):
+    """value in the form a type annotation asks for, or _MISFIT: int,
+    float, bool, str, dict, tuple[X, ...] (from a list or tuple) or
+    X | None. Ints become floats where a float is due; a bool is not a
+    number here, and a float must be finite."""
     args = typing.get_args(kind)
     if type(None) in args:
-        return value is None or fits_type(value, args[0])
+        return None if value is None else _coerce(value, args[0])
     if typing.get_origin(kind) is tuple:
-        return (isinstance(value, (list, tuple))
-                and all(fits_type(v, args[0]) for v in value))
+        if not isinstance(value, (list, tuple)):
+            return _MISFIT
+        items = tuple(_coerce(v, args[0]) for v in value)
+        return _MISFIT if any(v is _MISFIT for v in items) else items
     if kind in (int, float) and isinstance(value, bool):
-        return False
+        return _MISFIT
     if kind is float:
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    return isinstance(value, kind)
+        # exact int/float comparison: refuses inf, nan and ints too large for a float
+        fits = isinstance(value, (int, float)) and abs(value) <= _sys.float_info.max
+        return float(value) if fits else _MISFIT
+    return value if isinstance(value, kind) else _MISFIT
 
 
 def _type_name(kind) -> str:
@@ -194,11 +189,17 @@ def _type_name(kind) -> str:
 
 
 def check_types(config) -> None:
-    """Raise one ConfigError naming each field of the dataclass instance
-    config whose value does not fit its annotation."""
+    """Put each field of the frozen dataclass instance config in the form
+    its annotation asks for (lists as tuples, ints as floats where a float
+    is due); raise one ConfigError naming each field that does not fit."""
     kinds = _field_types(type(config))
-    errors = [f"{name}: must be {_type_name(kinds[name])}"
-              for name, value in vars(config).items() if not fits_type(value, kinds[name])]
+    errors = []
+    for name, value in vars(config).items():
+        value = _coerce(value, kinds[name])
+        if value is _MISFIT:
+            errors.append(f"{name}: must be {_type_name(kinds[name])}")
+        else:
+            object.__setattr__(config, name, value)
     if errors:
         raise ConfigError(errors)
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,6 +133,7 @@ def test_conformal_quantile_explicit_index():
 def test_conformal_quantile_insufficient_samples():
     with pytest.raises(InsufficientSamplesError):
         conformal_quantile(np.arange(9.0), 0.05)
+    assert issubclass(InsufficientSamplesError, InvalidAlphaError)
 
 
 def test_conformal_quantile_permutation_invariant():
@@ -152,6 +154,44 @@ def test_quantile_index_matches_floor():
     assert quantile_index(500, 0.05) == 25
     assert quantile_index(2000, 0.05) == 100
     assert quantile_index(99, 0.05) == 5
+
+
+INDEX_SAMPLE_SIZES = [*range(1, 200), 999, 1000, 1999, 2000, 4999, 5000, 19999, 20000,
+                      99999, 100000]
+
+
+def test_quantile_index_is_the_exact_floor_and_places_the_quantile():
+    # l = floor((N+1) alpha) and the rank ceil((N+1)(1-alpha)) = N+1-l, both
+    # in the exact arithmetic of the decimal alpha a run file holds
+    alphas = [float(a) for a in np.round(np.linspace(1e-4, 0.5, 501), 6)]
+    in_range = 0
+    for n in INDEX_SAMPLE_SIZES:
+        for alpha in alphas:
+            exact = Fraction(repr(alpha))
+            l = math.floor((n + 1) * exact)
+            if l < 1:
+                with pytest.raises(InsufficientSamplesError):
+                    quantile_index(n, alpha)
+                continue
+            assert quantile_index(n, alpha) == l, (n, alpha)
+            assert n + 1 - l == math.ceil((n + 1) * (1 - exact)), (n, alpha)
+            in_range += 1
+    assert in_range > 90_000
+    for n in (1, 19, 99, 2000):
+        for alpha in alphas[::50]:
+            l = math.floor((n + 1) * Fraction(repr(alpha)))
+            if l >= 1:
+                scores = np.random.default_rng(n).permutation(np.arange(float(n)))
+                assert conformal_quantile(scores, alpha) == n - l, (n, alpha)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 1.5])
+def test_quantile_index_rejects_an_alpha_out_of_range(alpha):
+    for n in (1, 99, 20000):
+        with pytest.raises(InvalidAlphaError):
+            quantile_index(n, alpha)
+        with pytest.raises(InvalidAlphaError):
+            conformal_quantile(np.arange(float(n)), alpha)
 
 
 def test_epsilon_for_large_n_tracks_alpha():
@@ -201,8 +241,8 @@ def test_conformal_quantile_rejects_a_non_finite_alpha(alpha):
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
 def test_conformal_quantile_rejects_an_alpha_of_one_or_more(alpha):
-    # the rank would be 0 or negative and index the sorted scores from the end
-    with pytest.raises(InvalidAlphaError, match="rank"):
+    # l would exceed N and index the sorted scores from the end
+    with pytest.raises(InvalidAlphaError, match=r"outside \[1, N\]"):
         conformal_quantile([1.0, 2.0, 3.0], alpha)
 
 

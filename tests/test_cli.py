@@ -1,5 +1,6 @@
 import hashlib
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from cbfcert.cli import _load_config, main
 from cbfcert.simulator import SimulationConfig, SliceSpec
-from cbfcert.trainer import ConfigError, TrainConfig
+from cbfcert.trainer import ConfigError, TrainConfig, parse_section
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_DIR = REPO_ROOT / "docs" / "schemas"
@@ -369,6 +370,21 @@ def test_echoed_run_config_loads_back_to_the_same_sections(tmp_path):
     assert all(isinstance(v, float) for v in doc["levelset"]["fixed_values"])
 
 
+_JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string",
+               dict: "object"}
+
+
+def _schema_of(kind) -> dict:
+    """The JSON-Schema type (and item type) of a section field's annotation."""
+    args = typing.get_args(kind)
+    if type(None) in args:
+        inner = _schema_of(args[0])
+        return {**inner, "type": [inner["type"], "null"]}
+    if typing.get_origin(kind) is tuple:
+        return {"type": "array", "items": _schema_of(args[0])}
+    return {"type": _JSON_TYPES[kind]}
+
+
 def test_run_config_schema_requires_every_section_field():
     from dataclasses import fields
 
@@ -380,6 +396,28 @@ def test_run_config_schema_requires_every_section_field():
         part = schema["properties"][section]
         assert set(part["required"]) == set(part["properties"]) == {
             f.name for f in fields(cls)}, section
+    # each field's JSON type follows its annotation, as check_types reads it
+    for section, cls in [(None, TrainConfig), *sections.items()]:
+        part = schema if section is None else schema["properties"][section]
+        for name, kind in typing.get_type_hints(cls).items():
+            prop = part["properties"][name]
+            got = {key: prop[key] for key in ("type", "items") if key in prop}
+            assert got == _schema_of(kind), (section, name)
+
+
+def test_section_built_in_python_equals_the_run_file_one():
+    built = TrainConfig(hidden_layers=[64], learning_rate=1)
+    assert built == TrainConfig.from_dict({"hidden_layers": [64], "learning_rate": 1})
+    assert built.hidden_layers == (64,) and type(built.learning_rate) is float
+    for cls, values in [(SliceSpec, {"free_axes": [0, 1], "fixed_values": [0, 0, 0]}),
+                        (SimulationConfig, {"dt": 1})]:
+        built = cls(**values)
+        read = parse_section(cls, json.loads(json.dumps(values)), "section")
+        assert built == read and hash(built) == hash(read), cls
+    spec = SliceSpec(free_axes=[0, 1], fixed_values=[0, 0, 0])
+    assert spec.free_axes == (0, 1) and spec.fixed_values == (0.0, 0.0, 0.0)
+    assert all(type(v) is float for v in spec.fixed_values)
+    assert type(SimulationConfig(dt=1).dt) is float
 
 
 @pytest.mark.parametrize("section, cls, key, value", [
@@ -608,6 +646,10 @@ _MALFORMED_CERTIFICATES = {
     "biases-null": _cert_text(biases=[[None] * 8, [0.0]]),
     "biases-nan": _cert_text(biases=[[float("nan")] * 8, [0.0]]),
     "version": _cert_text(format_version=99),
+    "version-bool": _cert_text(format_version=True),
+    "version-float": _cert_text(format_version=1.0),
+    "weights-string": _cert_text(weights=[[["0.5", 0.1, 0.2]] + [[0.1] * 3] * 7, [[0.5] * 8]]),
+    "weights-bool": _cert_text(weights=[[[True] * 3] * 8, [[0.5] * 8]]),
 }
 
 

@@ -262,7 +262,8 @@ def test_config_rejects_bad_correction_cap(cap):
 @pytest.mark.parametrize("name, value", [
     ("hidden_layers", "64"), ("hidden_layers", [64.5]), ("hidden_layers", [True]),
     ("learning_rate", "0.001"), ("learning_rate", True),
-    ("learning_rate", float("nan")), ("epochs", "8"), ("seed", None),
+    ("learning_rate", float("nan")), ("learning_rate", 10**400), ("epochs", "8"),
+    ("seed", None),
     ("respect_input_bounds_training", 0), ("system_params", []),
 ])
 def test_config_rejects_mistyped_fields(name, value):
