@@ -18,6 +18,7 @@ import math
 import os
 import sys as _sys
 from dataclasses import asdict, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,7 @@ def cmd_curve(args) -> int:
     return 0
 
 
+@cache  # built once: an in-process caller of main runs many commands
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cbfcert",

@@ -5,8 +5,8 @@ gradient dh/dx, so parameter gradients need second-order (forward-over-
 reverse) differentiation. Networks are tiny (at most two hidden layers of
 128 units), so everything is explicit numpy and stays auditable:
 
-  * one primal pass keeps each layer's input and sigmoid(z); input
-    gradients dh/dx are a reverse sweep over those sigmoids;
+  * one primal pass keeps each layer's input and sigmoid(z), made from
+    softplus's exp; input gradients dh/dx are a reverse sweep over them;
   * the seed direction of the loss's directional derivative (e.g. the
     closed-loop field f + g u) is pushed through the cached layers as an
     (S, n) tangent on the S seeded rows only;
@@ -17,9 +17,9 @@ A parameter gradient is one tuple of arrays in the order
 cert.weights + cert.biases: the layers' weight gradients first, then their
 bias gradients. Adam keeps its moments in the same order.
 
-All arithmetic is float64. No function changes its inputs; what a
-function returns (h, dh/dx, gradients, parameters) is the caller's own,
-except a Primal's caches, as below.
+All arithmetic is float64. No function changes its inputs, but for the
+scratch given to softplus; what a function returns (h, dh/dx, gradients,
+parameters) is the caller's own, except a Primal's caches, as below.
 
 Workspaces. `forward_batch`, `primal_pass`, `primal_input_gradients`,
 `values_and_input_gradients` and `seeded_loss_param_gradient` take an
@@ -62,8 +62,6 @@ from pathlib import Path
 
 import numpy as np
 
-_SOFTPLUS_CUTOFF = 30.0
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -77,43 +75,43 @@ class NumericError(FloatingPointError):
     """A non-finite value appeared while evaluating the network."""
 
 
-def softplus(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # ln(1+e^z) with linear/exponential tails to avoid overflow; the
-    # switch at |z|=30 is below the 64-bit rounding error of the exact
-    # form. Non-finite inputs must propagate, not collapse to a tail.
-    # Computed in place into out (a fresh array if None; it must not
-    # overlap z), so that 0-d input stays a 0-d array; the tails are
-    # written only when some element needs one. fmax/fmin skip NaNs,
-    # which take no tail.
+def softplus(z: np.ndarray, out: np.ndarray | None = None, sig: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> np.ndarray:
+    # ln(1+e^z) as max(z, 0) + log1p(e), e = exp(-|z|): no term overflows,
+    # and the result is within an ulp of exact. -|z| is minimum(z, -z),
+    # which keeps a NaN's sign bit. Given sig, sigmoid(z) goes there from
+    # the same e. scratch holds max(z, 0) and may be z, then overwritten;
+    # out and sig may not overlap z. Any that is None is a fresh array.
     z = np.asarray(z, dtype=float)
-    out = np.clip(z, -_SOFTPLUS_CUTOFF, _SOFTPLUS_CUTOFF,
-                  out=np.empty_like(z) if out is None else out)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    if z.size and np.fmax.reduce(z, axis=None) > _SOFTPLUS_CUTOFF:
-        np.copyto(out, z, where=z > _SOFTPLUS_CUTOFF)
-    if z.size and np.fmin.reduce(z, axis=None) < -_SOFTPLUS_CUTOFF:
-        np.copyto(out, np.exp(np.minimum(z, 0.0)), where=z < -_SOFTPLUS_CUTOFF)
+    out = np.empty_like(z) if out is None else out
+    e = np.negative(z, out=out if sig is None else sig)
+    np.exp(np.minimum(z, e, out=e), out=e)
+    np.log1p(e, out=out)
+    pos = np.maximum(z, 0.0, out=np.empty_like(z) if scratch is None else scratch)
+    out += pos
+    if sig is not None:
+        _sigmoid_from(e, pos, pos)
     return out
 
 
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None,
             scratch: np.ndarray | None = None) -> np.ndarray:
-    # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, from one e = exp(-|z|):
-    # the same operands, hence the same bits, as evaluating the two
-    # branches separately. -|z| is minimum(z, -z), which returns a NaN z
-    # itself and so keeps its sign bit, as exp(z) would. The numerator is
-    # max(z >= 0, e), exact since e <= 1, and branch-free where a
-    # mask-driven select is not. out receives the result and scratch, a
-    # z-shaped array, holds e (fresh arrays if None; neither may overlap z).
+    # e as in softplus, then the result, in out; the numerator in scratch
     z = np.asarray(z, dtype=float)
-    e = np.negative(z, out=np.empty_like(z) if scratch is None else scratch)
-    np.minimum(z, e, out=e)
-    np.exp(e, out=e)
-    out = np.greater_equal(z, 0.0, out=np.empty_like(z) if out is None else out)
-    np.maximum(out, e, out=out)
+    e = np.negative(z, out=np.empty_like(z) if out is None else out)
+    np.exp(np.minimum(z, e, out=e), out=e)
+    return _sigmoid_from(e, z, np.empty_like(z) if scratch is None else scratch)
+
+
+def _sigmoid_from(e: np.ndarray, pos: np.ndarray, numer: np.ndarray) -> np.ndarray:
+    # 1/(1+e^-z) for z > 0, else e^z/(1+e^z), into e = exp(-|z|), from
+    # pos = z or max(z, 0): the two branches' operands, hence their bits.
+    # The numerator max(pos > 0, e), in numer (may be pos), is exact and
+    # branch-free where a mask-driven select is not.
+    np.greater(pos, 0.0, out=numer)
+    np.maximum(numer, e, out=numer)
     e += 1.0
-    return np.divide(out, e, out=out)
+    return np.divide(numer, e, out=e)
 
 
 class Workspace:
@@ -216,7 +214,7 @@ def forward_batch(cert: MlpCertificate, xs, workspace: Workspace | None = None) 
         width = cert.layer_sizes[l + 1]
         z = np.matmul(a, cert.weights[l].T, out=ws.take("z", rows, width))
         z += cert.biases[l]
-        a = softplus(z, ws.take(f"act{l}", rows, width))
+        a = softplus(z, ws.take(f"act{l}", rows, width), scratch=z)
     return (a @ cert.weights[-1].T + cert.biases[-1])[:, 0]
 
 
@@ -270,10 +268,9 @@ def primal_pass(cert: MlpCertificate, xs, workspace: Workspace | None = None) ->
         width = cert.layer_sizes[l + 1]
         z = np.matmul(a, cert.weights[l].T, out=ws.take("z", rows, width))
         z += cert.biases[l]
-        # sigmoid's scratch is the activation buffer, which softplus then fills
-        act = ws.take(f"act{l}", rows, width)
-        sigs.append(sigmoid(z, ws.take(f"sig{l}", rows, width), act))
-        a = softplus(z, act)
+        # softplus and sigmoid from one exp; z, dead after, is the scratch
+        sigs.append(ws.take(f"sig{l}", rows, width))
+        a = softplus(z, ws.take(f"act{l}", rows, width), sig=sigs[-1], scratch=z)
         inputs.append(a)
     z = a @ cert.weights[-1].T
     z += cert.biases[-1]

@@ -7,6 +7,7 @@ that it shares no code path with the implementation under test.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 
@@ -259,16 +260,19 @@ def min_distance_constant_velocity(p, v_rel):
     return float(np.linalg.norm(p + t_star * v))
 
 
-_REFERENCE_SOFTPLUS_CUTOFF = 30.0
-
-
 def reference_softplus(z):
-    """The two-pass softplus the in-place kernel must reproduce bit for bit."""
-    z = np.asarray(z, dtype=float)
-    out = np.log1p(np.exp(np.clip(z, -_REFERENCE_SOFTPLUS_CUTOFF,
-                                  _REFERENCE_SOFTPLUS_CUTOFF)))
-    out = np.where(z > _REFERENCE_SOFTPLUS_CUTOFF, z, out)
-    return np.where(z < -_REFERENCE_SOFTPLUS_CUTOFF, np.exp(np.minimum(z, 0.0)), out)
+    """The closed-form softplus the kernel must reproduce bit for bit: the
+    loss transcriptions' own, max(z, 0) + log1p(exp(-|z|))."""
+    return _softplus(np.asarray(z, dtype=float))
+
+
+def decimal_softplus(z: float) -> decimal.Decimal:
+    """ln(1 + exp(z)) to 50 significant digits in decimal arithmetic. The
+    working precision grows with -z, so that 1 + exp(z) keeps 50 digits of
+    exp(z) however small it is."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 55 + max(0, math.ceil(-z / math.log(10.0)))
+        return (decimal.Decimal(z).exp() + 1).ln()
 
 
 def reference_sigmoid(z):

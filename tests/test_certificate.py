@@ -605,18 +605,20 @@ def test_step_evaluates_f_g_and_each_hidden_layer_once(bounded, monkeypatch):
     counts = Counter()
 
     def counted(name, fn):
-        def call(*args):
+        def call(*args, **kwargs):
             counts[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return call
 
     cert, filt, ds = step_case("quadruped", (8, 128, 128, 1), bounded, (20, 30, 40), seed=3)
     base = filt.system
     filt = dataclasses.replace(filt, system=dataclasses.replace(
         base, f=counted("f", base.f), g=counted("g", base.g)))
+    # one fused softplus-and-sigmoid call per hidden layer, no lone sigmoid
+    monkeypatch.setattr(mlp, "softplus", counted("softplus", mlp.softplus))
     monkeypatch.setattr(mlp, "sigmoid", counted("sigmoid", mlp.sigmoid))
     total_loss_and_gradient(cert, ds, filt, LossWeights(psi=-0.3))
-    assert counts == {"f": 1, "g": 1, "sigmoid": 2}
+    assert counts == {"f": 1, "g": 1, "softplus": 2}
 
 
 def desk_loss_case():

@@ -198,13 +198,20 @@ def test_batch_matches_scalar_decisions():
 ], ids=["dubins", "quadruped"])
 @pytest.mark.parametrize("bounds", [False, True], ids=["unbounded", "bounded"])
 @pytest.mark.parametrize("count", [1, 5000])
-def test_filter_batch_h_is_the_forward_value(system, layers, bounds, count):
+@pytest.mark.parametrize("scale", [1.0, 30.0], ids=["glorot", "first_layer_x30"])
+def test_filter_batch_h_is_the_forward_value(system, layers, bounds, count, scale):
     # score_states takes h from the filter instead of forwarding again, so
-    # it must be the very bits forward_batch gives
+    # it must be the very bits forward_batch gives; scaled first-layer
+    # weights put pre-activations on both sides of |z| = 30
     sys_ = system()
     cert = mlp.init_certificate(layers, seed=count)
+    cert = mlp.MlpCertificate(cert.layer_sizes, (scale * cert.weights[0],) + cert.weights[1:],
+                              cert.biases)
     filt = SafetyFilter(certificate=cert, system=sys_, respect_input_bounds=bounds)
     xs = sample_uniform(sys_.state_bounds, count, seed=count + 1)
+    if scale > 1.0:
+        z = np.abs(xs @ cert.weights[0].T)
+        assert np.any(z > 30.0) and np.any(z < 30.0)
     h = filter_batch(filt, xs).h
     assert h.shape == (count,)
     assert np.array_equal(h, mlp.forward_batch(cert, xs))

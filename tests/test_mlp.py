@@ -1,12 +1,13 @@
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from cbfcert import mlp
 
-from oracles import naive_forward, reference_sigmoid, reference_softplus
+from oracles import decimal_softplus, naive_forward, reference_sigmoid, reference_softplus
 
 
 def random_cert(layer_sizes, seed, scale=1.0):
@@ -493,6 +494,19 @@ def test_activations_bit_identical_to_reference(kernel, reference, z):
     assert got.dtype == np.float64
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_softplus_is_within_two_ulp_of_the_exact_value():
+    # the closed form stays within an ulp; the tails it replaced, switched
+    # at |z| = 30, were hundreds of ulp off just below -30
+    z = np.concatenate([_EDGE_VALUES[np.isfinite(_EDGE_VALUES)],
+                        np.random.default_rng(9).uniform(-45.0, 45.0, 3000)])
+    got = mlp.softplus(z)
+    worst = 0.0
+    for zi, gi in zip(z.tolist(), got.tolist()):
+        exact = decimal_softplus(zi)
+        worst = max(worst, float(abs(Decimal(gi) - exact)) / math.ulp(float(exact)))
+    assert worst <= 2.0
 
 
 def test_activations_write_into_the_buffers_they_are_given():
