@@ -25,7 +25,6 @@ import numpy as np
 
 from . import mlp
 from .certificate import report_from_scores, verification_scores
-from .controller import SafetyFilter
 from .dynamics import ControlAffineSystem
 from .simulator import (SimulationConfig, SliceSpec, empirical_safety_rate,
                         levelset_grid, levelset_to_csv, rollout_to_csv)
@@ -152,9 +151,15 @@ def cmd_simulate(args) -> int:
     config, sim, _, system, cert = _load_deployment(args)
     out = _out_dir(args, "simulate")
     out.mkdir(parents=True, exist_ok=True)
-    filt = SafetyFilter(certificate=cert, system=system,
-                        kappa_gain=config.kappa_gain,
-                        respect_input_bounds=sim.respect_input_bounds)
+    certified = certifying_filter(cert, system, config)
+    filt = replace(certified, respect_input_bounds=sim.respect_input_bounds)
+    certified_spec, deployed_spec = (
+        {"kappa_gain": f.kappa_gain, "respect_input_bounds": f.respect_input_bounds}
+        for f in (certified, filt))
+    if certified_spec != deployed_spec:
+        print(f"warning: deployed filter {deployed_spec} is not the certified filter "
+              f"{certified_spec}; the certificate's guarantee does not cover it",
+              file=_sys.stderr)
     rate, counts, rollouts = empirical_safety_rate(
         system, filt, sim.n_rollouts, sim.horizon_steps, sim.dt, seed=config.seed)
     summary = {
@@ -164,6 +169,9 @@ def cmd_simulate(args) -> int:
         "horizon_steps": sim.horizon_steps,
         "dt": sim.dt,
         "seed": config.seed,
+        "certified_spec": certified_spec,
+        "deployed_spec": deployed_spec,
+        "certified_filter": certified_spec == deployed_spec,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     with (out / "rollout_statuses.csv").open("w", newline="") as fh:

@@ -1,16 +1,14 @@
 """Minimally invasive CBF-QP safety filter.
 
 Per state the quadratic program min ||u - u_ref||^2 subject to a.u >= b
-(the barrier constraint) and optional box input bounds is solved in closed
-form: the barrier constraint is a single halfspace, so the optimum is
-either the (box-clipped) reference or the nearest point on the constraint
-hyperplane restricted to the box. Supports m <= 2, which covers all
-built-in systems.
+(the barrier constraint) and optional box input bounds is solved exactly
+for any number of inputs m: the constraint is one halfspace, so the
+optimum is the (box-clipped) reference, its projection onto a.u = b, or,
+with bounds, clip(u_ref + lam a, lo, hi) for the smallest lam >= 0 that fits.
 
-The filter reports the achieved constraint slack through the same closed
-form. When the constraint is active the slack is exactly 0.0 rather than
-the few-ulp noise a recomputed inner product would produce; conformal
-scores sit right at that boundary, so the distinction matters.
+The filter reports the achieved slack a.u - b: exactly 0.0 when the
+constraint binds, not the few-ulp noise a recomputed inner product would
+give; conformal scores sit right at that boundary, so the distinction matters.
 """
 
 from __future__ import annotations
@@ -86,40 +84,54 @@ def _box_bounds(filt: SafetyFilter) -> tuple[np.ndarray, np.ndarray] | None:
     return ib[:, 0], ib[:, 1]
 
 
-def _solve_box(u_ref, a, b, lo, hi):
-    clipped = np.clip(u_ref, lo, hi)
-    r = float(a @ clipped)
-    if r >= b:
-        return clipped, r - b, False, True
-    norm_sq = float(a @ a)
-    if norm_sq < _DEGENERATE_SQ:
-        return clipped, r - b, True, False
-    m = u_ref.shape[0]
-    if m == 1:
-        point = b / a[0]
-        if lo[0] <= point <= hi[0]:
-            return np.array([point]), 0.0, True, True
-        return clipped, r - b, True, False
-    # m == 2: the optimum lies on the segment {a.u = b} within the box
-    norm = np.sqrt(norm_sq)
-    anchor = (b / norm_sq) * a
-    tangent = np.array([-a[1], a[0]]) / norm
-    t_lo, t_hi = -np.inf, np.inf
-    for j in range(2):
-        if abs(tangent[j]) < 1e-300:
-            if not (lo[j] - 1e-12 <= anchor[j] <= hi[j] + 1e-12):
-                return clipped, r - b, True, False
-            continue
-        t_a = (lo[j] - anchor[j]) / tangent[j]
-        t_b = (hi[j] - anchor[j]) / tangent[j]
-        t_lo = max(t_lo, min(t_a, t_b))
-        t_hi = min(t_hi, max(t_a, t_b))
-    if t_lo > t_hi:
-        return clipped, r - b, True, False
-    t_star = float(np.clip(tangent @ (u_ref - anchor), t_lo, t_hi))
-    u = anchor + t_star * tangent
-    # clamp roundoff so box feasibility is exact
-    return np.clip(u, lo, hi), 0.0, True, True
+def _box_optimum(r, a, b, lo, hi):
+    """The KKT point clip(r + lam a, lo, hi) of min |u - r|^2 s.t. a.u >= b,
+    lo <= u <= hi, for the smallest lam >= 0 that meets the constraint, in
+    Python floats; None when no lam does. a.u(lam) is linear between the
+    breakpoints where a coordinate meets a bound: each piece solves for lam
+    afresh, its bounded coordinates held (Helgason, Kennington & Lall 1980)."""
+    # (lam leaving the entry bound, lam at the exit bound, both bounds, a_j, r_j)
+    moves = [((lj - rj) / aj, (hj - rj) / aj, lj, hj, aj, rj) if aj > 0.0
+             else ((hj - rj) / aj, (lj - rj) / aj, hj, lj, aj, rj)
+             for rj, aj, lj, hj in zip(r, a, lo, hi) if aj != 0.0]
+    cuts = sorted({0.0, *(t for move in moves for t in move[:2] if t > 0.0)})
+    for t0, t1 in zip(cuts, cuts[1:]):
+        num, den = [b], []
+        for t_in, t_out, entry, exit_, aj, rj in moves:
+            free = t_in < t1 and t0 < t_out
+            num.append(-aj * (rj if free else exit_ if t_out <= t0 else entry))
+            if free:
+                den.append(aj * aj)
+        if den:
+            lam = math.fsum(num) / math.fsum(den)
+            if lam <= t1:
+                return [min(max(rj + lam * aj, lj), hj)
+                        for rj, aj, lj, hj in zip(r, a, lo, hi)]
+    return None
+
+
+def _batch_box(refs, a, b, lo, hi):
+    """(inputs, slack, active, feasible) of the box QP at each row of refs,
+    a (B, m) and b (B,): one array pass accepts every clipped reference that
+    meets the constraint, and the multiplier walk solves the binding rows."""
+    inputs = np.minimum(np.maximum(refs, lo), hi)
+    # the stacked matmul has the bits of the 1-D a @ u (ddot) of every row
+    slack = np.matmul(a[:, None, :], inputs[:, :, None]).ravel()
+    slack -= b
+    feasible = slack >= 0   # a NaN slack binds, and no walk meets it
+    active = ~feasible
+    rows = active.nonzero()[0]
+    if not rows.size:
+        return inputs, slack, active, feasible
+    a_rows = a[rows]
+    norm_sq = np.matmul(a_rows[:, None, :], a_rows[:, :, None]).ravel()
+    bounds = lo.tolist(), hi.tolist()
+    for i, r, a_i, b_i, sq in zip(rows.tolist(), refs[rows].tolist(), a_rows.tolist(),
+                                  b[rows].tolist(), norm_sq.tolist()):
+        u = None if sq < _DEGENERATE_SQ else _box_optimum(r, a_i, b_i, *bounds)
+        if u is not None:
+            inputs[i], slack[i], feasible[i] = u, 0.0, True
+    return inputs, slack, active, feasible
 
 
 def filter_input(filt: SafetyFilter, x) -> np.ndarray:
@@ -161,19 +173,7 @@ def decide(filt: SafetyFilter, xs: np.ndarray, h: np.ndarray, grads: np.ndarray,
     box = _box_bounds(filt)
     if box is None:
         return _batch_unbounded(refs, a_all, b_all, filt.correction_cap, h)
-    if filt.system.m > 2:
-        raise NotImplementedError("box-constrained filtering implemented for m <= 2")
-    n_pts = xs.shape[0]
-    inputs = np.empty((n_pts, filt.system.m))
-    slack = np.empty(n_pts)
-    active = np.empty(n_pts, dtype=bool)
-    feasible = np.empty(n_pts, dtype=bool)
-    for i in range(n_pts):
-        inputs[i], slack[i], active[i], feasible[i] = _solve_box(
-            refs[i], a_all[i], b_all[i], *box
-        )
-    return FilterBatch(inputs=inputs, slack=slack, active=active, feasible=feasible,
-                       h=h)
+    return FilterBatch(*_batch_box(refs, a_all, b_all, *box), h=h)
 
 
 def _batch_unbounded(refs, a_all, b_all, cap, h) -> FilterBatch:

@@ -91,7 +91,6 @@ def rollout(sys: ControlAffineSystem, filt: SafetyFilter, x0, horizon_steps: int
     active = np.empty((count, horizon_steps), dtype=bool)
     slack = np.empty((count, horizon_steps))
     states[:, 0] = x
-    h_vals[:, 0] = forward_batch(filt.certificate, x)
     status = [RolloutStatus.COMPLETED] * count
     steps = np.full(count, horizon_steps)
     live = np.arange(count)
@@ -114,8 +113,8 @@ def rollout(sys: ControlAffineSystem, filt: SafetyFilter, x0, horizon_steps: int
         if not live.size:
             break
         u = decision.inputs[ok]
-        inputs[live, k], active[live, k], slack[live, k] = (
-            u, decision.active[ok], decision.slack[ok])
+        inputs[live, k], active[live, k], slack[live, k], h_vals[live, k] = (
+            u, decision.active[ok], decision.slack[ok], decision.h[ok])
         try:
             x = rk4_step(sys, x, u, dt)
         except NonFiniteStepError as exc:
@@ -123,7 +122,9 @@ def rollout(sys: ControlAffineSystem, filt: SafetyFilter, x0, horizon_steps: int
                 f"rollout from start {live[exc.row]}, step {k}: {exc}") from None
         x[:, angles] = np.mod(x[:, angles] + np.pi, 2.0 * np.pi) - np.pi
         states[live, k + 1] = x
-        h_vals[live, k + 1] = forward_batch(filt.certificate, x)
+    # the filter gave h at every state it decided; forward only the last ones
+    rows = np.arange(count)
+    h_vals[rows, steps] = forward_batch(filt.certificate, states[rows, steps])
     out = [Rollout(states=states[i, :s + 1].copy(), inputs=inputs[i, :s].copy(),
                    h_values=h_vals[i, :s + 1].copy(),
                    filter_active=active[i, :s].copy(),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import decimal
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -247,6 +248,33 @@ def grid_qp_best(u_ref, a, b, lo, hi, resolution=201):
     return float(np.sqrt(d2[k])), np.array([uu0[k], uu1[k]])
 
 
+def exact_box_qp(u_ref, a, b, lo, hi):
+    """(u, feasible) of min |u - u_ref|^2 s.t. a.u >= b, lo <= u <= hi in
+    exact rational arithmetic, for any m; u is a list of Fractions, None
+    when infeasible. phi(lam) = a.clip(u_ref + lam a) is nondecreasing and
+    piecewise linear: it is evaluated at every breakpoint and interpolated
+    on the first piece where it reaches b."""
+    r, a, lo, hi = ([Fraction(float(v)) for v in arr] for arr in (u_ref, a, lo, hi))
+    b = Fraction(float(b))
+
+    def point(lam):
+        return [min(max(rj + lam * aj, lj), hj) for rj, aj, lj, hj in zip(r, a, lo, hi)]
+
+    def phi(lam):
+        return sum(aj * uj for aj, uj in zip(a, point(lam)))
+
+    breaks = sorted({Fraction(0)} | {(bound - rj) / aj
+                                     for rj, aj, lj, hj in zip(r, a, lo, hi) if aj != 0
+                                     for bound in (lj, hj) if (bound - rj) / aj > 0})
+    if phi(breaks[0]) >= b:
+        return point(breaks[0]), True
+    for t0, t1 in zip(breaks, breaks[1:]):
+        if phi(t1) >= b:
+            lam = t0 + (b - phi(t0)) * (t1 - t0) / (phi(t1) - phi(t0))
+            return point(lam), True
+    return None, False
+
+
 def min_distance_constant_velocity(p, v_rel):
     """Closed-form minimum of |p + t v| over t >= 0."""
     p = np.asarray(p, dtype=float)
@@ -362,6 +390,45 @@ def _solve_unbounded(u_ref, a, b, cap):
             # capped correction leaves a true residual violation
             return u_ref + scale * corr, (scale - 1.0) * (b - r), True, True
     return u_ref + corr, 0.0, True, True
+
+
+def _solve_box(u_ref, a, b, lo, hi):
+    """(u, slack, active, feasible) of min |u - u_ref|^2 s.t. a.u >= b in
+    the box [lo, hi], m <= 2: the m = 1 point and the m = 2 segment of the
+    hyperplane, derived by hand (the package's former per-state solve)."""
+    clipped = np.clip(u_ref, lo, hi)
+    r = float(a @ clipped)
+    if r >= b:
+        return clipped, r - b, False, True
+    norm_sq = float(a @ a)
+    if norm_sq < _DEGENERATE_SQ:
+        return clipped, r - b, True, False
+    m = u_ref.shape[0]
+    if m == 1:
+        point = b / a[0]
+        if lo[0] <= point <= hi[0]:
+            return np.array([point]), 0.0, True, True
+        return clipped, r - b, True, False
+    # m == 2: the optimum lies on the segment {a.u = b} within the box
+    norm = np.sqrt(norm_sq)
+    anchor = (b / norm_sq) * a
+    tangent = np.array([-a[1], a[0]]) / norm
+    t_lo, t_hi = -np.inf, np.inf
+    for j in range(2):
+        if abs(tangent[j]) < 1e-300:
+            if not (lo[j] - 1e-12 <= anchor[j] <= hi[j] + 1e-12):
+                return clipped, r - b, True, False
+            continue
+        t_a = (lo[j] - anchor[j]) / tangent[j]
+        t_b = (hi[j] - anchor[j]) / tangent[j]
+        t_lo = max(t_lo, min(t_a, t_b))
+        t_hi = min(t_hi, max(t_a, t_b))
+    if t_lo > t_hi:
+        return clipped, r - b, True, False
+    t_star = float(np.clip(tangent @ (u_ref - anchor), t_lo, t_hi))
+    u = anchor + t_star * tangent
+    # clamp roundoff so box feasibility is exact
+    return np.clip(u, lo, hi), 0.0, True, True
 
 
 @dataclass(frozen=True)

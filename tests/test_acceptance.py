@@ -20,7 +20,7 @@ from cbfcert.certificate import (LossWeights, conformal_quantile, epsilon_for,
                                  quantify_safety, quantile_index,
                                  total_loss_and_gradient)
 from cbfcert.cli import main
-from cbfcert.controller import SafetyFilter, _solve_box
+from cbfcert.controller import SafetyFilter, _batch_box
 from cbfcert.sampling import TrainingDatasets, build_datasets, sample_uniform
 from cbfcert.simulator import SliceSpec, empirical_safety_rate, levelset_grid
 from cbfcert.special import regularized_incomplete_beta
@@ -196,8 +196,9 @@ def test_acceptance_5_qp_matches_grid_oracle():
         hi = lo + rng.uniform(0.5, 3.0, size=2)
         u_ref = rng.uniform(lo - 1.0, hi + 1.0)
         b = float(rng.uniform(-3, 3))
-        u, slack, active, feasible = _solve_box(u_ref, a, b, lo, hi)
-        if not feasible:
+        inputs, _, _, feasible = _batch_box(u_ref[None], a[None], np.array([b]), lo, hi)
+        u = inputs[0]
+        if not feasible[0]:
             continue
         assert np.all(u >= lo - 1e-12) and np.all(u <= hi + 1e-12)
         assert float(a @ u) >= b - 1e-9

@@ -163,6 +163,32 @@ def test_simulate_single_rollout_emits_trajectory(tmp_path):
     assert summary["rate"] == pytest.approx(1.0 - failures / len(statuses))
 
 
+@pytest.mark.parametrize("bounded_training", [False, True])
+def test_simulate_records_the_deployed_against_the_certified_filter(
+        tmp_path, capsys, bounded_training):
+    # simulate deploys a box-bounded filter; only a certificate trained and
+    # scored under the bounds was certified for it
+    from cbfcert import mlp
+
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=0), cert_path)
+    config = tiny_dubins_config(
+        tmp_path, kappa_gain=2.0, respect_input_bounds_training=bounded_training,
+        simulation={"n_rollouts": 2, "horizon_steps": 10, "dt": 0.02})
+    out = tmp_path / "sim"
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(config), "--cert", str(cert_path),
+                 "--out", str(out)]) == 0
+    summary = check_against("summary.schema.json", out / "summary.json")
+    assert summary["certified_spec"] == {"kappa_gain": 2.0,
+                                         "respect_input_bounds": bounded_training}
+    assert summary["deployed_spec"] == {"kappa_gain": 2.0, "respect_input_bounds": True}
+    assert summary["certified_filter"] is bounded_training
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning: ")]
+    assert len(warnings) == (0 if bounded_training else 1)
+
+
 def test_levelset_resolution_two_gives_four_nodes(tmp_path):
     from cbfcert import mlp
 

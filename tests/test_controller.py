@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from cbfcert import mlp
+from cbfcert import controller, mlp
 from cbfcert.controller import (InfeasibleFilterError, SafetyFilter, filter_batch,
-                                filter_input, _solve_box)
+                                filter_input, _batch_box)
 from cbfcert.dynamics import dubins_system, planar_aerial_system, quadruped_system
 from cbfcert.sampling import sample_uniform
 
-from oracles import _solve_unbounded, constraint_coefficients, grid_qp_best
+from oracles import (_solve_box, _solve_unbounded, constraint_coefficients,
+                     exact_box_qp, grid_qp_best)
 
 
 def constant_cert(n, value):
@@ -16,6 +17,15 @@ def constant_cert(n, value):
         (np.zeros((2, n)), np.zeros((1, 2))),
         (np.zeros(2), np.array([float(value)])),
     )
+
+
+def box_row(u_ref, a, b, lo, hi):
+    """(u, slack, active, feasible) of the package's box stage on the
+    one-row batch."""
+    out = _batch_box(np.asarray(u_ref, dtype=float)[None], np.asarray(a, dtype=float)[None],
+                     np.array([float(b)]), np.asarray(lo, dtype=float),
+                     np.asarray(hi, dtype=float))
+    return tuple(v[0] for v in out)
 
 
 def linear_cert(w, c=0.0):
@@ -69,7 +79,7 @@ def test_axis_aligned_projection():
 
 def test_vertex_solution_under_box():
     # hyperplane misses the box interior; nearest feasible point is a vertex
-    u, slack, active, feasible = _solve_box(
+    u, slack, active, feasible = box_row(
         np.zeros(2), np.array([1.0, 1.0]), 2.0,
         np.zeros(2), np.ones(2))
     assert np.allclose(u, [1.0, 1.0])
@@ -89,12 +99,19 @@ def test_degenerate_gradient_raises():
 def test_box_infeasible_raises():
     u_ref = np.zeros(2)
     a = np.array([1.0, 0.0])
-    _, _, _, feasible = _solve_box(u_ref, a, 5.0, np.zeros(2), np.ones(2))
+    _, _, _, feasible = box_row(u_ref, a, 5.0, np.zeros(2), np.ones(2))
     assert not feasible
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_box_nan_constraint_is_binding_and_infeasible(m):
+    _, slack, active, feasible = box_row(np.zeros(m), np.ones(m), float("nan"),
+                                         -np.ones(m), np.ones(m))
+    assert np.isnan(slack) and active and not feasible
+
+
 def test_box_m1_point_solution():
-    u, slack, active, feasible = _solve_box(
+    u, slack, active, feasible = box_row(
         np.array([0.0]), np.array([2.0]), 1.0, np.array([-1.0]), np.array([1.0]))
     assert feasible and active
     assert np.allclose(u, [0.5])
@@ -113,7 +130,7 @@ def test_feasibility_and_minimality_against_grid_oracle():
         hi = lo + rng.uniform(0.5, 3.0, size=2)
         u_ref = rng.uniform(lo - 1.0, hi + 1.0)
         b = float(rng.uniform(-3, 3))
-        u, slack, active, feasible = _solve_box(u_ref, a, b, lo, hi)
+        u, slack, active, feasible = box_row(u_ref, a, b, lo, hi)
         cell = np.linalg.norm((hi - lo) / 200.0)
         dist_grid, _ = grid_qp_best(u_ref, a, b, lo, hi, resolution=201)
         if not feasible:
@@ -161,13 +178,24 @@ def test_idempotence_on_strictly_feasible_output():
         assert np.allclose(filter_input(filt2, x), u1)
 
 
-def test_batch_matches_scalar_decisions():
+def test_batch_matches_scalar_decisions(monkeypatch):
     # filter_batch against the one-state references in oracles: flags
     # exactly, inputs and slack to 1e-12 (the batch forms a and b with
-    # einsum, the reference with 1-D products)
+    # einsum, the reference with 1-D products). Given the very rows of a and
+    # b the batch formed, the box stage's slack is the per-state solve's bit
+    # for bit, sign of zero included. planar_aerial's hover reference is
+    # generic, so its a.u is a true two-term product.
+    box_args = []
+
+    def recording_box(*args):
+        box_args[:] = args
+        return _batch_box(*args)
+
+    monkeypatch.setattr(controller, "_batch_box", recording_box)
     seen = {"active": 0, "infeasible": 0, "capped": 0}
     for system, layers in ((dubins_system, [3, 10, 1]),
-                           (quadruped_system, [8, 32, 32, 1])):
+                           (quadruped_system, [8, 32, 32, 1]),
+                           (planar_aerial_system, [6, 16, 16, 1])):
         sys_ = system()
         lo, hi = sys_.input_bounds[:, 0], sys_.input_bounds[:, 1]
         cert = mlp.init_certificate(layers, seed=11)
@@ -186,10 +214,43 @@ def test_batch_matches_scalar_decisions():
                     assert active == fb.active[i] and feasible == fb.feasible[i]
                     assert np.allclose(u, fb.inputs[i], rtol=1e-12, atol=1e-12)
                     assert np.allclose(slack, fb.slack[i], rtol=1e-12, atol=1e-12)
+                    if bounds:
+                        refs, a_rows, b_rows = box_args[:3]
+                        u, slack, active, feasible = _solve_box(refs[i], a_rows[i],
+                                                                b_rows[i], lo, hi)
+                        assert active == fb.active[i] and feasible == fb.feasible[i]
+                        assert np.allclose(u, fb.inputs[i], rtol=1e-12, atol=1e-12)
+                        assert np.float64(slack).tobytes() == fb.slack[i].tobytes()
                 seen["active"] += int(fb.active.sum())
                 seen["infeasible"] += int((~fb.feasible).sum())
                 seen["capped"] += int((fb.feasible & (fb.slack < 0)).sum())
     assert min(seen.values()) > 0
+
+
+@pytest.mark.parametrize("m", [1, 3, 4])
+def test_box_stage_matches_exact_kkt_for_any_input_count(m):
+    # random box QPs with m inputs against the rational-arithmetic oracle:
+    # feasibility agrees, inputs within 1e-12, the box holds exactly and
+    # the constraint within 1e-9
+    rng = np.random.default_rng(40 + m)
+    counts = {True: 0, False: 0}
+    for _ in range(1500):
+        a = rng.uniform(-2, 2, size=m)
+        if rng.random() < 0.1:
+            a[rng.integers(m)] = 0.0
+        lo = rng.uniform(-2, 0, size=m)
+        hi = lo + rng.uniform(0.5, 3.0, size=m)
+        u_ref = rng.uniform(lo - 1.0, hi + 1.0)
+        b = float(rng.uniform(-3, 3) * m)
+        u, slack, active, feasible = box_row(u_ref, a, b, lo, hi)
+        exact, exact_feasible = exact_box_qp(u_ref, a, b, lo, hi)
+        assert feasible == exact_feasible
+        counts[bool(active and feasible)] += 1
+        assert np.all(u >= lo) and np.all(u <= hi)
+        if feasible:
+            assert np.max(np.abs(u - np.array([float(v) for v in exact]))) <= 1e-12
+            assert float(a @ u) >= b - 1e-9
+    assert min(counts.values()) > 100
 
 
 @pytest.mark.parametrize("system, layers", [

@@ -1,14 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
-from cbfcert import mlp
+from cbfcert import dynamics, make_system, mlp, simulator
+from cbfcert.cli import main
 from cbfcert.controller import SafetyFilter
-from cbfcert.dynamics import (ControlAffineSystem, GRAVITY, dubins_system,
+from cbfcert.dynamics import (ControlAffineSystem, GRAVITY, Label, dubins_system,
                               planar_aerial_system, quadruped_system)
 from cbfcert.simulator import (Rollout, RolloutStatus, SliceSpec,
                                empirical_safety_rate, levelset_grid, rk4_step,
                                rollout, rollout_to_csv, sample_safe_starts)
 
+from oracles import constraint_coefficients
 from toy import analytic_toy_barrier, toy_system
 
 
@@ -375,3 +379,99 @@ def test_rollout_to_csv_bytes_match_the_scalar_writer(tmp_path):
         rollout_to_csv(ro, got)
         reference_rollout_to_csv(ro, expected)
         assert got.read_bytes() == expected.read_bytes()
+
+
+def test_rollout_takes_h_from_the_filter_and_forwards_only_final_states(monkeypatch):
+    calls = []
+
+    def counting_forward(cert, xs):
+        calls.append(xs.shape[0])
+        return mlp.forward_batch(cert, xs)
+
+    monkeypatch.setattr(simulator, "forward_batch", counting_forward)
+    sys_ = dubins_system()
+    filt = SafetyFilter(certificate=mlp.init_certificate([3, 16, 1], seed=5),
+                        system=sys_, respect_input_bounds=True)
+    starts = sample_safe_starts(sys_, 12, np.random.default_rng(5))
+    batch = rollout(sys_, filt, starts, 60, 0.02)
+    assert calls == [len(starts)]
+    for ro in batch:
+        np.testing.assert_allclose(ro.h_values, mlp.forward_batch(filt.certificate, ro.states),
+                                   rtol=0, atol=1e-12)
+
+
+def integrator_3d(reference=(2.0, 0.5, -0.3)) -> ControlAffineSystem:
+    """xdot = u in R^3 with u in [-1, 1]^3: safe |x|_1 <= 1, unsafe
+    |x|_1 > 1.5, and a reference that drives outward, past the box in u0."""
+    def label_batch(pts):
+        size = np.abs(pts).sum(axis=1)
+        return np.where(size <= 1.0, Label.SAFE,
+                        np.where(size > 1.5, Label.UNSAFE, Label.UNLABELED))
+
+    return ControlAffineSystem(
+        name="integrator_3d", n=3, m=3,
+        f=lambda x: np.zeros_like(x),
+        g=lambda x: np.broadcast_to(np.eye(3), (x.shape[0], 3, 3)).copy(),
+        state_bounds=np.array([[-2.0, 2.0]] * 3),
+        input_bounds=np.array([[-1.0, 1.0]] * 3),
+        label_batch=label_batch,
+        reference_policy=lambda x: np.tile(reference, (x.shape[0], 1)),
+    )
+
+
+def l1_barrier(sharpness=20.0, level=1.4) -> mlp.MlpCertificate:
+    """h(x) = level - sum_j (softplus(k x_j) + softplus(-k x_j)) / k, a
+    smooth level - |x|_1."""
+    k = sharpness
+    eye = np.eye(3)
+    return mlp.MlpCertificate(
+        (3, 6, 1),
+        (np.vstack([k * eye, -k * eye]), np.full((1, 6), -1.0 / k)),
+        (np.zeros(6), np.array([level])),
+    )
+
+
+def check_three_input_decisions(filt, states, inputs):
+    """Every applied input lies in the box, and the constraint holds to
+    1e-9 at every state it was applied at."""
+    lo, hi = filt.system.input_bounds[:, 0], filt.system.input_bounds[:, 1]
+    assert np.all(inputs >= lo) and np.all(inputs <= hi)
+    for x, u in zip(states, inputs):
+        a, b = constraint_coefficients(filt, x)
+        assert float(a @ u) >= b - 1e-9
+
+
+@pytest.fixture
+def registered_integrator_3d():
+    dynamics.register_system("integrator_3d", integrator_3d)
+    yield
+    dynamics._BUILDERS.pop("integrator_3d", None)
+
+
+def test_three_input_system_rollout_and_simulate(registered_integrator_3d, tmp_path):
+    # m = 3, more inputs than any built-in system has
+    sys_ = make_system("integrator_3d")
+    cert = l1_barrier()
+    filt = SafetyFilter(certificate=cert, system=sys_, respect_input_bounds=True)
+    starts = sample_safe_starts(sys_, 8, np.random.default_rng(3))
+    batch = rollout(sys_, filt, starts, 100, 0.02)
+    assert all(ro.status == RolloutStatus.COMPLETED for ro in batch)
+    assert sum(int(ro.filter_active.sum()) for ro in batch) > 100
+    for ro in batch:
+        check_three_input_decisions(filt, ro.states[:-1], ro.inputs)
+
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(cert, cert_path)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "system": "integrator_3d", "hidden_layers": [6], "seed": 3,
+        "simulation": {"n_rollouts": 4, "horizon_steps": 60, "dt": 0.02},
+    }))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config), "--cert", str(cert_path),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["rate"] == 1.0
+    for path in sorted(out.glob("trajectory_*.csv")):
+        rows = np.array([[float(v) for v in line.split(",")[1:7]]
+                         for line in path.read_text().splitlines()[1:-1]])
+        check_three_input_decisions(filt, rows[:, :3], rows[:, 3:6])
