@@ -56,7 +56,9 @@ decides from the h and dh/dx of its whole mini-batch's primal pass.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -417,11 +419,25 @@ def adam_step(state: OptimizerState, cert: MlpCertificate,
     c2 = 1.0 - b2 ** t
     new_m, new_v, new_p = [], [], []
     for m, v, g, p in zip(state.m, state.v, grads, params):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
+        # m' = b1 m + (1 - b1) g, v' = b2 v + (1 - b2) g g and
+        # p - lr (m' / c1) / (sqrt(v' / c2) + eps), operation for operation,
+        # written into the three returned arrays and one scratch
+        m = np.multiply(m, b1)
+        scratch = np.multiply(g, 1.0 - b1)
+        m += scratch
+        v = np.multiply(v, b2)
+        np.multiply(g, 1.0 - b2, out=scratch)
+        scratch *= g
+        v += scratch
+        step = np.divide(m, c1)
+        step *= state.learning_rate
+        np.divide(v, c2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        step /= scratch
         new_m.append(m)
         new_v.append(v)
-        new_p.append(p - state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS))
+        new_p.append(np.subtract(p, step, out=step))
     new_state = OptimizerState(tuple(new_m), tuple(new_v), step_count=t,
                                learning_rate=state.learning_rate)
     layers = cert.n_layers
@@ -430,47 +446,81 @@ def adam_step(state: OptimizerState, cert: MlpCertificate,
     return new_state, new_cert
 
 
-CERT_FORMAT_VERSION = 1
+CERT_FORMAT_VERSION = 2
 
 
 def certificate_to_json(cert: MlpCertificate) -> str:
+    """The certificate as a format_version 2 document: each weight and
+    bias array is one standard base64 string of its little-endian float64
+    bytes in C order, its shape given by layer_sizes. The round trip is
+    bit-exact."""
     doc = {
         "layer_sizes": list(cert.layer_sizes),
-        "weights": [w.tolist() for w in cert.weights],
-        "biases": [b.tolist() for b in cert.biases],
+        "weights": [_float64_base64(w) for w in cert.weights],
+        "biases": [_float64_base64(b) for b in cert.biases],
         "format_version": CERT_FORMAT_VERSION,
     }
     return json.dumps(doc)
 
 
+def _float64_base64(arr: np.ndarray) -> str:
+    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
+
+
 def certificate_from_json(text: str) -> MlpCertificate:
-    """The certificate in a JSON document; raises ValueError when the
+    """The certificate in a JSON document of format_version 2 (base64
+    arrays) or 1 (nested number lists); raises ValueError when the
     document is not a certificate."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("a certificate must be a JSON object")
     version = doc.get("format_version")
-    if type(version) is not int or version != CERT_FORMAT_VERSION:
+    if type(version) is not int or version not in (1, CERT_FORMAT_VERSION):
         raise ValueError(f"unsupported certificate format_version: {version!r}")
     try:
         sizes = tuple(doc["layer_sizes"])
         if not all(isinstance(s, int) and not isinstance(s, bool) for s in sizes):
             raise TypeError(f"layer_sizes must be JSON integers, got {list(sizes)}")
-        weights = tuple(_number_array(w) for w in doc["weights"])
-        biases = tuple(_number_array(b) for b in doc["biases"])
+        if version == 1:
+            weights = tuple(_number_array(w) for w in doc["weights"])
+            biases = tuple(_number_array(b) for b in doc["biases"])
+        else:
+            shapes = list(zip(sizes[1:], sizes[:-1]))
+            weights = _base64_arrays(doc["weights"], shapes)
+            biases = _base64_arrays(doc["biases"], [(rows,) for rows, _ in shapes])
         return MlpCertificate(sizes, weights, biases)
-    except (KeyError, TypeError, NumericError) as exc:
+    except (KeyError, TypeError, ValueError, NumericError) as exc:
         raise ValueError(f"malformed certificate: {exc!r}") from None
 
 
 def _number_array(value) -> np.ndarray:
-    """value as a float array; raises TypeError unless numpy reads it as
-    numbers (not bools, strings or nulls). A bool among floats is read as
-    a float: checking each element would cost more than the whole load."""
+    """A format_version 1 array: value as a float array; raises TypeError
+    unless numpy reads it as numbers (not bools, strings or nulls). A bool
+    among floats is read as a float: checking each element would cost more
+    than the whole load."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         raise TypeError(f"parameters must be JSON numbers, got {arr.dtype} values")
     return arr.astype(float, copy=False)
+
+
+def _base64_arrays(entries, shapes) -> tuple[np.ndarray, ...]:
+    """The format_version 2 arrays of these shapes, from a list of one
+    base64 string each; raises TypeError or ValueError unless each string
+    is base64, alphabet and padding checked, of exactly the shape's
+    float64 bytes."""
+    if not isinstance(entries, list) or len(entries) != len(shapes):
+        raise TypeError(f"expected a list of {len(shapes)} base64 strings")
+    arrays = []
+    for text, shape in zip(entries, shapes):
+        if not isinstance(text, str):
+            raise TypeError(f"parameters must be base64 strings, got {type(text).__name__}")
+        raw = base64.b64decode(text, validate=True)
+        if len(raw) != 8 * math.prod(shape):
+            raise ValueError(f"{len(raw)} bytes for a float64 array of shape {shape}")
+        # a native, writeable copy of the read-only little-endian view
+        arrays.append(np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape))
+    return tuple(arrays)
 
 
 def save_certificate(cert: MlpCertificate, path) -> None:

@@ -314,6 +314,17 @@ def reference_sigmoid(z):
     return out
 
 
+def reference_adam_update(m, v, g, p, t, learning_rate, b1, b2, eps):
+    """One parameter's bias-corrected Adam update at step t as whole-array
+    expressions, (m', v', p'): the arithmetic adam_step must reproduce bit
+    for bit."""
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    return m, v, p - learning_rate * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
 def reference_score_states(cert, sys, controller, xs, weights):
     """Conformal scores with every pass over the whole batch at once: the
     one-shot scoring the row-block version must reproduce. controller is

@@ -1,5 +1,7 @@
+import base64
 import hashlib
 import json
+import re
 import typing
 from pathlib import Path
 
@@ -15,7 +17,22 @@ SCHEMA_DIR = REPO_ROOT / "docs" / "schemas"
 
 
 def validate_schema(doc, schema):
-    """Minimal JSON-Schema subset checker: type / required / properties / items."""
+    """Minimal JSON-Schema subset checker: type / required / properties /
+    items / enum / pattern / anyOf."""
+    if "anyOf" in schema:
+        failures = []
+        for branch in schema["anyOf"]:
+            try:
+                validate_schema(doc, branch)
+                break
+            except AssertionError as exc:
+                failures.append(str(exc))
+        else:
+            raise AssertionError(f"no anyOf branch matches: {failures}")
+    if "enum" in schema:
+        assert any(type(doc) is type(e) and doc == e for e in schema["enum"]), doc
+    if "pattern" in schema:
+        assert isinstance(doc, str) and re.search(schema["pattern"], doc), doc
     kind = schema.get("type")
     if kind == "object":
         assert isinstance(doc, dict), f"expected object, got {type(doc)}"
@@ -83,6 +100,17 @@ def test_train_smoke_emits_all_artifacts(tmp_path):
     assert status in ("certified", "budget_exhausted")
     assert (code == 0) == (status == "certified")
     assert report["n_samples"] == 2000
+
+
+def test_certificate_schema_takes_both_format_versions():
+    schema = json.loads((SCHEMA_DIR / "certificate.schema.json").read_text())
+    for version in (1, 2):
+        validate_schema(json.loads(_cert_text(version=version)), schema)
+    for bad in [_cert_text(version=2, biases=[_B0.rstrip("="), _B1]),
+                _cert_text(version=2, weights=[_W0[:128] + "!" + _W0[128:], _W1]),
+                _cert_text(format_version=3)]:
+        with pytest.raises(AssertionError):
+            validate_schema(json.loads(bad), schema)
 
 
 def test_train_invalid_quantile_config_fails_before_outputs(tmp_path):
@@ -644,14 +672,29 @@ def test_verify_scores_the_sample_once(tmp_path, monkeypatch):
     assert (tmp_path / "v1" / "scores.csv").exists()
 
 
-def _cert_text(drop=None, **changes) -> str:
+def _cert_text(drop=None, version=1, **changes) -> str:
+    """A [3, 8, 1] certificate document in format_version 1 (number lists)
+    or 2 (base64), with keys changed or dropped."""
     from cbfcert import mlp
 
-    doc = json.loads(mlp.certificate_to_json(mlp.init_certificate([3, 8, 1], seed=1)))
+    cert = mlp.init_certificate([3, 8, 1], seed=1)
+    doc = json.loads(mlp.certificate_to_json(cert))
+    if version == 1:
+        doc.update(weights=[w.tolist() for w in cert.weights],
+                   biases=[b.tolist() for b in cert.biases], format_version=1)
     doc.update(changes)
     doc.pop(drop, None)
     return json.dumps(doc)
 
+
+def _base64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+_W0 = _base64(np.full((8, 3), 0.5))    # 192 bytes, no padding
+_W1 = _base64(np.full((1, 8), 0.5))
+_B0 = _base64(np.zeros(8))             # 64 bytes: 88 characters, two of them "="
+_B1 = _base64(np.zeros(1))
 
 _MALFORMED_CERTIFICATES = {
     "array": "[]",
@@ -676,7 +719,31 @@ _MALFORMED_CERTIFICATES = {
     "version-float": _cert_text(format_version=1.0),
     "weights-string": _cert_text(weights=[[["0.5", 0.1, 0.2]] + [[0.1] * 3] * 7, [[0.5] * 8]]),
     "weights-bool": _cert_text(weights=[[[True] * 3] * 8, [[0.5] * 8]]),
+    "v1-base64": _cert_text(weights=[_W0, _W1]),
+    "v2-sizes-mismatch": _cert_text(version=2, layer_sizes=[3, 9, 1]),
+    "v2-not-base64": _cert_text(version=2, weights=[_W0[:128] + "!" + _W0[128:], _W1]),
+    "v2-no-padding": _cert_text(version=2, biases=[_B0.rstrip("="), _B1]),
+    "v2-byte-count": _cert_text(version=2, weights=[_base64(np.zeros(23)), _W1]),
+    "v2-list": _cert_text(version=2, weights=[[[0.5] * 3] * 8, _W1]),
+    "v2-one-string": _cert_text(version=2, biases=_B0),
+    "v2-extra-layer": _cert_text(version=2, weights=[_W0, _W1, _W1]),
+    "v2-nan": _cert_text(version=2, biases=[_base64(np.full(8, np.nan)), _B1]),
+    "v2-inf": _cert_text(version=2, weights=[_W0, _base64(np.full((1, 8), -np.inf))]),
 }
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "levelset"])
+def test_format_versions_1_and_2_give_byte_identical_outputs(tmp_path, command):
+    outputs = []
+    for version in (1, 2):
+        cert_path = tmp_path / f"cert_v{version}.json"
+        cert_path.write_text(_cert_text(version=version))
+        out = tmp_path / f"out_v{version}"
+        extra = ["--emit-scores"] if command == "verify" else []
+        assert main([command, "--config", str(tiny_dubins_config(tmp_path)), "--cert",
+                     str(cert_path), "--out", str(out), *extra]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) > 1 and outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate", "levelset"])

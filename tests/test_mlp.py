@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from decimal import Decimal
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from cbfcert import mlp
 
-from oracles import decimal_softplus, naive_forward, reference_sigmoid, reference_softplus
+from oracles import (decimal_softplus, naive_forward, reference_adam_update, reference_sigmoid,
+                     reference_softplus)
 
 
 def random_cert(layer_sizes, seed, scale=1.0):
@@ -334,17 +336,58 @@ def test_adam_shape_mismatch():
         mlp.adam_step(state, cert, swapped)
 
 
+def test_adam_step_matches_the_expression_oracle_bit_for_bit():
+    cert = random_cert([8, 128, 128, 1], seed=21)
+    rng = np.random.default_rng(5)
+    state = mlp.init_adam(cert, learning_rate=3e-3)
+    for _ in range(4):
+        params = cert.weights + cert.biases
+        grads = tuple(rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-6, 2, p.shape)
+                      for p in params)
+        inputs = state.m + state.v + grads + params
+        before = [a.tobytes() for a in inputs]
+        new_state, new_cert = mlp.adam_step(state, cert, grads)
+        assert [a.tobytes() for a in inputs] == before
+        got = zip(new_state.m, new_state.v, new_cert.weights + new_cert.biases)
+        for m, v, g, p, out in zip(state.m, state.v, grads, params, got):
+            ref = reference_adam_update(m, v, g, p, new_state.step_count, state.learning_rate,
+                                        mlp.ADAM_BETA1, mlp.ADAM_BETA2, mlp.ADAM_EPS)
+            assert [a.tobytes() for a in out] == [a.tobytes() for a in ref]
+        state, cert = new_state, new_cert
+
+
+def _assert_same_parameters(cert, back):
+    """back holds cert's parameters bit for bit, as native, C-contiguous,
+    writeable float64 arrays."""
+    assert back.layer_sizes == cert.layer_sizes
+    for p0, p1 in zip(cert.weights + cert.biases, back.weights + back.biases):
+        assert p1.shape == p0.shape and p1.tobytes() == p0.tobytes()
+        assert p1.dtype == np.float64 and p1.dtype.isnative
+        assert p1.flags.c_contiguous and p1.flags.writeable
+
+
 def test_certificate_json_round_trip_exact():
     cert = random_cert([3, 9, 1], seed=13, scale=1.7)
+    edges = [-0.0, 5e-324, -2.5e-310, sys.float_info.min, sys.float_info.max,
+             -sys.float_info.max]
+    w0 = np.asfortranarray(cert.weights[0])
+    w0[0, :3], w0[1, :3] = edges[:3], edges[3:]
+    cert = mlp.MlpCertificate(cert.layer_sizes, (w0, cert.weights[1]), cert.biases)
     text = mlp.certificate_to_json(cert)
     doc = json.loads(text)
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert doc["layer_sizes"] == [3, 9, 1]
-    back = mlp.certificate_from_json(text)
-    for w0, w1 in zip(cert.weights, back.weights):
-        assert np.all(w0 == w1)
-    for b0, b1 in zip(cert.biases, back.biases):
-        assert np.all(b0 == b1)
+    assert all(isinstance(entry, str) for entry in doc["weights"] + doc["biases"])
+    _assert_same_parameters(cert, mlp.certificate_from_json(text))
+
+
+def test_certificate_reads_format_version_1_lists():
+    cert = random_cert([3, 9, 4, 1], seed=14, scale=1.3)
+    doc = {"layer_sizes": [3, 9, 4, 1], "weights": [w.tolist() for w in cert.weights],
+           "biases": [b.tolist() for b in cert.biases], "format_version": 1}
+    back = mlp.certificate_from_json(json.dumps(doc))
+    _assert_same_parameters(cert, back)
+    _assert_same_parameters(cert, mlp.certificate_from_json(mlp.certificate_to_json(back)))
 
 
 def test_certificate_rejects_bad_shapes():
