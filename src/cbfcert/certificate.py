@@ -79,8 +79,9 @@ def _check_filter(cert, controller, sys=None) -> None:
         raise ValueError("sys must be the system of the controller's SafetyFilter")
 
 
-def _by_blocks(fn, xs) -> np.ndarray:
-    """fn's per-row values over row blocks of xs, written into one array.
+def _by_blocks(fn, n: int, rows) -> np.ndarray:
+    """fn's per-row values over row blocks of n rows, rows(start, stop)
+    giving each block's rows in turn, written into one array.
 
     Blocks have R = _BLOCK_ROWS rows; the last also takes the remainder
     (up to 2R-1 rows), since a short tail block sends its rows through
@@ -88,11 +89,10 @@ def _by_blocks(fn, xs) -> np.ndarray:
     its offset from both ends of its batch modulo R, and BLAS never sees
     more than 2R-1 rows. Reductions run on the returned full array.
     """
-    n = len(xs)
     out = np.empty(n)
     cuts = [0, *range(_BLOCK_ROWS, n - _BLOCK_ROWS + 1, _BLOCK_ROWS), n]
     for start, stop in zip(cuts, cuts[1:]):
-        out[start:stop] = fn(xs[start:stop])
+        out[start:stop] = fn(rows(start, stop))
     return out
 
 
@@ -254,7 +254,8 @@ def epsilon_for(n_samples: int, alpha: float, beta: float) -> float:
         j = min(max(j, hi - half, lo + 1), lo + half, hi - 1)
         eps = j * _CELL
         x = 1.0 - eps
-        s = regularized_incomplete_beta(x, a, b)
+        log_front = _log_front(x, a, b)
+        s = regularized_incomplete_beta(x, a, b, log_front)
         left -= 1
         y = math.log(s) if s > 0.0 else -math.inf
         if s <= beta:
@@ -264,7 +265,7 @@ def epsilon_for(n_samples: int, alpha: float, beta: float) -> float:
         j = (lo + hi) // 2
         if s > 0.0:
             # Newton on log S(v): d log S / dv = x pdf(x) / S = e^front / (eps S)
-            step = (y - log_beta) * eps * math.exp(min(y - _log_front(x, a, b), 700.0))
+            step = (y - log_beta) * eps * math.exp(min(y - log_front, 700.0))
             v = math.log(x) - step
             j = math.ceil(-math.expm1(min(v, 0.0)) / _CELL)
         if y_lo > y_hi > -math.inf:
@@ -305,21 +306,18 @@ class ConformalReport:
         return cls(**{f.name: doc[f.name] for f in dataclasses.fields(cls)})
 
 
-def score_states(cert: MlpCertificate, sys: ControlAffineSystem,
-                 controller: SafetyFilter, xs, weights: LossWeights) -> np.ndarray:
-    """Conformal scores for a batch: max over the active condition terms,
-    with q3 minus the filter's slack.
-
-    Labels and filter decisions run in row blocks of _BLOCK_ROWS states
-    (see _by_blocks; the filter decides once per block, in order), so
-    memory beyond xs and the scores stays O(block) whatever the sample size.
-    """
+def _block_scorer(cert: MlpCertificate, sys: ControlAffineSystem,
+                  controller: SafetyFilter, weights: LossWeights):
+    """The conformal scores of one row block, as a function of the block:
+    max over the active condition terms, with q3 minus the filter's slack.
+    Every block's filter pass writes its hidden-layer arrays into the same
+    workspace, so its pages are faulted in once per scoring, not per block."""
     _check_filter(cert, controller, sys)
-    xs = np.asarray(xs, dtype=float)
+    workspace = Workspace()
 
     def block_scores(block):
         labels = sys.label_batch(block)
-        batch = controller.batch_decide(block)
+        batch = filter_batch(controller, block, workspace)
         h, scores = batch.h, -batch.slack
         if not np.all(np.isfinite(h)) or not np.all(np.isfinite(scores)):
             raise FloatingPointError("non-finite score while sampling the state space")
@@ -329,17 +327,41 @@ def score_states(cert: MlpCertificate, sys: ControlAffineSystem,
         scores[unsafe] = np.maximum(scores[unsafe], h[unsafe] + weights.delta)
         return scores
 
-    return _by_blocks(block_scores, xs)
+    return block_scores
+
+
+def score_states(cert: MlpCertificate, sys: ControlAffineSystem,
+                 controller: SafetyFilter, xs, weights: LossWeights) -> np.ndarray:
+    """Conformal scores for a batch: max over the active condition terms,
+    with q3 minus the filter's slack.
+
+    Labels and filter decisions run in row blocks of _BLOCK_ROWS states
+    (see _by_blocks; the filter decides once per block, in order, in one
+    workspace), so memory beyond xs and the scores stays O(block)
+    whatever the sample size.
+    """
+    scorer = _block_scorer(cert, sys, controller, weights)
+    xs = np.asarray(xs, dtype=float)
+    return _by_blocks(scorer, len(xs), lambda start, stop: xs[start:stop])
 
 
 def verification_scores(cert: MlpCertificate, sys: ControlAffineSystem,
                         controller: SafetyFilter, n_samples: int, seed: int,
                         weights: LossWeights | None = None) -> np.ndarray:
     """The score sample a report with the same seed was calibrated on;
-    exposed so score lists can be dumped for audit."""
+    exposed so score lists can be dumped for audit.
+
+    The scores of score_states on sample_uniform(sys.state_bounds,
+    n_samples, default_rng([seed, 17])), bit for bit, but each row block
+    is drawn from the generator just before it is scored: a generator's
+    draws do not depend on how they are chunked, and the (N, n) sample is
+    never held, so memory beyond the N scores stays O(block).
+    """
     weights = weights if weights is not None else LossWeights()
-    xs = sample_uniform(sys.state_bounds, n_samples, np.random.default_rng([seed, 17]))
-    return score_states(cert, sys, controller, xs, weights)
+    scorer = _block_scorer(cert, sys, controller, weights)
+    rng = np.random.default_rng([seed, 17])
+    return _by_blocks(scorer, n_samples,
+                      lambda start, stop: sample_uniform(sys.state_bounds, stop - start, rng))
 
 
 def report_from_scores(scores, alpha: float, beta: float, seed: int) -> ConformalReport:

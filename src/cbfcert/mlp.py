@@ -33,7 +33,8 @@ views of it in `inputs[1:]` and `sigs`; they stay valid until the next
 `primal_input_gradients` and `seeded_loss_param_gradient` on that primal
 may share its workspace: they write only into buffers the primal does
 not keep. A training phase passes one workspace to every monitoring loss
-and step, so its pages are faulted in once per phase instead of once per
+and step, and a scoring of N states one to every block's filter pass, so
+its pages are faulted in once per phase or scoring instead of once per
 call.
 
 Batch semantics. `forward` is per-state exact: a state's value does not
@@ -43,15 +44,16 @@ gives, bit for bit, what one state at a time gives. `forward_batch` and
 layer for the whole batch, which is much faster for large batches, but
 BLAS picks its kernel and summation order by batch size, so a row's value
 may differ from `forward`'s in the last ulp. `certificate.score_states`
-(verify, and the certify step of every refinement round) calls them in
-row blocks of R = `certificate._BLOCK_ROWS` rows, the remainder joining
-the last block, so no call sees more than 2R-1 rows whatever the sample
-size. Its row values equal the one-shot batch's wherever the one-shot
-batch does not switch BLAS kernel by size; the dubins (B, 64) @ (64, 3)
-input-gradient product does above 5208 rows, and moves in the last ulp
-there. The monitoring loss, mini-batch training steps, rollouts and the
-B=1 filter pass their batches through whole; a training step's filter
-decides from the h and dh/dx of its whole mini-batch's primal pass.
+and `certificate.verification_scores` (verify, and the certify step of
+every refinement round) call them in row blocks of
+R = `certificate._BLOCK_ROWS` rows, the remainder joining the last block,
+so no call sees more than 2R-1 rows whatever the sample size. Their row
+values equal the one-shot batch's wherever the one-shot batch does not
+switch BLAS kernel by size; the dubins (B, 64) @ (64, 3) input-gradient
+product does above 5208 rows, and moves in the last ulp there. The
+monitoring loss, mini-batch training steps, rollouts and the B=1 filter
+pass their batches through whole; a training step's filter decides from
+the h and dh/dx of its whole mini-batch's primal pass.
 """
 
 from __future__ import annotations

@@ -508,20 +508,24 @@ def test_filter_decides_once_per_block_in_order(n, monkeypatch):
     cert, sys_, filt, xs = scoring_setup(dubins_system, [3, 64, 1], n)
     weights = LossWeights()
     expected = reference_score_states(cert, sys_, filt, xs, weights)
-    blocks = []
+    blocks, workspaces = [], []
     original = controller.filter_batch
 
-    def recorded(f, states):
+    def recorded(f, states, workspace):
         blocks.append(states.copy())
-        return original(f, states)
+        workspaces.append(workspace)
+        return original(f, states, workspace)
 
-    monkeypatch.setattr(controller, "filter_batch", recorded)
+    monkeypatch.setattr(certificate, "filter_batch", recorded)
     scores = score_states(cert, sys_, filt, xs, weights)
     assert np.array_equal(np.concatenate(blocks), xs)
     assert [len(b) for b in blocks[:-1]] == [R] * (len(blocks) - 1)
     # the remainder joins the last block instead of forming a short one
     assert len(blocks) == max(1, n // R) and len(blocks[-1]) < 2 * R
     assert np.array_equal(scores, expected)
+    # every block's filter pass writes into the one workspace of the call
+    assert isinstance(workspaces[0], mlp.Workspace)
+    assert all(w is workspaces[0] for w in workspaces)
 
 
 def test_block_scoring_memory_is_a_fraction_of_one_shot():
@@ -538,6 +542,44 @@ def test_block_scoring_memory_is_a_fraction_of_one_shot():
         finally:
             tracemalloc.stop()
     assert peaks[1] < peaks[0] / 5, peaks
+
+
+@pytest.mark.parametrize("system, sizes, n, bounded", [
+    (system, sizes, n, b)
+    for system, sizes in [(quadruped_system, [8, 128, 128, 1]), (dubins_system, [3, 64, 1])]
+    for n in _EXACT_SIZES for b in (False, True)])
+def test_verification_scores_equal_scores_of_the_whole_draw(system, sizes, n, bounded):
+    # the blocks are drawn one at a time from the one generator; the scores
+    # keep the bits (sign of zero included) of scoring the whole sample
+    from cbfcert.certificate import verification_scores
+    from cbfcert.sampling import sample_uniform
+
+    cert, sys_, filt, _ = scoring_setup(system, sizes, 0, bounded)
+    weights = LossWeights(delta=0.05)
+    xs = sample_uniform(sys_.state_bounds, n, np.random.default_rng([11, 17]))
+    expected = score_states(cert, sys_, filt, xs, weights)
+    got = verification_scores(cert, sys_, filt, n, 11, weights)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def test_verification_scores_memory_grows_by_the_scores_alone():
+    # the scores take 8 bytes per state; drawing the whole (N, 3) sample
+    # first would hold at least 72 (the sample and two temporaries of its
+    # size), so 16 bytes per added state leaves room for the scores only
+    import tracemalloc
+
+    from cbfcert.certificate import verification_scores
+
+    cert, sys_, filt, _ = scoring_setup(dubins_system, [3, 16, 1], 0)
+    peaks = {}
+    for n in (10_000, 100_000):
+        tracemalloc.start()
+        try:
+            verification_scores(cert, sys_, filt, n, 3)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[100_000] - peaks[10_000] < 16 * 90_000, peaks
 
 
 def test_report_from_scores_matches_quantify_safety():

@@ -652,21 +652,22 @@ def test_verify_scores_the_sample_once(tmp_path, monkeypatch):
     cert_path = tmp_path / "cert.json"
     mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=5), cert_path)
     config = tiny_dubins_config(tmp_path)
-    calls = []
-    real_score = certificate.score_states
+    rows = []
+    real_filter = certificate.filter_batch
 
-    def counted(*args):
-        calls.append(len(args[3]))
-        return real_score(*args)
+    def counted(filt, states, workspace):
+        rows.append(len(states))
+        return real_filter(filt, states, workspace)
 
-    monkeypatch.setattr(certificate, "score_states", counted)
+    # the filter sees the 2000 states once, block by block
+    monkeypatch.setattr(certificate, "filter_batch", counted)
     reports = []
     for extra in ([], ["--emit-scores"]):
         out = tmp_path / f"v{len(extra)}"
-        calls.clear()
+        rows.clear()
         assert main(["verify", "--config", str(config), "--cert", str(cert_path),
                      "--out", str(out), "--seed", "9", *extra]) == 0
-        assert calls == [2000]
+        assert sum(rows) == 2000
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
     assert (tmp_path / "v1" / "scores.csv").exists()
