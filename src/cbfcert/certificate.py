@@ -36,10 +36,10 @@ _GRID_BITS = 40
 _GRID = 1 << _GRID_BITS
 _CELL = 2.0 ** -_GRID_BITS
 
-# Rows per block of score_states: a block's (R, 128) temporaries stay in
-# the caches, and numpy's per-call cost is spread over R rows. Picked by a
-# 256-4096 sweep on the benchmark's 100K-state quadruped verify and desk
-# dubins scoring.
+# Rows per block of score_states and verification_scores: a block's
+# (R, 128) temporaries stay in the caches, and numpy's per-call cost is
+# spread over R rows. Picked by a 256-4096 sweep on the benchmark's
+# 100K-state quadruped verify and desk dubins scoring.
 _BLOCK_ROWS = 512
 
 
@@ -79,9 +79,9 @@ def _check_filter(cert, controller, sys=None) -> None:
         raise ValueError("sys must be the system of the controller's SafetyFilter")
 
 
-def _by_blocks(fn, n: int, rows) -> np.ndarray:
-    """fn's per-row values over row blocks of n rows, rows(start, stop)
-    giving each block's rows in turn, written into one array.
+def _by_blocks(n: int, block) -> np.ndarray:
+    """The per-row values of n rows, block(start, stop) giving those of
+    rows start:stop, written block by block into one array.
 
     Blocks have R = _BLOCK_ROWS rows; the last also takes the remainder
     (up to 2R-1 rows), since a short tail block sends its rows through
@@ -92,7 +92,7 @@ def _by_blocks(fn, n: int, rows) -> np.ndarray:
     out = np.empty(n)
     cuts = [0, *range(_BLOCK_ROWS, n - _BLOCK_ROWS + 1, _BLOCK_ROWS), n]
     for start, stop in zip(cuts, cuts[1:]):
-        out[start:stop] = fn(rows(start, stop))
+        out[start:stop] = block(start, stop)
     return out
 
 
@@ -254,8 +254,7 @@ def epsilon_for(n_samples: int, alpha: float, beta: float) -> float:
         j = min(max(j, hi - half, lo + 1), lo + half, hi - 1)
         eps = j * _CELL
         x = 1.0 - eps
-        log_front = _log_front(x, a, b)
-        s = regularized_incomplete_beta(x, a, b, log_front)
+        s = regularized_incomplete_beta(x, a, b)
         left -= 1
         y = math.log(s) if s > 0.0 else -math.inf
         if s <= beta:
@@ -265,7 +264,7 @@ def epsilon_for(n_samples: int, alpha: float, beta: float) -> float:
         j = (lo + hi) // 2
         if s > 0.0:
             # Newton on log S(v): d log S / dv = x pdf(x) / S = e^front / (eps S)
-            step = (y - log_beta) * eps * math.exp(min(y - log_front, 700.0))
+            step = (y - log_beta) * eps * math.exp(min(y - _log_front(x, a, b), 700.0))
             v = math.log(x) - step
             j = math.ceil(-math.expm1(min(v, 0.0)) / _CELL)
         if y_lo > y_hi > -math.inf:
@@ -342,7 +341,7 @@ def score_states(cert: MlpCertificate, sys: ControlAffineSystem,
     """
     scorer = _block_scorer(cert, sys, controller, weights)
     xs = np.asarray(xs, dtype=float)
-    return _by_blocks(scorer, len(xs), lambda start, stop: xs[start:stop])
+    return _by_blocks(len(xs), lambda start, stop: scorer(xs[start:stop]))
 
 
 def verification_scores(cert: MlpCertificate, sys: ControlAffineSystem,
@@ -358,10 +357,12 @@ def verification_scores(cert: MlpCertificate, sys: ControlAffineSystem,
     never held, so memory beyond the N scores stays O(block).
     """
     weights = weights if weights is not None else LossWeights()
+    if n_samples < 0:  # sample_uniform's check, made before the filter's
+        raise ValueError("count must be non-negative")
     scorer = _block_scorer(cert, sys, controller, weights)
     rng = np.random.default_rng([seed, 17])
-    return _by_blocks(scorer, n_samples,
-                      lambda start, stop: sample_uniform(sys.state_bounds, stop - start, rng))
+    return _by_blocks(n_samples, lambda start, stop: scorer(
+        sample_uniform(sys.state_bounds, stop - start, rng)))
 
 
 def report_from_scores(scores, alpha: float, beta: float, seed: int) -> ConformalReport:

@@ -3,8 +3,7 @@
 This is the only special function the certification math needs: it is the
 CDF of the Beta distribution, used to convert a conformal quantile index
 into a (violation rate, confidence) pair. certificate.epsilon_for inverts
-it by Newton steps, with the Beta density taken from _log_front, which
-each evaluation then reuses.
+it by Newton steps, with the Beta density taken from _log_front.
 """
 
 from __future__ import annotations
@@ -94,15 +93,12 @@ def _continued_fraction(a: float, b: float, x: float) -> float:
     )
 
 
-def regularized_incomplete_beta(x: float, a: float, b: float,
-                                log_front: float | None = None) -> float:
+def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     """Return I_x(a, b), the regularized incomplete beta function.
 
     Uses the symmetry I_x(a, b) = 1 - I_{1-x}(b, a) so the continued
     fraction is always evaluated in its fast-convergence region. Absolute
-    accuracy is well below 1e-10 over the full domain. A caller that
-    needs _log_front(x, a, b) as well, for the Beta density, computes it
-    once and passes it as log_front.
+    accuracy is well below 1e-10 over the full domain.
     """
     if not (0.0 <= x <= 1.0):
         raise BetaDomainError(f"x must lie in [0, 1], got {x}")
@@ -112,8 +108,7 @@ def regularized_incomplete_beta(x: float, a: float, b: float,
         return 0.0
     if x == 1.0:
         return 1.0
-    if log_front is None:
-        log_front = _log_front(x, a, b)
+    log_front = _log_front(x, a, b)
     if x < (a + 1.0) / (a + b + 2.0):
         return math.exp(log_front) * _continued_fraction(a, b, x) / a
     return 1.0 - math.exp(log_front) * _continued_fraction(b, a, 1.0 - x) / b

@@ -562,6 +562,19 @@ def test_verification_scores_equal_scores_of_the_whole_draw(system, sizes, n, bo
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
+def test_verification_scores_refuse_a_negative_count_before_the_filter():
+    from cbfcert.certificate import verification_scores
+
+    cert, sys_, filt, _ = scoring_setup(dubins_system, [3, 8, 1], 0)
+    with pytest.raises(ValueError, match="count must be non-negative"):
+        verification_scores(cert, sys_, filt, -1, 0)
+    other = mlp.init_certificate([3, 8, 1], seed=1)
+    with pytest.raises(ValueError, match="count must be non-negative"):
+        verification_scores(other, sys_, filt, -1, 0)
+    with pytest.raises(ValueError, match="SafetyFilter built on this certificate"):
+        verification_scores(other, sys_, filt, 1, 0)
+
+
 def test_verification_scores_memory_grows_by_the_scores_alone():
     # the scores take 8 bytes per state; drawing the whole (N, 3) sample
     # first would hold at least 72 (the sample and two temporaries of its
