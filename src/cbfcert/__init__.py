@@ -5,13 +5,12 @@ from .certificate import (ConformalReport, LossWeights, conformal_quantile,
                           epsilon_for, quantify_safety, total_loss)
 from .controller import InfeasibleFilterError, SafetyFilter, filter_input
 from .dynamics import (ControlAffineSystem, Label, closed_loop_field,
-                       dubins_system, make_system, planar_aerial_system,
-                       quadruped_system, register_system)
+                       collision_cone_label, dubins_system, make_system,
+                       planar_aerial_system, quadruped_system, register_system)
 from .mlp import (MlpCertificate, adam_step, forward, init_adam,
                   init_certificate, input_gradient, load_certificate,
                   save_certificate)
-from .sampling import (TrainingDatasets, build_datasets, collision_cone_label,
-                       sample_uniform)
+from .sampling import TrainingDatasets, build_datasets, sample_uniform
 from .simulator import (Rollout, RolloutStatus, SliceSpec,
                         empirical_safety_rate, levelset_grid, rk4_step, rollout)
 from .special import regularized_incomplete_beta

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -39,16 +38,16 @@ class InfeasibleFilterError(RuntimeError):
 
 @dataclass(frozen=True)
 class SafetyFilter:
-    """The CBF-QP filter of a certificate and a system. correction_cap, a
-    training-only guard, caps the norm of u - u_ref (the rest stays as
-    negative slack) in the unbounded filter only: the box-bounded solve
-    ignores it, so TrainConfig.correction_cap has no effect under
+    """The CBF-QP filter of a certificate and a system, around the
+    system's reference_policy. correction_cap, a training-only guard,
+    caps the norm of u - u_ref (the rest stays as negative slack) in the
+    unbounded filter only: the box-bounded solve ignores it, so
+    TrainConfig.correction_cap has no effect under
     respect_input_bounds_training."""
 
     certificate: MlpCertificate
     system: ControlAffineSystem
     kappa_gain: float = 1.0
-    reference_policy: Callable[[np.ndarray], np.ndarray] | None = None
     respect_input_bounds: bool = False
     correction_cap: float | None = None
 
@@ -57,8 +56,6 @@ class SafetyFilter:
             raise ValueError("kappa_gain must be a positive finite number")
         if self.correction_cap is not None and not _is_positive_finite(self.correction_cap):
             raise ValueError("correction_cap must be None or a positive finite number")
-        if self.reference_policy is None:
-            object.__setattr__(self, "reference_policy", self.system.reference_policy)
 
     def batch_decide(self, xs: np.ndarray) -> "FilterBatch":
         return filter_batch(self, xs)
@@ -167,7 +164,7 @@ def decide(filt: SafetyFilter, xs: np.ndarray, h: np.ndarray, grads: np.ndarray,
     """
     a_all = np.einsum("bn,bnm->bm", grads, g)
     b_all = -np.einsum("bn,bn->b", grads, f) - filt.kappa_gain * h
-    refs = np.asarray(filt.reference_policy(xs), dtype=float)
+    refs = np.asarray(filt.system.reference_policy(xs), dtype=float)
     if refs.shape != a_all.shape:
         raise ValueError(f"reference_policy gave {refs.shape}, expected {a_all.shape}")
     box = _box_bounds(filt)

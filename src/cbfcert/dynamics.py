@@ -184,6 +184,48 @@ def planar_aerial_system() -> ControlAffineSystem:
     )
 
 
+def collision_cone_label_batch(states, nominal_speed: float = 1.0,
+                               margin: float = 0.2) -> np.ndarray:
+    """Label moving-obstacle states by constant-velocity closest approach.
+
+    Relative position p points from robot to obstacle; relative velocity
+    assumes the robot holds its nominal forward speed. A state is unsafe
+    when already inside the obstacle radius, or when closing and the
+    straight-line miss distance is within the radius. It is safe when both
+    clearances exceed radius + margin; the band between is left unlabeled.
+    """
+    pts = np.asarray(states, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 8:
+        raise ValueError("collision-cone labeling expects (B, 8) states")
+    p = pts[:, 3:5] - pts[:, 0:2]
+    v_rel = np.stack([
+        pts[:, 5] - nominal_speed * np.cos(pts[:, 2]),
+        pts[:, 6] - nominal_speed * np.sin(pts[:, 2]),
+    ], axis=1)
+    r = pts[:, 7]
+    dist = np.linalg.norm(p, axis=1)
+    closing_rate = np.einsum("bi,bi->b", p, v_rel)
+    approaching = closing_rate < 0.0
+    speed_sq = np.einsum("bi,bi->b", v_rel, v_rel)
+    # miss distance: |p x v| / |v| for approaching states with v != 0
+    cross = p[:, 0] * v_rel[:, 1] - p[:, 1] * v_rel[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        miss = np.abs(cross) / np.sqrt(speed_sq)
+    miss = np.where(speed_sq > 0.0, miss, np.inf)
+
+    unsafe = (dist <= r) | (approaching & (miss <= r))
+    safe = (dist >= r + margin) & (~approaching | (miss >= r + margin))
+    out = np.zeros(pts.shape[0], dtype=int)
+    out[safe] = Label.SAFE
+    out[unsafe] = Label.UNSAFE
+    return out
+
+
+def collision_cone_label(state, nominal_speed: float = 1.0, margin: float = 0.2) -> Label:
+    return Label(int(collision_cone_label_batch(
+        np.asarray(state, float)[None, :], nominal_speed, margin)[0]))
+
+
 def quadruped_system(k1: float = 0.0, k2: float = 0.0, kr: float = 0.0,
                      nominal_speed: float = 1.0, margin: float = 0.2) -> ControlAffineSystem:
     """Quadruped robot avoiding a moving circular obstacle.
@@ -209,8 +251,6 @@ def quadruped_system(k1: float = 0.0, k2: float = 0.0, kr: float = 0.0,
         return out
 
     def label_batch(pts):
-        from .sampling import collision_cone_label_batch
-
         return collision_cone_label_batch(pts, nominal_speed=nominal_speed, margin=margin)
 
     return ControlAffineSystem(

@@ -23,13 +23,13 @@ parameters) is the caller's own, except a Primal's caches, as below.
 
 Workspaces. `forward_batch`, `primal_pass`, `primal_input_gradients`,
 `values_and_input_gradients` and `seeded_loss_param_gradient` take an
-optional `Workspace` and write their (B, width) hidden-layer arrays into
-views of its buffers: z and the activations of the forward, the sigmoids
-a primal pass keeps, the adjoints of the reverse sweeps and the tangents
-of the nested gradient. Called without one, each makes a fresh one, so
-every batch size runs the same code. A Primal built in a workspace holds
-views of it in `inputs[1:]` and `sigs`; they stay valid until the next
-`forward_batch` or `primal_pass` on that workspace.
+optional `Workspace` and write their hidden-layer arrays into views of
+its buffers: z and the activations of the forward, the sigmoids a primal
+pass keeps, the adjoints of the reverse sweeps and the tangents of the
+nested gradient. Called without one, each makes a fresh one, as `forward`
+always does, so every batch size runs the same code. A Primal built in a
+workspace holds views of it in `inputs[1:]` and `sigs`; they stay valid
+until the next `forward_batch` or `primal_pass` on that workspace.
 `primal_input_gradients` and `seeded_loss_param_gradient` on that primal
 may share its workspace: they write only into buffers the primal does
 not keep. A training phase passes one workspace to every monitoring loss
@@ -37,23 +37,25 @@ and step, and a scoring of N states one to every block's filter pass, so
 its pages are faulted in once per phase or scoring instead of once per
 call.
 
-Batch semantics. `forward` is per-state exact: a state's value does not
-depend on how many states it is evaluated with, so any stack of states
-gives, bit for bit, what one state at a time gives. `forward_batch` and
-`values_and_input_gradients` are BLAS-batched: one matrix product per
-layer for the whole batch, which is much faster for large batches, but
-BLAS picks its kernel and summation order by batch size, so a row's value
-may differ from `forward`'s in the last ulp. `certificate.score_states`
-and `certificate.verification_scores` (verify, and the certify step of
-every refinement round) call them in row blocks of
-R = `certificate._BLOCK_ROWS` rows, the remainder joining the last block,
-so no call sees more than 2R-1 rows whatever the sample size. Their row
-values equal the one-shot batch's wherever the one-shot batch does not
-switch BLAS kernel by size; the dubins (B, 64) @ (64, 3) input-gradient
-product does above 5208 rows, and moves in the last ulp there. The
-monitoring loss, mini-batch training steps, rollouts and the B=1 filter
-pass their batches through whole; a training step's filter decides from
-the h and dh/dx of its whole mini-batch's primal pass.
+Batch semantics. One layer recurrence computes every barrier value, and
+the shape it is given decides how BLAS sums. `forward_batch` and
+`primal_pass` run it on the (B, n) batch: one matrix product per layer,
+much faster for large batches, but BLAS picks its kernel and summation
+order by batch size, so a row's value may move in the last ulp with its
+batch. `forward` runs it on the (R, 1, n) stack of its states: one
+one-row product per state and layer, which numpy's stacked matmul issues
+identically for every state, so any stack of states gives, bit for bit,
+what one state at a time gives.
+`certificate.score_states` and `certificate.verification_scores` (verify,
+and the certify step of every refinement round) call the batch path in
+row blocks of K = `certificate._BLOCK_ROWS` rows, the remainder joining
+the last block, so no call sees more than 2K-1 rows whatever the sample
+size. Their row values equal the one-shot batch's wherever the one-shot
+batch does not switch BLAS kernel by size; the dubins (B, 64) @ (64, 3)
+input-gradient product does above 5208 rows, and moves in the last ulp
+there. The monitoring loss, mini-batch training steps, rollouts and the
+B=1 filter pass their batches through whole; a training step's filter
+decides from the h and dh/dx of its whole mini-batch's primal pass.
 """
 
 from __future__ import annotations
@@ -209,39 +211,51 @@ def _check_batch(cert: MlpCertificate, x) -> np.ndarray:
     return arr
 
 
-def forward_batch(cert: MlpCertificate, xs, workspace: Workspace | None = None) -> np.ndarray:
-    """Barrier values for a batch of states, shape (B,)."""
-    a = _check_batch(cert, xs)
+def _layers(cert: MlpCertificate, a: np.ndarray, ws: Workspace,
+            sigs: list | None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The layer recurrence on a checked (R, n) batch or an (R, 1, n)
+    stack: the barrier values (R,) and each layer's input. The hidden
+    layers write z and their activations into ws; given a list, sigs
+    gets each hidden layer's sigmoid(z), from softplus's exp, in ws too."""
     rows = a.shape[0]
-    ws = workspace or Workspace()
+    inputs = [a]
     for l in range(cert.n_layers - 1):
         width = cert.layer_sizes[l + 1]
-        z = np.matmul(a, cert.weights[l].T, out=ws.take("z", rows, width))
+        z = ws.take("z", rows, width)
+        act = ws.take(f"act{l}", rows, width)
+        if a.ndim == 3:
+            z, act = z.reshape(rows, 1, width), act.reshape(rows, 1, width)
+        np.matmul(a, cert.weights[l].T, out=z)
         z += cert.biases[l]
-        a = softplus(z, ws.take(f"act{l}", rows, width), scratch=z)
-    return (a @ cert.weights[-1].T + cert.biases[-1])[:, 0]
+        sig = None
+        if sigs is not None:
+            sig = ws.take(f"sig{l}", rows, width)
+            sigs.append(sig)
+        # z, dead after, is softplus's scratch
+        a = softplus(z, act, sig=sig, scratch=z)
+        inputs.append(a)
+    z = a @ cert.weights[-1].T
+    z += cert.biases[-1]
+    return z.ravel(), inputs
+
+
+def forward_batch(cert: MlpCertificate, xs, workspace: Workspace | None = None) -> np.ndarray:
+    """Barrier values for a batch of states, shape (B,)."""
+    return _layers(cert, _check_batch(cert, xs), workspace or Workspace(), None)[0]
 
 
 def forward(cert: MlpCertificate, x) -> float | np.ndarray:
     """Barrier value h(x): a float for one state (n,), an array of shape
-    (...) for a stack of states (..., n).
-
-    Each state goes through its own one-row product, a[..., None, :] @ w.T,
-    which numpy's stacked matmul issues identically for every state; a
-    state's value is therefore the same bits whatever it is stacked with.
-    """
+    (...) for a stack of states (..., n). The states run as an (R, 1, n)
+    stack, so a state's value is the same bits whatever it is stacked
+    with (see Batch semantics)."""
     a = np.asarray(x, dtype=float)
     if a.ndim == 0 or a.shape[-1] != cert.n_inputs:
         raise ShapeError(
             f"state shape {np.shape(x)} does not match input size {cert.n_inputs}"
         )
-    a = a[..., None, :]
-    last = cert.n_layers - 1
-    for l, (w, b) in enumerate(zip(cert.weights, cert.biases)):
-        z = a @ w.T + b
-        a = softplus(z) if l < last else z
-    h = a[..., 0, 0]
-    return float(h) if h.ndim == 0 else h
+    h = _layers(cert, a.reshape(-1, 1, cert.n_inputs), Workspace(), None)[0]
+    return float(h[0]) if a.ndim == 1 else h.reshape(a.shape[:-1])
 
 
 def input_gradient(cert: MlpCertificate, x) -> np.ndarray:
@@ -264,21 +278,9 @@ class Primal:
 
 def primal_pass(cert: MlpCertificate, xs, workspace: Workspace | None = None) -> Primal:
     """The layer recurrence over a batch, keeping its caches."""
-    a = _check_batch(cert, xs)
-    rows = a.shape[0]
-    ws = workspace or Workspace()
-    inputs, sigs = [a], []
-    for l in range(cert.n_layers - 1):
-        width = cert.layer_sizes[l + 1]
-        z = np.matmul(a, cert.weights[l].T, out=ws.take("z", rows, width))
-        z += cert.biases[l]
-        # softplus and sigmoid from one exp; z, dead after, is the scratch
-        sigs.append(ws.take(f"sig{l}", rows, width))
-        a = softplus(z, ws.take(f"act{l}", rows, width), sig=sigs[-1], scratch=z)
-        inputs.append(a)
-    z = a @ cert.weights[-1].T
-    z += cert.biases[-1]
-    return Primal(z[:, 0], inputs, sigs)
+    sigs = []
+    h, inputs = _layers(cert, _check_batch(cert, xs), workspace or Workspace(), sigs)
+    return Primal(h, inputs, sigs)
 
 
 def primal_input_gradients(cert: MlpCertificate, primal: Primal, first: int,

@@ -263,33 +263,26 @@ def train_phase(cert: mlp.MlpCertificate, datasets: TrainingDatasets,
     # one workspace for the monitoring losses and steps of the phase,
     # dropped when the phase ends
     workspace = mlp.Workspace()
-    losses = [total_loss(cert, datasets, training_filter(cert), weights, workspace)[0]]
-    if not np.isfinite(losses[0]):
-        raise DivergedTrainingError(0)
-    best_loss, best_cert = losses[0], cert
-    if best_loss <= config.loss_tolerance:
-        return cert, losses
     state = mlp.init_adam(cert, learning_rate=config.learning_rate)
     ns, nu, nd = datasets.sizes()
     n_batches = max(1, int(np.ceil(max(ns, nu, nd) / config.batch_size)))
-    for epoch in range(1, config.epochs + 1):
-        order_s = rng.permutation(ns)
-        order_u = rng.permutation(nu)
-        order_d = rng.permutation(nd)
-        s_cuts = _batch_slices(ns, n_batches)
-        u_cuts = _batch_slices(nu, n_batches)
-        d_cuts = _batch_slices(nd, n_batches)
-        for (s0, s1), (u0, u1), (d0, d1) in zip(s_cuts, u_cuts, d_cuts):
-            if s1 == s0 or u1 == u0 or d1 == d0:
-                continue
-            batch = TrainingDatasets(
-                safe=datasets.safe[order_s[s0:s1]],
-                unsafe=datasets.unsafe[order_u[u0:u1]],
-                domain=datasets.domain[order_d[d0:d1]],
-            )
-            _, grads = total_loss_and_gradient(cert, batch, training_filter(cert), weights,
-                                               workspace)
-            state, cert = mlp.adam_step(state, cert, grads)
+    cuts = list(zip(*(_batch_slices(size, n_batches) for size in (ns, nu, nd))))
+    losses, best_loss, best_cert = [], np.inf, cert
+    # epoch 0 only measures the starting certificate's loss
+    for epoch in range(config.epochs + 1):
+        if epoch:
+            order_s, order_u, order_d = (rng.permutation(size) for size in (ns, nu, nd))
+            for (s0, s1), (u0, u1), (d0, d1) in cuts:
+                if s1 == s0 or u1 == u0 or d1 == d0:
+                    continue
+                batch = TrainingDatasets(
+                    safe=datasets.safe[order_s[s0:s1]],
+                    unsafe=datasets.unsafe[order_u[u0:u1]],
+                    domain=datasets.domain[order_d[d0:d1]],
+                )
+                _, grads = total_loss_and_gradient(cert, batch, training_filter(cert),
+                                                   weights, workspace)
+                state, cert = mlp.adam_step(state, cert, grads)
         loss, _ = total_loss(cert, datasets, training_filter(cert), weights, workspace)
         if not np.isfinite(loss):
             raise DivergedTrainingError(epoch)

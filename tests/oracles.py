@@ -26,6 +26,31 @@ def naive_forward(weights, biases, x):
     return float(a[0])
 
 
+def reference_stacked_forward(weights, biases, xs):
+    """The per-state forward as a loop of its own: a stack of states
+    (..., n) goes through one one-row product per state and layer,
+    a[..., None, :] @ w.T, whose bits do not depend on the stack. The
+    values (...) the recurrence must give on the (R, 1, n) stack."""
+    a = np.asarray(xs, dtype=float)[..., None, :]
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        z = a @ w.T + b
+        a = _softplus(z) if l < last else z
+    return a[..., 0, 0]
+
+
+def reference_batch_forward(weights, biases, xs):
+    """The BLAS-batched forward as a loop of its own: one (B, width)
+    product per layer for the whole (B, n) batch. The values (B,) the
+    recurrence must give on a (B, n) batch."""
+    a = np.asarray(xs, dtype=float)
+    for w, b in zip(weights[:-1], biases[:-1]):
+        z = a @ w.T
+        z += b
+        a = _softplus(z)
+    return (a @ weights[-1].T + biases[-1])[:, 0]
+
+
 def _sigmoid_softplus(z):
     """(sigmoid(z), softplus(z)) sharing one exp evaluation."""
     e = np.exp(-np.abs(z))

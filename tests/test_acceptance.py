@@ -7,6 +7,7 @@ studies; the two smoke tests drive the higher-dimensional pipelines end
 to end at reduced budgets.
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -63,9 +64,9 @@ def _random_pair(sys_, arch, rng):
     batch = (xs[:2], xs[2:4], xs[4:])
     lo, hi = sys_.input_bounds[:, 0], sys_.input_bounds[:, 1]
     refs = rng.uniform(lo, hi, size=(2, sys_.m))
-    filt = SafetyFilter(certificate=cert, system=sys_,
-                        kappa_gain=float(rng.uniform(0.5, 2.0)),
-                        reference_policy=lambda pts, u=refs: u, correction_cap=1.0)
+    filt = SafetyFilter(certificate=cert,
+                        system=dataclasses.replace(sys_, reference_policy=lambda pts, u=refs: u),
+                        kappa_gain=float(rng.uniform(0.5, 2.0)), correction_cap=1.0)
     inputs = filt.batch_decide(batch[2]).inputs
     dirs = sys_.f(batch[2]) + np.einsum("bnm,bm->bn", sys_.g(batch[2]), inputs)
     weights = LossWeights(psi=float(rng.uniform(-0.3, 0.05)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -173,8 +175,8 @@ def test_idempotence_on_strictly_feasible_output():
             continue
         if float(a @ u1) <= b + 1e-9:
             continue   # constraint active: slack not strict
-        filt2 = SafetyFilter(certificate=cert, system=sys_,
-                             reference_policy=lambda xs, u1=u1: u1[None])
+        filt2 = SafetyFilter(certificate=cert, system=dataclasses.replace(
+            sys_, reference_policy=lambda xs, u1=u1: u1[None]))
         assert np.allclose(filter_input(filt2, x), u1)
 
 
@@ -207,7 +209,7 @@ def test_batch_matches_scalar_decisions(monkeypatch):
                 fb = filter_batch(filt, xs)
                 for i, x in enumerate(xs):
                     a, b = constraint_coefficients(filt, x)
-                    u_ref = filt.reference_policy(x[None])[0]
+                    u_ref = sys_.reference_policy(x[None])[0]
                     u, slack, active, feasible = (
                         _solve_box(u_ref, a, b, lo, hi) if bounds
                         else _solve_unbounded(u_ref, a, b, cap))
@@ -280,10 +282,9 @@ def test_filter_batch_h_is_the_forward_value(system, layers, bounds, count, scal
 
 @pytest.mark.parametrize("bounds", [False, True])
 def test_reference_must_give_one_input_row_per_state(bounds):
-    sys_ = dubins_system()
+    sys_ = dataclasses.replace(dubins_system(), reference_policy=lambda xs: np.array([1.0, 0.0]))
     filt = SafetyFilter(certificate=constant_cert(3, 1.0), system=sys_,
-                        respect_input_bounds=bounds,
-                        reference_policy=lambda xs: np.array([1.0, 0.0]))
+                        respect_input_bounds=bounds)
     with pytest.raises(ValueError, match="reference_policy"):
         filter_input(filt, np.zeros(3))
 

@@ -8,8 +8,9 @@ import pytest
 
 from cbfcert import mlp
 
-from oracles import (decimal_softplus, naive_forward, reference_adam_update, reference_sigmoid,
-                     reference_softplus)
+from oracles import (decimal_softplus, naive_forward, reference_adam_update,
+                     reference_batch_forward, reference_sigmoid, reference_softplus,
+                     reference_stacked_forward)
 
 
 def random_cert(layer_sizes, seed, scale=1.0):
@@ -67,7 +68,7 @@ _KERNEL_NETS = [[3, 64, 1], [8, 128, 128, 1]]
 
 
 @pytest.mark.parametrize("sizes", _KERNEL_NETS)
-@pytest.mark.parametrize("count", [1, 2, 3, 5, 9, 33, 441])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 5, 9, 33, 441])
 def test_forward_stack_is_bitwise_per_state(sizes, count):
     # a BLAS-batched product picks its kernel by batch size and can move
     # the last ulp at these sizes; the per-state kernel must not
@@ -76,6 +77,7 @@ def test_forward_stack_is_bitwise_per_state(sizes, count):
     stacked = mlp.forward(cert, xs)
     assert stacked.shape == (count,)
     assert np.array_equal(stacked, [mlp.forward(cert, x) for x in xs])
+    assert np.array_equal(stacked, reference_stacked_forward(cert.weights, cert.biases, xs))
 
 
 @pytest.mark.parametrize("sizes", _KERNEL_NETS)
@@ -86,6 +88,7 @@ def test_forward_three_dimensional_stack_is_bitwise_per_state(sizes):
     assert stacked.shape == (21, 21)
     per_state = [[mlp.forward(cert, x) for x in row] for row in xs]
     assert np.array_equal(stacked, per_state)
+    assert np.array_equal(stacked, reference_stacked_forward(cert.weights, cert.biases, xs))
 
 
 def test_forward_single_state_is_a_float():
@@ -436,18 +439,24 @@ def test_batch_calls_reject_one_state():
             call()
 
 
-def test_primal_pass_is_values_and_input_gradients():
+@pytest.mark.parametrize("sizes", _KERNEL_NETS)
+@pytest.mark.parametrize("rows", [1, 7, 300, 512, 1023, 5300, 6700])
+def test_primal_pass_is_values_and_input_gradients(sizes, rows):
+    # BLAS switches kernels across these batch sizes; whichever it picks,
+    # both batch passes are the one-product-per-layer loop, bit for bit
     rng = np.random.default_rng(8)
-    cert = random_cert([8, 128, 128, 1], seed=8, scale=1.1)
-    xs = rng.uniform(-2.0, 2.0, size=(300, 8))
+    cert = random_cert(sizes, seed=8, scale=1.1)
+    xs = rng.uniform(-2.0, 2.0, size=(rows, sizes[0]))
     primal = mlp.primal_pass(cert, xs)
     h, grads = mlp.values_and_input_gradients(cert, xs)
     assert np.array_equal(primal.h, h)
     assert np.array_equal(mlp.primal_input_gradients(cert, primal, 0), grads)
     assert np.array_equal(primal.h, mlp.forward_batch(cert, xs))
+    assert np.array_equal(primal.h, reference_batch_forward(cert.weights, cert.biases, xs))
     # the sweep over a row range reads the same cached sigmoids
-    np.testing.assert_allclose(mlp.primal_input_gradients(cert, primal, 120),
-                               grads[120:], rtol=1e-14, atol=0)
+    first = 2 * rows // 5
+    np.testing.assert_allclose(mlp.primal_input_gradients(cert, primal, first),
+                               grads[first:], rtol=1e-14, atol=0)
 
 
 def test_unseeded_rows_carry_no_tangent():

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from cbfcert.dynamics import ControlAffineSystem, Label, dubins_system, \
-    make_system, planar_aerial_system
-from cbfcert.sampling import (LabelingMeasureError, build_datasets,
-                              collision_cone_label,
-                              collision_cone_label_batch, sample_uniform)
+from cbfcert.dynamics import (ControlAffineSystem, Label, collision_cone_label,
+                              collision_cone_label_batch, dubins_system, make_system,
+                              planar_aerial_system)
+from cbfcert.sampling import LabelingMeasureError, build_datasets, sample_uniform
 
 from oracles import min_distance_constant_velocity
 

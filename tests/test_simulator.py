@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -291,16 +292,14 @@ def lock_step_matches_one_at_a_time(sys_, filt, starts, horizon, dt):
 
 
 def test_lock_step_matches_one_at_a_time_every_status(tmp_path):
-    sys_ = dubins_system()
-
     def steer(xs):
         # a state-dependent reference, so that rows' inputs differ
         return np.stack([np.ones(len(xs)), np.clip(xs[:, 0] * xs[:, 1], -1, 1)],
                         axis=1)
 
+    sys_ = dataclasses.replace(dubins_system(), reference_policy=steer)
     filt = SafetyFilter(certificate=mlp.init_certificate([3, 16, 1], seed=5),
-                        system=sys_, respect_input_bounds=True,
-                        reference_policy=steer)
+                        system=sys_, respect_input_bounds=True)
     # the origin is unsafe, so that rollout stops at step 0 amid full ones
     starts = np.vstack([np.zeros(3),
                         sample_safe_starts(sys_, 12, np.random.default_rng(5))])
@@ -360,15 +359,13 @@ def test_rollout_non_finite_state_names_its_start():
 def test_rollout_to_csv_bytes_match_the_scalar_writer(tmp_path):
     from oracles import reference_rollout_to_csv
 
-    sys_ = dubins_system()
-
     def steer(xs):
         return np.stack([np.ones(len(xs)), np.clip(xs[:, 0] * xs[:, 1], -1, 1)],
                         axis=1)
 
+    sys_ = dataclasses.replace(dubins_system(), reference_policy=steer)
     filt = SafetyFilter(certificate=mlp.init_certificate([3, 16, 1], seed=5),
-                        system=sys_, respect_input_bounds=True,
-                        reference_policy=steer)
+                        system=sys_, respect_input_bounds=True)
     starts = np.vstack([np.zeros(3),
                         sample_safe_starts(sys_, 12, np.random.default_rng(5))])
     batch = rollout(sys_, filt, starts, 80, 0.02)

@@ -3,14 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from cbfcert import dynamics, mlp
+from cbfcert import dynamics, mlp, trainer
 from cbfcert.certificate import score_states, total_loss
 from cbfcert.controller import SafetyFilter
 from cbfcert.dynamics import register_system
 from cbfcert.sampling import build_datasets, sample_uniform
 from cbfcert.trainer import (STATUS_BUDGET_EXHAUSTED, STATUS_CERTIFIED,
-                             ConfigError, TrainConfig, alpha_epsilon_curve,
-                             refine, train_phase)
+                             ConfigError, DivergedTrainingError, TrainConfig,
+                             alpha_epsilon_curve, certifying_filter, refine,
+                             train_phase)
 
 from toy import analytic_toy_barrier, toy_system
 
@@ -58,10 +59,44 @@ def test_train_phase_zero_loss_returns_immediately():
     cert = analytic_toy_barrier()
     ds = build_datasets(sys_, 100, 100, 100, seed=1)
     cfg = toy_config()
-    out_cert, losses = train_phase(cert, ds, cfg.loss_weights(), cfg, sys_,
-                                   np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    start = rng.bit_generator.state
+    out_cert, losses = train_phase(cert, ds, cfg.loss_weights(), cfg, sys_, rng)
     assert out_cert is cert
     assert losses == [0.0]
+    assert rng.bit_generator.state == start
+
+
+def test_train_phase_first_loss_at_the_tolerance_returns_the_start():
+    sys_ = toy_system()
+    ds = build_datasets(sys_, 100, 100, 100, seed=1)
+    cert = mlp.init_certificate([1, 8, 1], seed=3)
+    cfg = toy_config()
+    first, _ = total_loss(cert, ds, certifying_filter(cert, sys_, cfg, cfg.correction_cap),
+                          cfg.loss_weights())
+    assert first > 0.0
+    cfg = toy_config(loss_tolerance=first)
+    rng = np.random.default_rng(0)
+    start = rng.bit_generator.state
+    out_cert, losses = train_phase(cert, ds, cfg.loss_weights(), cfg, sys_, rng)
+    assert out_cert is cert
+    assert losses == [first]
+    assert rng.bit_generator.state == start
+
+
+def test_train_phase_nonfinite_first_loss_diverges_at_epoch_zero(monkeypatch):
+    sys_ = toy_system()
+    ds = build_datasets(sys_, 100, 100, 100, seed=1)
+    cfg = toy_config()
+    monkeypatch.setattr(trainer, "total_loss",
+                        lambda *args: (float("nan"), (0.0, 0.0, 0.0)))
+    rng = np.random.default_rng(0)
+    start = rng.bit_generator.state
+    with pytest.raises(DivergedTrainingError) as info:
+        train_phase(mlp.init_certificate([1, 8, 1], seed=3), ds, cfg.loss_weights(),
+                    cfg, sys_, rng)
+    assert info.value.epoch == 0
+    assert rng.bit_generator.state == start
 
 
 def test_train_phase_toy_reaches_separation():
