@@ -26,7 +26,7 @@ from .controller import SafetyFilter, decide, filter_batch
 from .dynamics import ControlAffineSystem, Label
 from .mlp import (MlpCertificate, Workspace, forward_batch, primal_input_gradients,
                   primal_pass, seeded_loss_param_gradient)
-from .sampling import TrainingDatasets, sample_uniform
+from .sampling import TrainingDatasets, sample_uniform, stream
 from .special import _log_front, regularized_incomplete_beta
 
 _INDEX_NUDGE = 1e-9
@@ -351,7 +351,7 @@ def verification_scores(cert: MlpCertificate, sys: ControlAffineSystem,
     exposed so score lists can be dumped for audit.
 
     The scores of score_states on sample_uniform(sys.state_bounds,
-    n_samples, default_rng([seed, 17])), bit for bit, but each row block
+    n_samples, stream(seed, "calibration")), bit for bit, but each row block
     is drawn from the generator just before it is scored: a generator's
     draws do not depend on how they are chunked, and the (N, n) sample is
     never held, so memory beyond the N scores stays O(block).
@@ -360,7 +360,7 @@ def verification_scores(cert: MlpCertificate, sys: ControlAffineSystem,
     if n_samples < 0:  # sample_uniform's check, made before the filter's
         raise ValueError("count must be non-negative")
     scorer = _block_scorer(cert, sys, controller, weights)
-    rng = np.random.default_rng([seed, 17])
+    rng = stream(seed, "calibration")
     return _by_blocks(n_samples, lambda start, stop: scorer(
         sample_uniform(sys.state_bounds, stop - start, rng)))
 

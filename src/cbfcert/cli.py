@@ -65,12 +65,16 @@ def _load_config(path: str, seed: int | None = None
 
 
 def _out_dir(args, command: str) -> Path:
-    if args.out:
-        return Path(args.out)
+    """The command's output directory, created: call once the config is valid."""
     root = os.environ.get(_ENV_OUT_ROOT)
-    if root:
-        return Path(root) / command
-    return Path(command + "-output")
+    if args.out:
+        out = Path(args.out)
+    elif root:
+        out = Path(root) / command
+    else:
+        out = Path(command + "-output")
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _write_status(out: Path, text: str) -> None:
@@ -80,7 +84,6 @@ def _write_status(out: Path, text: str) -> None:
 def cmd_train(args) -> int:
     config, sim, spec, _ = _load_config(args.config, args.seed)
     out = _out_dir(args, "train")
-    out.mkdir(parents=True, exist_ok=True)
     _write_status(out, "running")
     echo = {**config.to_dict(), "simulation": asdict(sim), "levelset": asdict(spec)}
     (out / "run_config.json").write_text(json.dumps(echo, indent=2))
@@ -130,7 +133,6 @@ def _load_deployment(args):
 def cmd_verify(args) -> int:
     config, _, _, system, cert = _load_deployment(args)
     out = _out_dir(args, "verify")
-    out.mkdir(parents=True, exist_ok=True)
     scores = verification_scores(cert, system, certifying_filter(cert, system, config),
                                  config.conformal_samples, seed=config.seed,
                                  weights=config.loss_weights())
@@ -150,7 +152,6 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     config, sim, _, system, cert = _load_deployment(args)
     out = _out_dir(args, "simulate")
-    out.mkdir(parents=True, exist_ok=True)
     certified = certifying_filter(cert, system, config)
     filt = replace(certified, respect_input_bounds=sim.respect_input_bounds)
     certified_spec, deployed_spec = (
@@ -191,7 +192,6 @@ def cmd_simulate(args) -> int:
 def cmd_levelset(args) -> int:
     _, _, spec, system, cert = _load_deployment(args)
     out = _out_dir(args, "levelset")
-    out.mkdir(parents=True, exist_ok=True)
     vals0, vals1, grid = levelset_grid(cert, spec, system.state_bounds)
     sidecar = {
         "axes": list(spec.free_axes),
@@ -220,7 +220,6 @@ def cmd_curve(args) -> int:
         raise ConfigError(["empty or negative alpha range"])
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_count)
     out = _out_dir(args, "curve")
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "curve.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -237,6 +236,14 @@ def cmd_curve(args) -> int:
     return 0
 
 
+_SHARED_FLAGS = {
+    "--config": {"required": True},
+    "--cert": {"required": True},
+    "--out": {"default": None},
+    "--seed": {"type": int, "default": None},
+}
+
+
 @cache  # built once: an in-process caller of main runs many commands
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -245,42 +252,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="run the full training + certification loop")
-    train.add_argument("--config", required=True)
-    train.add_argument("--out", default=None)
-    train.add_argument("--seed", type=int, default=None)
-    train.set_defaults(func=cmd_train)
+    def command(name, func, summary, *flags):
+        cmd = sub.add_parser(name, help=summary)
+        for flag in flags:
+            cmd.add_argument(flag, **_SHARED_FLAGS[flag])
+        cmd.set_defaults(func=func)
+        return cmd
 
-    verify = sub.add_parser("verify", help="conformal report for an existing certificate")
-    verify.add_argument("--config", required=True)
-    verify.add_argument("--cert", required=True)
-    verify.add_argument("--out", default=None)
-    verify.add_argument("--seed", type=int, default=None)
+    command("train", cmd_train, "run the full training + certification loop",
+            "--config", "--out", "--seed")
+    verify = command("verify", cmd_verify, "conformal report for an existing certificate",
+                     "--config", "--cert", "--out", "--seed")
     verify.add_argument("--emit-scores", action="store_true",
                         help="also dump the calibration scores to scores.csv")
-    verify.set_defaults(func=cmd_verify)
-
-    simulate = sub.add_parser("simulate", help="closed-loop safety-rate campaign")
-    simulate.add_argument("--config", required=True)
-    simulate.add_argument("--cert", required=True)
-    simulate.add_argument("--out", default=None)
-    simulate.add_argument("--seed", type=int, default=None)
-    simulate.set_defaults(func=cmd_simulate)
-
-    levelset = sub.add_parser("levelset", help="export a barrier level-set grid")
-    levelset.add_argument("--config", required=True)
-    levelset.add_argument("--cert", required=True)
-    levelset.add_argument("--out", default=None)
-    levelset.set_defaults(func=cmd_levelset)
-
-    curve = sub.add_parser("curve", help="alpha-epsilon tables for chosen N and beta")
+    command("simulate", cmd_simulate, "closed-loop safety-rate campaign",
+            "--config", "--cert", "--out", "--seed")
+    command("levelset", cmd_levelset, "export a barrier level-set grid",
+            "--config", "--cert", "--out")
+    curve = command("curve", cmd_curve, "alpha-epsilon tables for chosen N and beta")
     curve.add_argument("--n", type=int, action="append")
     curve.add_argument("--beta", type=float, action="append")
     curve.add_argument("--alpha-min", type=float, default=0.01)
     curve.add_argument("--alpha-max", type=float, default=0.2)
     curve.add_argument("--alpha-count", type=int, default=20)
-    curve.add_argument("--out", default=None)
-    curve.set_defaults(func=cmd_curve)
+    curve.add_argument("--out", **_SHARED_FLAGS["--out"])
     return parser
 
 

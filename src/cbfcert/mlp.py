@@ -100,13 +100,12 @@ def softplus(z: np.ndarray, out: np.ndarray | None = None, sig: np.ndarray | Non
     return out
 
 
-def sigmoid(z: np.ndarray, out: np.ndarray | None = None,
-            scratch: np.ndarray | None = None) -> np.ndarray:
-    # e as in softplus, then the result, in out; the numerator in scratch
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    # e as in softplus, then the result, in a fresh array
     z = np.asarray(z, dtype=float)
-    e = np.negative(z, out=np.empty_like(z) if out is None else out)
+    e = np.negative(z, out=np.empty_like(z))
     np.exp(np.minimum(z, e, out=e), out=e)
-    return _sigmoid_from(e, z, np.empty_like(z) if scratch is None else scratch)
+    return _sigmoid_from(e, z, np.empty_like(z))
 
 
 def _sigmoid_from(e: np.ndarray, pos: np.ndarray, numer: np.ndarray) -> np.ndarray:

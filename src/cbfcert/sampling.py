@@ -1,5 +1,5 @@
 """Training-set construction: i.i.d. uniform draws over the state box and
-rejection sampling into labeled buckets.
+rejection sampling into labeled buckets; the table of seeded streams.
 """
 
 from __future__ import annotations
@@ -12,6 +12,23 @@ from .dynamics import ControlAffineSystem, Label
 
 _STALL_MIN_DRAWS = 200_000
 _STALL_RATE = 1e-4
+
+# Every seeded random stream of a run, one entry per use: stream(seed,
+# name, *index) is default_rng([seed, *STREAMS[name], *index]); epochs and
+# tuning take the refinement round as index. A changed key changes every
+# artifact it draws for. numpy pads keys with zeros and splits ints of
+# 2**32 or more into words ([s, 101] is [s, 101, 0]), so streams are told
+# apart by generator state, not by key.
+STREAMS = {
+    "init": (),  # mlp.init_certificate's default_rng(seed)
+    "safe": (1,),
+    "unsafe": (2,),
+    "domain": (3,),
+    "rollout_starts": (5,),
+    "calibration": (17,),
+    "epochs": (101,),
+    "tuning": (211,),
+}
 
 
 class LabelingMeasureError(RuntimeError):
@@ -28,6 +45,11 @@ class TrainingDatasets:
 
     def sizes(self) -> tuple[int, int, int]:
         return self.safe.shape[0], self.unsafe.shape[0], self.domain.shape[0]
+
+
+def stream(seed: int, name: str, *index: int) -> np.random.Generator:
+    """The generator of the named stream (STREAMS) of a run with this seed."""
+    return np.random.default_rng([seed, *STREAMS[name], *index])
 
 
 def sample_uniform(bounds, count: int, seed) -> np.ndarray:
@@ -75,9 +97,7 @@ def build_datasets(sys: ControlAffineSystem, n_safe: int, n_unsafe: int,
     the domain bucket is unconditioned uniform over X."""
     if min(n_safe, n_unsafe, n_domain) <= 0:
         raise ValueError("all dataset sizes must be positive")
-    safe = rejection_sample_label(sys, Label.SAFE, n_safe,
-                                  np.random.default_rng([seed, 1]))
-    unsafe = rejection_sample_label(sys, Label.UNSAFE, n_unsafe,
-                                    np.random.default_rng([seed, 2]))
-    domain = sample_uniform(sys.state_bounds, n_domain, np.random.default_rng([seed, 3]))
+    safe = rejection_sample_label(sys, Label.SAFE, n_safe, stream(seed, "safe"))
+    unsafe = rejection_sample_label(sys, Label.UNSAFE, n_unsafe, stream(seed, "unsafe"))
+    domain = sample_uniform(sys.state_bounds, n_domain, stream(seed, "domain"))
     return TrainingDatasets(safe=safe, unsafe=unsafe, domain=domain)

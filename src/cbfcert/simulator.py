@@ -20,7 +20,7 @@ import numpy as np
 from .controller import SafetyFilter
 from .dynamics import ControlAffineSystem, Label, closed_loop_field
 from .mlp import MlpCertificate, forward, forward_batch
-from .sampling import rejection_sample_label
+from .sampling import rejection_sample_label, stream
 from .trainer import ConfigError, check_types
 
 
@@ -149,7 +149,7 @@ def empirical_safety_rate(sys: ControlAffineSystem, filt: SafetyFilter,
     """
     if n_rollouts < 1:
         raise ValueError("n_rollouts must be >= 1")
-    starts = sample_safe_starts(sys, n_rollouts, np.random.default_rng([seed, 5]))
+    starts = sample_safe_starts(sys, n_rollouts, stream(seed, "rollout_starts"))
     rollouts = rollout(sys, filt, starts, horizon_steps, dt)
     counts = Counter(ro.status.value for ro in rollouts)
     failed = {RolloutStatus.ENTERED_UNSAFE, RolloutStatus.FILTER_INFEASIBLE}

@@ -32,7 +32,7 @@ from .certificate import (ConformalReport, InvalidAlphaError, LossWeights, epsil
                           total_loss_and_gradient)
 from .controller import SafetyFilter
 from .dynamics import _BUILDERS, ControlAffineSystem, make_system
-from .sampling import TrainingDatasets, build_datasets
+from .sampling import TrainingDatasets, build_datasets, stream
 
 STATUS_CERTIFIED = "certified"
 STATUS_BUDGET_EXHAUSTED = "budget_exhausted"
@@ -107,6 +107,11 @@ class TrainConfig:
                 quantile_index(self.conformal_samples, self.alpha)
             except InvalidAlphaError as exc:
                 errors.append(f"alpha: {exc}")
+            buckets = {name: getattr(self, name) for name in ("n_safe", "n_unsafe", "n_domain")}
+            n_batches = _mini_batches(buckets.values(), self.batch_size)
+            errors += [f"{name}: {size} rows for {n_batches} mini-batches of batch_size "
+                       f"{self.batch_size}; need at least one row per mini-batch"
+                       for name, size in buckets.items() if size < n_batches]
         if self.psi_update not in ("cumulative", "reset"):
             errors.append("psi_update: must be 'cumulative' or 'reset'")
         if self.correction_cap is not None and self.correction_cap <= 0:
@@ -244,6 +249,11 @@ def _minor_faults() -> int | None:
     return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def _mini_batches(sizes, batch_size: int) -> int:
+    """Mini-batches per epoch: as many as the largest bucket fills."""
+    return -(-max(sizes) // batch_size)
+
+
 def _batch_slices(total: int, n_batches: int):
     cuts = np.linspace(0, total, n_batches + 1).astype(int)
     return [(cuts[i], cuts[i + 1]) for i in range(n_batches)]
@@ -265,7 +275,7 @@ def train_phase(cert: mlp.MlpCertificate, datasets: TrainingDatasets,
     workspace = mlp.Workspace()
     state = mlp.init_adam(cert, learning_rate=config.learning_rate)
     ns, nu, nd = datasets.sizes()
-    n_batches = max(1, int(np.ceil(max(ns, nu, nd) / config.batch_size)))
+    n_batches = _mini_batches((ns, nu, nd), config.batch_size)
     cuts = list(zip(*(_batch_slices(size, n_batches) for size in (ns, nu, nd))))
     losses, best_loss, best_cert = [], np.inf, cert
     # epoch 0 only measures the starting certificate's loss
@@ -273,8 +283,6 @@ def train_phase(cert: mlp.MlpCertificate, datasets: TrainingDatasets,
         if epoch:
             order_s, order_u, order_d = (rng.permutation(size) for size in (ns, nu, nd))
             for (s0, s1), (u0, u1), (d0, d1) in cuts:
-                if s1 == s0 or u1 == u0 or d1 == d0:
-                    continue
                 batch = TrainingDatasets(
                     safe=datasets.safe[order_s[s0:s1]],
                     unsafe=datasets.unsafe[order_u[u0:u1]],
@@ -312,7 +320,7 @@ def refine(config: TrainConfig,
     best: tuple[float, mlp.MlpCertificate, ConformalReport] | None = None
     for round_idx in range(config.max_refinements + 1):
         weights = config.loss_weights(psi=psi)
-        rng = np.random.default_rng([config.seed, 101, round_idx])
+        rng = stream(config.seed, "epochs", round_idx)
         started, faults = time.perf_counter(), _minor_faults()
         cert, losses = train_phase(cert, datasets, weights, config, sys, rng)
         history.phase_seconds.append(time.perf_counter() - started)
@@ -322,8 +330,8 @@ def refine(config: TrainConfig,
             on_phase(round_idx, cert)
         report = quantify_safety(
             cert, sys, certifying_filter(cert, sys, config), config.conformal_samples,
-            config.alpha, config.beta, seed=int(np.random.default_rng(
-                [config.seed, 211, round_idx]).integers(2**31)),
+            config.alpha, config.beta,
+            seed=int(stream(config.seed, "tuning", round_idx).integers(2**31)),
             weights=weights,
         )
         history.refinements.append(RefinementRecord(

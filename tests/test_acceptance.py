@@ -22,7 +22,7 @@ from cbfcert.certificate import (LossWeights, conformal_quantile, epsilon_for,
                                  total_loss_and_gradient)
 from cbfcert.cli import main
 from cbfcert.controller import SafetyFilter, _batch_box
-from cbfcert.sampling import TrainingDatasets, build_datasets, sample_uniform
+from cbfcert.sampling import TrainingDatasets, build_datasets, sample_uniform, stream
 from cbfcert.simulator import SliceSpec, empirical_safety_rate, levelset_grid
 from cbfcert.special import regularized_incomplete_beta
 from cbfcert.trainer import (STATUS_CERTIFIED, TrainConfig, refine,
@@ -272,7 +272,7 @@ def _phase0_quantile(total_points, seed, epochs):
                         seed=seed)
     cert = mlp.init_certificate(config.layer_sizes(sys_.n), seed=seed)
     cert, _ = train_phase(cert, ds, config.loss_weights(), config, sys_,
-                          np.random.default_rng([seed, 101, 0]))
+                          stream(seed, "epochs", 0))
     filt = SafetyFilter(certificate=cert, system=sys_)
     return quantify_safety(cert, sys_, filt, config.conformal_samples,
                            config.alpha, config.beta, seed=seed + 5000).quantile

@@ -2,7 +2,10 @@
 functions are views of the batch paths, bit for bit."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +59,42 @@ def test_every_definition_has_a_caller():
     unused = [name for tree in trees for node in tree.body
               for name in _top_level_names(node) if name not in used]
     assert unused == []
+
+
+def test_generators_are_seeded_only_where_streams_are_made():
+    # every np.random call of the package, by the function it sits in: a
+    # seeded draw goes through sampling.stream and its table
+    calls = []
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("np.random."):
+            calls.append((where, ast.unparse(node.func)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted((_ROOT / "src" / "cbfcert").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert sorted(calls) == [("mlp.init_certificate", "np.random.default_rng"),
+                             ("sampling.sample_uniform", "np.random.default_rng"),
+                             ("sampling.stream", "np.random.default_rng")]
+
+
+def test_import_loads_only_the_stdlib_numpy_and_cbfcert():
+    # against a bare interpreter, so modules that site and .pth files load
+    # are discounted
+    env = {**os.environ, "PYTHONPATH": str(Path(cbfcert.__file__).parents[1])}
+
+    def modules(code):
+        out = subprocess.run([sys.executable, "-c", code + "\nprint(*sys.modules)"],
+                             env=env, capture_output=True, text=True, check=True)
+        return set(out.stdout.split())
+
+    loaded = modules("import sys, cbfcert") - modules("import sys")
+    allowed = sys.stdlib_module_names | {"numpy", "cbfcert"}
+    assert "cbfcert.trainer" in loaded
+    assert sorted(m for m in loaded if m.split(".")[0] not in allowed) == []
 
 
 @pytest.mark.parametrize("system, layers", _SYSTEMS, ids=["dubins", "quadruped"])

@@ -12,7 +12,7 @@ from cbfcert.certificate import (ConformalReport, EmptyBucketError,
                                  total_loss, total_loss_and_gradient)
 from cbfcert.controller import SafetyFilter
 from cbfcert.dynamics import dubins_system, quadruped_system
-from cbfcert.sampling import TrainingDatasets, build_datasets
+from cbfcert.sampling import TrainingDatasets, build_datasets, stream
 
 from oracles import (betainc_quadrature, reference_epsilon_for, reference_score_states,
                      reference_total_loss_and_gradient, violation_terms)
@@ -310,7 +310,7 @@ def test_quantify_safety_constant_cert_scores():
                              weights=weights)
     # brute-force recount from the same sample draw
     from cbfcert.sampling import sample_uniform
-    xs = sample_uniform(sys_.state_bounds, n, np.random.default_rng([21, 17]))
+    xs = sample_uniform(sys_.state_bounds, n, stream(21, "calibration"))
     labels = sys_.label_batch(xs)
     scores = np.full(n, -c)
     scores[labels == 2] = c + weights.delta
@@ -556,7 +556,7 @@ def test_verification_scores_equal_scores_of_the_whole_draw(system, sizes, n, bo
 
     cert, sys_, filt, _ = scoring_setup(system, sizes, 0, bounded)
     weights = LossWeights(delta=0.05)
-    xs = sample_uniform(sys_.state_bounds, n, np.random.default_rng([11, 17]))
+    xs = sample_uniform(sys_.state_bounds, n, stream(11, "calibration"))
     expected = score_states(cert, sys_, filt, xs, weights)
     got = verification_scores(cert, sys_, filt, n, 11, weights)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()

@@ -556,6 +556,7 @@ _BAD_CONFIG_VALUES = [
     (None, "correction_cap", 0.0),
     (None, "correction_cap", "abc"),
     (None, "correction_cap", float("inf")),
+    (None, "n_unsafe", 2),  # fewer rows than the 3 mini-batches of 600 safe rows
 ]
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from cbfcert import mlp
 from cbfcert.dynamics import (ControlAffineSystem, Label, collision_cone_label,
                               collision_cone_label_batch, dubins_system, make_system,
                               planar_aerial_system)
-from cbfcert.sampling import LabelingMeasureError, build_datasets, sample_uniform
+from cbfcert.sampling import (STREAMS, LabelingMeasureError, build_datasets,
+                              sample_uniform, stream)
 
 from oracles import min_distance_constant_velocity
 
@@ -34,6 +36,40 @@ def test_sample_uniform_validates_bounds():
         sample_uniform([[1, 1]], 5, seed=0)
     with pytest.raises(ValueError):
         sample_uniform([[0, 1]], -2, seed=0)
+
+
+_SEEDS = (0, 1, 5, 17, 101, 211, 2**31 - 1, 2**32 - 1)
+_ROUNDS = range(4)
+
+
+def _state(rng):
+    state = rng.bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_every_stream_a_run_uses_is_distinct(seed):
+    # by generator state, not key: numpy pads a key with zeros and splits
+    # big ints into 32-bit words, so a new entry (101,) taking no index
+    # would be the epochs stream of round 0
+    indices = {"epochs": [(r,) for r in _ROUNDS], "tuning": [(r,) for r in _ROUNDS]}
+    uses = {(name, index): stream(seed, name, *index)
+            for name in STREAMS for index in indices.get(name, [()])}
+    for r in _ROUNDS:  # refine's quantify_safety seed, drawn from the tuning stream
+        tuning_seed = int(stream(seed, "tuning", r).integers(2**31))
+        uses["tuning calibration", r] = stream(tuning_seed, "calibration")
+    first_use = {}
+    for use, rng in uses.items():
+        assert first_use.setdefault(_state(rng), use) == use
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32 + 1, 2**64 + 3])
+def test_the_init_stream_is_the_generator_of_init_certificate(seed):
+    cert = mlp.init_certificate([3, 8, 5, 1], seed=seed)
+    rng = stream(seed, "init")
+    for w in cert.weights:
+        limit = np.sqrt(6.0 / sum(w.shape))
+        assert np.array_equal(w, rng.uniform(-limit, limit, size=w.shape))
 
 
 def test_build_datasets_buckets_correct():

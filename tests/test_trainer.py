@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cbfcert import dynamics, mlp, trainer
-from cbfcert.certificate import score_states, total_loss
+from cbfcert.certificate import EmptyBucketError, score_states, total_loss
 from cbfcert.controller import SafetyFilter
 from cbfcert.dynamics import register_system
 from cbfcert.sampling import build_datasets, sample_uniform
@@ -44,6 +44,37 @@ def test_config_validation_messages():
         TrainConfig(alpha=0.001, conformal_samples=100)
     assert any("alpha" in e for e in info.value.messages)
     toy_config()
+
+
+def test_config_refuses_a_bucket_shorter_than_the_mini_batches():
+    # 6700 rows in batches of 256 make 27 mini-batches, and 10 unsafe rows
+    # would leave 17 of them without one
+    with pytest.raises(ConfigError) as info:
+        TrainConfig(n_safe=6700, n_unsafe=10, n_domain=6600, batch_size=256)
+    assert info.value.messages == ["n_unsafe: 10 rows for 27 mini-batches of "
+                                   "batch_size 256; need at least one row per mini-batch"]
+    TrainConfig(n_safe=6700, n_unsafe=27, n_domain=6600, batch_size=256)
+    # a phase given such buckets directly raises instead of skipping steps
+    sys_, cfg = toy_system(), toy_config()
+    ds = build_datasets(sys_, cfg.n_safe, 3, cfg.n_domain, seed=1)
+    with pytest.raises(EmptyBucketError):
+        train_phase(mlp.init_certificate([1, 8, 1], seed=3), ds, cfg.loss_weights(),
+                    cfg, sys_, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 3, 7, 64, 256, 1000])
+def test_every_mini_batch_takes_rows_from_every_bucket(batch_size):
+    # each bucket size a config accepts splits into contiguous, non-empty
+    # slices, so every step sees all three loss terms
+    for largest in [*range(1, 3000, 37), 6700, 20_000]:
+        n_batches = trainer._mini_batches([largest], batch_size)
+        assert (n_batches - 1) * batch_size < largest <= n_batches * batch_size
+        sizes = {*range(n_batches, n_batches + 4), (n_batches + largest) // 2, largest}
+        for size in (s for s in sizes if s <= largest):
+            cuts = trainer._batch_slices(size, n_batches)
+            assert cuts[0][0] == 0 and cuts[-1][1] == size
+            assert all(start < stop for start, stop in cuts)
+            assert all(a[1] == b[0] for a, b in zip(cuts, cuts[1:]))
 
 
 def test_config_round_trip():
