@@ -36,10 +36,10 @@ _GRID_BITS = 40
 _GRID = 1 << _GRID_BITS
 _CELL = 2.0 ** -_GRID_BITS
 
-# Rows per block of score_states and verification_scores: a block's
-# (R, 128) temporaries stay in the caches, and numpy's per-call cost is
-# spread over R rows. Picked by a 256-4096 sweep on the benchmark's
-# 100K-state quadruped verify and desk dubins scoring.
+# Rows per block of score_states, verification_scores and total_loss: a
+# block's (R, 128) temporaries stay in the caches, and numpy's per-call
+# cost is spread over R rows. Picked by a 256-4096 sweep on the
+# benchmark's 100K-state quadruped verify and desk dubins scoring.
 _BLOCK_ROWS = 512
 
 
@@ -111,20 +111,24 @@ def total_loss(cert: MlpCertificate, datasets: TrainingDatasets,
                workspace: Workspace | None = None
                ) -> tuple[float, tuple[float, float, float]]:
     """The composite hinge loss over the full datasets and its three terms
-    (safe, unsafe, decrease): the per-epoch monitoring loss, each bucket in
-    one pass, its hidden-layer arrays in the workspace if one is given."""
+    (safe, unsafe, decrease): the per-epoch monitoring loss. Each bucket
+    runs in row blocks (see _by_blocks) in one workspace, the given one
+    or a fresh one, so memory beyond the per-row values stays O(block)."""
     if min(datasets.sizes()) == 0:
         raise EmptyBucketError("all three dataset buckets must be nonempty")
     _check_filter(cert, controller)
-    # Whole buckets, not row blocks, so that every row keeps its bits
-    # (blocking moves dubins rows above 5,208 by 1 ulp). With a workspace
-    # the buckets allocate no hidden-layer arrays: a desk dubins call
-    # (6,700/6,700/6,600 rows) took 17 ms and 239 minor faults, the rest
-    # in the filter's f, g and decide, against 29-33 ms and 6,353 faults
-    # allocating fresh ones (2 vCPUs, one BLAS thread, medians of 15).
-    h_safe = forward_batch(cert, datasets.safe, workspace)
-    h_unsafe = forward_batch(cert, datasets.unsafe, workspace)
-    q3 = -filter_batch(controller, datasets.domain, workspace).slack
+    # A row keeps the bits the whole bucket gives it unless the whole
+    # bucket switches BLAS kernel: on the 6,600 desk dubins domain rows,
+    # q3 moves by up to 2.2e-16. A desk dubins training phase
+    # (6,700/6,700/6,600 rows) traced a 12.1 MiB peak with whole buckets
+    # and 2.5 MiB with blocks, and this loss took 8.4 ms instead of
+    # 11.4 ms (2 vCPUs, one BLAS thread, best of 40).
+    ws = workspace or Workspace()
+    safe, unsafe, domain = datasets.safe, datasets.unsafe, datasets.domain
+    h_safe = _by_blocks(len(safe), lambda i, j: forward_batch(cert, safe[i:j], ws))
+    h_unsafe = _by_blocks(len(unsafe), lambda i, j: forward_batch(cert, unsafe[i:j], ws))
+    q3 = _by_blocks(len(domain), lambda i, j: filter_batch(controller, domain[i:j], ws).slack)
+    np.negative(q3, out=q3)
     value, terms, _ = _hinge(h_safe, h_unsafe, q3, weights)
     return value, terms
 

@@ -197,21 +197,17 @@ def collision_cone_label_batch(states, nominal_speed: float = 1.0,
     pts = np.asarray(states, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 8:
         raise ValueError("collision-cone labeling expects (B, 8) states")
-    p = pts[:, 3:5] - pts[:, 0:2]
-    v_rel = np.stack([
-        pts[:, 5] - nominal_speed * np.cos(pts[:, 2]),
-        pts[:, 6] - nominal_speed * np.sin(pts[:, 2]),
-    ], axis=1)
+    # relative position p and velocity v, column by column
+    p0, p1 = pts[:, 3] - pts[:, 0], pts[:, 4] - pts[:, 1]
+    v0 = pts[:, 5] - nominal_speed * np.cos(pts[:, 2])
+    v1 = pts[:, 6] - nominal_speed * np.sin(pts[:, 2])
     r = pts[:, 7]
-    dist = np.linalg.norm(p, axis=1)
-    closing_rate = np.einsum("bi,bi->b", p, v_rel)
-    approaching = closing_rate < 0.0
-    speed_sq = np.einsum("bi,bi->b", v_rel, v_rel)
-    # miss distance: |p x v| / |v| for approaching states with v != 0
-    cross = p[:, 0] * v_rel[:, 1] - p[:, 1] * v_rel[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        miss = np.abs(cross) / np.sqrt(speed_sq)
-    miss = np.where(speed_sq > 0.0, miss, np.inf)
+    dist = np.sqrt(p0 * p0 + p1 * p1)
+    approaching = p0 * v0 + p1 * v1 < 0.0
+    speed_sq = v0 * v0 + v1 * v1
+    # miss distance: |p x v| / |v| where v != 0, else never
+    miss = np.divide(np.abs(p0 * v1 - p1 * v0), np.sqrt(speed_sq),
+                     out=np.full(pts.shape[0], np.inf), where=speed_sq > 0.0)
 
     unsafe = (dist <= r) | (approaching & (miss <= r))
     safe = (dist >= r + margin) & (~approaching | (miss >= r + margin))

@@ -33,9 +33,11 @@ until the next `forward_batch` or `primal_pass` on that workspace.
 `primal_input_gradients` and `seeded_loss_param_gradient` on that primal
 may share its workspace: they write only into buffers the primal does
 not keep. A training phase passes one workspace to every monitoring loss
-and step, and a scoring of N states one to every block's filter pass, so
-its pages are faulted in once per phase or scoring instead of once per
-call.
+and step, the monitoring loss uses it for every row block of its buckets,
+a scoring of N states uses one for every block's filter pass, and a level
+set one for every grid row's `forward` (through the private `_forward`),
+so their pages are faulted in once per phase, scoring or grid instead of
+once per call.
 
 Batch semantics. One layer recurrence computes every barrier value, and
 the shape it is given decides how BLAS sums. `forward_batch` and
@@ -47,15 +49,17 @@ one-row product per state and layer, which numpy's stacked matmul issues
 identically for every state, so any stack of states gives, bit for bit,
 what one state at a time gives.
 `certificate.score_states` and `certificate.verification_scores` (verify,
-and the certify step of every refinement round) call the batch path in
-row blocks of K = `certificate._BLOCK_ROWS` rows, the remainder joining
-the last block, so no call sees more than 2K-1 rows whatever the sample
-size. Their row values equal the one-shot batch's wherever the one-shot
-batch does not switch BLAS kernel by size; the dubins (B, 64) @ (64, 3)
-input-gradient product does above 5208 rows, and moves in the last ulp
-there. The monitoring loss, mini-batch training steps, rollouts and the
-B=1 filter pass their batches through whole; a training step's filter
-decides from the h and dh/dx of its whole mini-batch's primal pass.
+and the certify step of every refinement round) and the per-epoch
+monitoring loss `certificate.total_loss` call the batch path in row
+blocks of K = `certificate._BLOCK_ROWS` rows, the remainder joining the
+last block, so no call sees more than 2K-1 rows whatever the sample or
+bucket size. Their row values equal the one-shot batch's wherever the
+one-shot batch does not switch BLAS kernel by size; the dubins
+(B, 64) @ (64, 3) input-gradient product does above 5208 rows, and moves
+in the last ulp there. Mini-batch training steps (at most 3 x batch_size
+rows), rollouts and the B=1 filter pass their batches through whole; a
+training step's filter decides from the h and dh/dx of its whole
+mini-batch's primal pass.
 """
 
 from __future__ import annotations
@@ -248,12 +252,18 @@ def forward(cert: MlpCertificate, x) -> float | np.ndarray:
     (...) for a stack of states (..., n). The states run as an (R, 1, n)
     stack, so a state's value is the same bits whatever it is stacked
     with (see Batch semantics)."""
+    return _forward(cert, x, Workspace())
+
+
+def _forward(cert: MlpCertificate, x, ws: Workspace) -> float | np.ndarray:
+    """forward, its hidden-layer arrays in ws: a caller that evaluates
+    many stacks, as the level-set grid does row by row, holds one."""
     a = np.asarray(x, dtype=float)
     if a.ndim == 0 or a.shape[-1] != cert.n_inputs:
         raise ShapeError(
             f"state shape {np.shape(x)} does not match input size {cert.n_inputs}"
         )
-    h = _layers(cert, a.reshape(-1, 1, cert.n_inputs), Workspace(), None)[0]
+    h = _layers(cert, a.reshape(-1, 1, cert.n_inputs), ws, None)[0]
     return float(h[0]) if a.ndim == 1 else h.reshape(a.shape[:-1])
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .controller import SafetyFilter
 from .dynamics import ControlAffineSystem, Label, closed_loop_field
-from .mlp import MlpCertificate, forward, forward_batch
+from .mlp import MlpCertificate, Workspace, _forward, forward_batch
 from .sampling import rejection_sample_label, stream
 from .trainer import ConfigError, check_types
 
@@ -226,14 +226,16 @@ def levelset_grid(cert: MlpCertificate, spec: SliceSpec, bounds
     i0, i1 = spec.free_axes
     vals0 = np.linspace(bounds[i0, 0], bounds[i0, 1], spec.resolution)
     vals1 = np.linspace(bounds[i1, 0], bounds[i1, 1], spec.resolution)
-    # one grid row per call: forward is per-state exact, so every node is
-    # bit-identical to a direct barrier evaluation at that node
+    # one grid row per call of forward, in one workspace: forward is
+    # per-state exact, so every node is bit-identical to a direct barrier
+    # evaluation at that node
     row = np.tile(np.asarray(fixed, dtype=float), (spec.resolution, 1))
     row[:, i1] = vals1
     grid = np.empty((spec.resolution, spec.resolution))
+    workspace = Workspace()
     for i, v0 in enumerate(vals0):
         row[:, i0] = v0
-        grid[i] = forward(cert, row)
+        grid[i] = _forward(cert, row, workspace)
     return vals0, vals1, grid
 
 
@@ -266,9 +268,12 @@ def levelset_to_csv(vals0, vals1, grid, path, sidecar: dict) -> None:
     """Row-major grid CSV with an axis header, and the sidecar as JSON
     next to it."""
     path = Path(path)
+    # .tolist() gives the Python floats whose repr is repr(float(v)), as
+    # in rollout_to_csv
+    vals0, vals1, grid = (np.asarray(a, dtype=float).tolist() for a in (vals0, vals1, grid))
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["axis0\\axis1"] + [repr(float(v)) for v in vals1])
+        writer.writerow(["axis0\\axis1"] + [repr(v) for v in vals1])
         for v0, row in zip(vals0, grid):
-            writer.writerow([repr(float(v0))] + [repr(float(v)) for v in row])
+            writer.writerow([repr(v0)] + [repr(v) for v in row])
     path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))

@@ -98,6 +98,10 @@ class TrainConfig:
         for name in ("loss_tolerance", "seed"):
             if getattr(self, name) < 0:
                 errors.append(f"{name}: must be non-negative")
+        # numpy splits a larger key into 32-bit words, so stream(2**32 + 1,
+        # "init") would be stream(1, "safe")
+        if self.seed >= 2**32:
+            errors.append("seed: must be below 2**32")
         if not (0.0 < self.alpha < 1.0):
             errors.append("alpha: must lie in (0, 1)")
         if not (0.0 < self.beta < 1.0):

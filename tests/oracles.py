@@ -368,6 +368,18 @@ def reference_score_states(cert, sys, controller, xs, weights):
     return scores
 
 
+def reference_loss_rows(cert, datasets, controller):
+    """The monitoring loss's per-row values with each bucket in one pass:
+    h on the safe and unsafe buckets and q3 = -slack on the domain bucket,
+    the whole-bucket values the row-block loss must reproduce. controller
+    is the SafetyFilter built on cert."""
+    from cbfcert.controller import filter_batch
+    from cbfcert.mlp import forward_batch
+
+    return (forward_batch(cert, datasets.safe), forward_batch(cert, datasets.unsafe),
+            -filter_batch(controller, datasets.domain).slack)
+
+
 def reference_rollout_to_csv(ro, path):
     """The trajectory writer that converts one numpy scalar at a time; the
     list-based writer must produce the same bytes."""
@@ -396,6 +408,22 @@ def reference_rollout_to_csv(ro, path):
 # score_states); these pin what a single-state decision means.
 
 _DEGENERATE_SQ = 1e-28   # controller's degenerate-gradient threshold
+
+
+def reference_levelset_to_csv(vals0, vals1, grid, path, sidecar):
+    """The level-set writer that converts one numpy scalar at a time; the
+    list-based writer must produce the same bytes."""
+    import csv
+    import json
+    from pathlib import Path
+
+    path = Path(path)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["axis0\\axis1"] + [repr(float(v)) for v in vals1])
+        for v0, row in zip(vals0, grid):
+            writer.writerow([repr(float(v0))] + [repr(float(v)) for v in row])
+    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
 
 
 def constraint_coefficients(filt, x):

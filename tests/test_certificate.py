@@ -14,8 +14,9 @@ from cbfcert.controller import SafetyFilter
 from cbfcert.dynamics import dubins_system, quadruped_system
 from cbfcert.sampling import TrainingDatasets, build_datasets, stream
 
-from oracles import (betainc_quadrature, reference_epsilon_for, reference_score_states,
-                     reference_total_loss_and_gradient, violation_terms)
+from oracles import (betainc_quadrature, reference_epsilon_for, reference_loss_rows,
+                     reference_score_states, reference_total_loss_and_gradient,
+                     violation_terms)
 
 
 def constant_cert(n, value):
@@ -700,12 +701,13 @@ def _traced_peak(fn) -> int:
 
 
 def test_a_warm_workspace_leaves_no_hidden_layer_allocations():
-    # tracemalloc sees numpy's buffers. Without a workspace the desk
-    # monitoring loss peaks at 10.6 MiB of transient arrays and a step at
-    # 1.7 MiB; with a warm one at 1.6 MiB (f, g and the filter's arrays
-    # on 6,600 domain rows) and 0.08 MiB. One (6,700, 64) hidden array
-    # is 3.3 MiB and one (768, 64) array 0.38 MiB, so either bound fails
-    # if a single hidden-layer array is allocated again.
+    # tracemalloc sees numpy's buffers. With a warm workspace the desk
+    # monitoring loss peaks at 0.38 MiB (the per-row values, and f, g and
+    # the filter's arrays on one row block) and a step at 0.11 MiB. One
+    # (512, 64) hidden array is 0.25 MiB and one (768, 64) array 0.38 MiB,
+    # so either bound fails if a single hidden-layer array of a block or
+    # of the step is allocated again. Without a workspace a step peaks at
+    # 1.7 MiB, which shows that the tracer sees the hidden-layer arrays.
     cert, filt, ds, step = desk_loss_case()
     weights = LossWeights()
     workspace = mlp.Workspace()
@@ -713,10 +715,75 @@ def test_a_warm_workspace_leaves_no_hidden_layer_allocations():
     grad = lambda: total_loss_and_gradient(cert, step, filt, weights, workspace)
     loss()
     grad()  # warm-up: the workspace allocates its buffers
-    assert _traced_peak(loss) < 2.5 * 2**20
+    assert _traced_peak(loss) < 0.75 * 2**20
     assert _traced_peak(grad) < 0.25 * 2**20
-    # the same calls without a workspace allocate their hidden arrays
-    assert _traced_peak(lambda: total_loss(cert, ds, filt, weights)) > 8 * 2**20
+    assert _traced_peak(lambda: total_loss_and_gradient(cert, step, filt, weights)) > 2**20
+
+
+def test_the_monitoring_loss_runs_in_constant_memory():
+    # ten copies of the desk buckets, 67,000/67,000/66,000 rows: whole
+    # buckets held three (67,000, 64) hidden arrays and peaked at 99.7 MiB;
+    # row blocks in one fresh workspace peak at 5.0 MiB, mostly the
+    # per-row values and the hinge's temporaries (8 bytes a row each)
+    cert, filt, ds, _ = desk_loss_case()
+    big = TrainingDatasets(*(np.concatenate([bucket] * 10)
+                             for bucket in (ds.safe, ds.unsafe, ds.domain)))
+    assert _traced_peak(lambda: total_loss(cert, big, filt, LossWeights())) < 8 * 2**20
+
+
+def blocked_loss(cert, ds, filt, weights, monkeypatch):
+    """total_loss's value and terms, and the per-row values (h_safe,
+    h_unsafe, q3) it hands to _hinge."""
+    hinge, rows = certificate._hinge, []
+
+    def recorded(h_safe, h_unsafe, q3, weights):
+        rows.append((h_safe, h_unsafe, q3))
+        return hinge(h_safe, h_unsafe, q3, weights)
+
+    monkeypatch.setattr(certificate, "_hinge", recorded)
+    value, terms = total_loss(cert, ds, filt, weights)
+    assert len(rows) == 1
+    return value, terms, rows[0]
+
+
+# as in test_block_scores_equal_one_shot: every bucket size up to 5208
+# rows keeps its bits on both systems
+@pytest.mark.parametrize("system, sizes", [(dubins_system, [3, 64, 1]),
+                                           (quadruped_system, [8, 128, 128, 1])],
+                         ids=["dubins", "quadruped"])
+@pytest.mark.parametrize("n", _EXACT_SIZES)
+@pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+def test_blocked_loss_equals_whole_buckets(system, sizes, n, bounded, monkeypatch):
+    from cbfcert.sampling import sample_uniform
+
+    sys_ = system()
+    cert = biased_cert(sizes, seed=6)
+    filt = SafetyFilter(certificate=cert, system=sys_, respect_input_bounds=bounded,
+                        correction_cap=None if bounded else 1e3)
+    rng = np.random.default_rng([12, n])
+    ds = TrainingDatasets(*(sample_uniform(sys_.state_bounds, n, rng) for _ in range(3)))
+    weights = LossWeights(psi=-0.1)
+    expected = reference_loss_rows(cert, ds, filt)
+    want_value, want_terms, _ = certificate._hinge(*expected, weights)
+    value, terms, rows = blocked_loss(cert, ds, filt, weights, monkeypatch)
+    for got, want in zip(rows, expected, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert (value, terms) == (want_value, want_terms)
+
+
+def test_blocked_loss_desk_buckets_within_an_ulp(monkeypatch):
+    # the 6,600 domain rows pass 5208, where the whole bucket's (B, 64) @
+    # (64, 3) input-gradient product changes kernel: q3 moves by at most
+    # 2.2e-16 on 1,986 rows, and h keeps its bits
+    cert, filt, ds, _ = desk_loss_case()
+    weights = LossWeights(psi=-0.8)  # every hinge active on part of its bucket
+    expected = reference_loss_rows(cert, ds, filt)
+    want_value, want_terms, _ = certificate._hinge(*expected, weights)
+    value, terms, rows = blocked_loss(cert, ds, filt, weights, monkeypatch)
+    for got, want in zip(rows, expected, strict=True):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert value == pytest.approx(want_value, rel=1e-14, abs=0)
+    assert terms == pytest.approx(want_terms, rel=1e-14, abs=0)
 
 
 def test_a_reused_workspace_gives_the_values_of_fresh_ones():

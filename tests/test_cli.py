@@ -557,6 +557,7 @@ _BAD_CONFIG_VALUES = [
     (None, "correction_cap", "abc"),
     (None, "correction_cap", float("inf")),
     (None, "n_unsafe", 2),  # fewer rows than the 3 mini-batches of 600 safe rows
+    (None, "seed", 2**32),  # numpy would split it into the key [0, 1]
 ]
 
 
@@ -603,6 +604,21 @@ def test_negative_seed_exits_1_before_outputs(tmp_path, capsys, command, flag):
     assert main(argv) == 1
     assert not (tmp_path / "x").exists()
     assert capsys.readouterr().err == "error: seed: must be non-negative\n"
+
+
+@pytest.mark.parametrize("command", ["train", "verify", "simulate"])
+def test_seed_flag_of_2_to_the_32_exits_1_before_outputs(tmp_path, capsys, command):
+    from cbfcert import mlp
+
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
+    argv = [command, "--config", str(tiny_dubins_config(tmp_path)), "--out",
+            str(tmp_path / "x"), "--seed", str(2**32)]
+    if command != "train":
+        argv += ["--cert", str(cert_path)]
+    assert main(argv) == 1
+    assert not (tmp_path / "x").exists()
+    assert capsys.readouterr().err == "error: seed: must be below 2**32\n"
 
 
 @pytest.mark.parametrize("command", ["train", "levelset", "simulate"])

@@ -130,7 +130,23 @@ def test_collision_cone_boundary_inclusive_unsafe():
 def test_collision_cone_oracle_equivalence_10k():
     sys_ = make_system("quadruped")
     pts = sample_uniform(sys_.state_bounds, 10_000, seed=9)
+    # robot at the origin heading +x at the nominal speed 1 and a still
+    # obstacle of radius 0.5, so v_rel = (-1, 0) where vo = (0, 0)
+    edge = np.array([
+        [np.nan, 0, 0, 1.0, 0.0, 0.0, 0.0, 0.5],   # NaN distance: never labeled
+        [0, 0, 0, 1.0, np.nan, 0.0, 0.0, 0.5],
+        [0, 0, 0, 1.0, 0.3, 1.0, 0.0, 0.5],        # zero relative velocity:
+        [0, 0, 0, 0.6, 0.0, 1.0, 0.0, 0.5],        # the distance decides
+        [0, 0, 0, 0.5, 0.0, 1.0, 0.0, 0.5],        # dist = r, not closing
+        [0, 0, 0, 0.0, -0.5, 0.0, 0.0, 0.5],       # dist = r, closing
+        [0, 0, 0, 1.5, 0.5 + 0.2, 0.0, 0.0, 0.5],  # miss = r + margin
+        [0, 0, 0, 1.5, -(0.5 + 0.2), 0.0, 0.0, 0.5],
+    ])
+    want = [Label.UNLABELED, Label.UNLABELED, Label.SAFE, Label.UNLABELED,
+            Label.UNSAFE, Label.UNSAFE, Label.SAFE, Label.SAFE]
+    pts = np.concatenate([pts, edge])
     labels = collision_cone_label_batch(pts, nominal_speed=1.0, margin=0.2)
+    assert labels[-len(edge):].tolist() == want
     p = pts[:, 3:5] - pts[:, 0:2]
     v_rel = np.stack([pts[:, 5] - np.cos(pts[:, 2]),
                       pts[:, 6] - np.sin(pts[:, 2])], axis=1)

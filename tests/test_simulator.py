@@ -226,17 +226,38 @@ def test_levelset_every_node_matches_forward(system, sizes, resolution):
 def test_levelset_evaluates_at_most_one_grid_row_per_call(monkeypatch):
     from cbfcert import simulator
 
-    sizes = []
+    sizes, workspaces = [], []
 
-    def counted(cert, states):
+    def counted(cert, states, workspace):
         sizes.append(len(states))
-        return mlp.forward(cert, states)
+        workspaces.append(workspace)
+        return mlp._forward(cert, states, workspace)
 
-    monkeypatch.setattr(simulator, "forward", counted)
+    monkeypatch.setattr(simulator, "_forward", counted)
     spec = SliceSpec(free_axes=(0, 1), fixed_values=(0.0, 0.0, 0.3), resolution=9)
     levelset_grid(biased_cert([3, 8, 1], seed=4), spec, dubins_system().state_bounds)
     assert sum(sizes) == 81
     assert max(sizes) <= 9
+    # the rows share one workspace instead of making one each
+    assert isinstance(workspaces[0], mlp.Workspace)
+    assert all(w is workspaces[0] for w in workspaces)
+
+
+def test_levelset_csv_bytes_match_the_scalar_writer(tmp_path):
+    from oracles import reference_levelset_to_csv
+
+    from cbfcert.simulator import levelset_to_csv
+
+    sys_ = quadruped_system()
+    spec = SliceSpec(free_axes=(2, 7), resolution=13)
+    vals0, vals1, grid = levelset_grid(biased_cert([8, 16, 1], seed=5), spec,
+                                       sys_.state_bounds)
+    grid[0, :3] = [-0.0, 5e-324, 123456789.125]  # a signed zero, a subnormal
+    sidecar = {"resolution": 13}
+    levelset_to_csv(vals0, vals1, grid, tmp_path / "got.csv", sidecar)
+    reference_levelset_to_csv(vals0, vals1, grid, tmp_path / "ref.csv", sidecar)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 def test_levelset_pure_function_of_inputs():
