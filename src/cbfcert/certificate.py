@@ -15,7 +15,6 @@ and the certificate and system they are given must be the filter's own.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -156,7 +155,7 @@ def total_loss_and_gradient(cert: MlpCertificate, datasets: TrainingDatasets,
                          workspace)
     f, g = controller.system.f(domain), controller.system.g(domain)
     batch = decide(controller, domain, primal.h[first:],
-                   primal_input_gradients(cert, primal, first, workspace), f, g)
+                   primal_input_gradients(cert, primal, first), f, g)
     seeds = f + np.einsum("bnm,bm->bn", g, batch.inputs)
     lam1, lam2 = weights.lambda1, weights.lambda2
     gamma = controller.kappa_gain
@@ -169,7 +168,7 @@ def total_loss_and_gradient(cert: MlpCertificate, datasets: TrainingDatasets,
         dh[first:][act3] = -lam2 * gamma / nd
         return value, dh, np.where(act3, -lam2 / nd, 0.0)
 
-    return seeded_loss_param_gradient(cert, primal, seeds, combined, workspace)
+    return seeded_loss_param_gradient(cert, primal, seeds, combined)
 
 
 def conformal_quantile(scores, alpha: float) -> float:
@@ -299,9 +298,6 @@ class ConformalReport:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ConformalReport":

@@ -26,8 +26,8 @@ import numpy as np
 from . import mlp
 from .certificate import report_from_scores, verification_scores
 from .dynamics import ControlAffineSystem
-from .simulator import (SimulationConfig, SliceSpec, empirical_safety_rate,
-                        levelset_grid, levelset_to_csv, rollout_to_csv)
+from .simulator import (Rollout, SimulationConfig, SliceSpec, empirical_safety_rate,
+                        levelset_grid)
 from .trainer import (STATUS_CERTIFIED, ConfigError, TrainConfig,
                       alpha_epsilon_curve, certifying_filter, parse_section,
                       refine)
@@ -81,12 +81,47 @@ def _write_status(out: Path, text: str) -> None:
     (out / "STATUS").write_text(text + "\n")
 
 
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2))
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
+    """The header, then one line per row of Python values. csv writes a
+    float with str(), which is its repr: the shortest text that reads back
+    to the same bits. None is an empty cell; a bool reads True or False."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_trajectory(path: Path, ro: Rollout) -> None:
+    """t, state..., input..., h, constraint_active, constraint_slack at
+    each step; the final state's row has no input or filter cells."""
+    n, m = ro.states.shape[1], ro.inputs.shape[1]
+    header = ["t", *(f"x{i}" for i in range(n)), *(f"u{i}" for i in range(m)),
+              "h", "constraint_active", "constraint_slack"]
+    # one .tolist() per array; the final state's row gets None cells
+    cells = zip(ro.states.tolist(), ro.inputs.tolist() + [[None] * m], ro.h_values.tolist(),
+                ro.filter_active.astype(int).tolist() + [None],
+                ro.filter_slack.tolist() + [None])
+    _write_csv(path, header, ([k * ro.dt, *x, *u, h, a, s]
+                              for k, (x, u, h, a, s) in enumerate(cells)))
+
+
+def _write_levelset(path: Path, vals0, vals1, grid, sidecar: dict) -> None:
+    """The grid row-major under an axis header, and the sidecar as JSON beside it."""
+    _write_csv(path, ["axis0\\axis1", *vals1.tolist()],
+               ([v0, *row] for v0, row in zip(vals0.tolist(), grid.tolist())))
+    _write_json(path.with_suffix(".json"), sidecar)
+
+
 def cmd_train(args) -> int:
     config, sim, spec, _ = _load_config(args.config, args.seed)
     out = _out_dir(args, "train")
     _write_status(out, "running")
     echo = {**config.to_dict(), "simulation": asdict(sim), "levelset": asdict(spec)}
-    (out / "run_config.json").write_text(json.dumps(echo, indent=2))
+    _write_json(out / "run_config.json", echo)
 
     def checkpoint(round_idx, cert_k):
         mlp.save_certificate(cert_k, out / f"certificate_round_{round_idx}.json")
@@ -98,14 +133,11 @@ def cmd_train(args) -> int:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     mlp.save_certificate(cert, out / "certificate.json")
-    (out / "history.json").write_text(history.to_json())
-    (out / "report.json").write_text(report.to_json())
-    with (out / "losses.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phase", "epoch", "loss"])
-        for phase, losses in enumerate(history.epoch_losses):
-            for epoch, loss in enumerate(losses):
-                writer.writerow([phase, epoch, repr(loss)])
+    _write_json(out / "history.json", history.to_dict())
+    _write_json(out / "report.json", report.to_dict())
+    _write_csv(out / "losses.csv", ["phase", "epoch", "loss"],
+               ([phase, epoch, loss] for phase, losses in enumerate(history.epoch_losses)
+                for epoch, loss in enumerate(losses)))
     certified = history.status == STATUS_CERTIFIED
     _write_status(out, history.status)
     print(f"{history.status}: quantile={report.quantile:.6g} "
@@ -137,13 +169,9 @@ def cmd_verify(args) -> int:
                                  config.conformal_samples, seed=config.seed,
                                  weights=config.loss_weights())
     report = report_from_scores(scores, config.alpha, config.beta, config.seed)
-    (out / "report.json").write_text(report.to_json())
+    _write_json(out / "report.json", report.to_dict())
     if args.emit_scores:
-        with (out / "scores.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "score"])
-            for i, s in enumerate(scores.tolist()):
-                writer.writerow([i, repr(s)])
+        _write_csv(out / "scores.csv", ["index", "score"], enumerate(scores.tolist()))
     print(f"quantile={report.quantile:.6g} epsilon={report.epsilon:.6g} "
           f"beta={report.beta:.3g}")
     return 0
@@ -174,16 +202,13 @@ def cmd_simulate(args) -> int:
         "deployed_spec": deployed_spec,
         "certified_filter": certified_spec == deployed_spec,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
-    with (out / "rollout_statuses.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rollout", "status", "steps", "min_h"])
-        for i, ro in enumerate(rollouts):
-            writer.writerow([i, ro.status.value, ro.states.shape[0] - 1,
-                             repr(float(np.min(ro.h_values)))])
+    _write_json(out / "summary.json", summary)
+    _write_csv(out / "rollout_statuses.csv", ["rollout", "status", "steps", "min_h"],
+               ([i, ro.status.value, ro.states.shape[0] - 1, float(np.min(ro.h_values))]
+                for i, ro in enumerate(rollouts)))
     if sim.emit_trajectories:
         for i, ro in enumerate(rollouts[:sim.max_trajectory_files]):
-            rollout_to_csv(ro, out / f"trajectory_{i:04d}.csv")
+            _write_trajectory(out / f"trajectory_{i:04d}.csv", ro)
     print(f"safety rate {rate:.4f} over {sim.n_rollouts} rollouts; "
           f"counts: {dict(counts)}")
     return 0
@@ -199,7 +224,7 @@ def cmd_levelset(args) -> int:
         "resolution": spec.resolution,
         "bounds": system.state_bounds.tolist(),
     }
-    levelset_to_csv(vals0, vals1, grid, out / "levelset.csv", sidecar=sidecar)
+    _write_levelset(out / "levelset.csv", vals0, vals1, grid, sidecar)
     print(f"wrote {spec.resolution}x{spec.resolution} grid to {out / 'levelset.csv'}")
     return 0
 
@@ -221,17 +246,9 @@ def cmd_curve(args) -> int:
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_count)
     out = _out_dir(args, "curve")
     path = out / "curve.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_samples", "beta", "alpha", "epsilon", "error"])
-        for n in ns:
-            for b in betas:
-                for row in alpha_epsilon_curve(n, b, alphas):
-                    writer.writerow([
-                        row["n_samples"], row["beta"], row["alpha"],
-                        "" if row["epsilon"] is None else repr(row["epsilon"]),
-                        row["error"] or "",
-                    ])
+    _write_csv(path, ["n_samples", "beta", "alpha", "epsilon", "error"],
+               ([row["n_samples"], row["beta"], row["alpha"], row["epsilon"], row["error"]]
+                for n in ns for b in betas for row in alpha_epsilon_curve(n, b, alphas)))
     print(f"wrote {path}")
     return 0
 

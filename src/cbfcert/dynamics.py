@@ -76,6 +76,16 @@ def _box_mask(pts: np.ndarray, cols, lo, hi) -> np.ndarray:
     return mask
 
 
+def _label_codes(pts: np.ndarray, safe: np.ndarray, unsafe: np.ndarray) -> np.ndarray:
+    """(B,) Label codes from a labeler's masks: UNSAFE where unsafe, else
+    SAFE where safe; a state with a NaN coordinate is UNLABELED."""
+    out = np.zeros(pts.shape[0], dtype=int)
+    out[safe] = Label.SAFE
+    out[unsafe] = Label.UNSAFE
+    out[np.isnan(pts).any(axis=1)] = Label.UNLABELED
+    return out
+
+
 def _unicycle_g(x):
     """Input matrices of a unicycle whose pose is x[:, 0:3] inside an
     n = x.shape[1] state: forward speed moves the position along the
@@ -112,10 +122,7 @@ def dubins_system() -> ControlAffineSystem:
         in_x = np.all((pts >= lo) & (pts <= hi), axis=1)
         inner = _box_mask(pts, (0, 1), (-1.5, -1.5), (1.5, 1.5))
         unsafe = _box_mask(pts, (0, 1), (-0.2, -0.2), (0.2, 0.2))
-        out = np.zeros(pts.shape[0], dtype=int)
-        out[in_x & ~inner] = Label.SAFE
-        out[unsafe] = Label.UNSAFE
-        return out
+        return _label_codes(pts, in_x & ~inner, unsafe)
 
     return ControlAffineSystem(
         name="dubins", n=3, m=2, f=f, g=_unicycle_g,
@@ -163,10 +170,7 @@ def planar_aerial_system() -> ControlAffineSystem:
         rest_ok = np.all(
             (pts[:, 2:] >= bounds[2:, 0]) & (pts[:, 2:] <= bounds[2:, 1]), axis=1
         )
-        out = np.zeros(pts.shape[0], dtype=int)
-        out[safe & rest_ok] = Label.SAFE
-        out[unsafe] = Label.UNSAFE
-        return out
+        return _label_codes(pts, safe & rest_ok, unsafe)
 
     hover = GRAVITY / 2.0
 
@@ -192,7 +196,8 @@ def collision_cone_label_batch(states, nominal_speed: float = 1.0,
     assumes the robot holds its nominal forward speed. A state is unsafe
     when already inside the obstacle radius, or when closing and the
     straight-line miss distance is within the radius. It is safe when both
-    clearances exceed radius + margin; the band between is left unlabeled.
+    clearances exceed radius + margin; the band between is left unlabeled,
+    as is a state with a NaN coordinate.
     """
     pts = np.asarray(states, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 8:
@@ -211,10 +216,7 @@ def collision_cone_label_batch(states, nominal_speed: float = 1.0,
 
     unsafe = (dist <= r) | (approaching & (miss <= r))
     safe = (dist >= r + margin) & (~approaching | (miss >= r + margin))
-    out = np.zeros(pts.shape[0], dtype=int)
-    out[safe] = Label.SAFE
-    out[unsafe] = Label.UNSAFE
-    return out
+    return _label_codes(pts, safe, unsafe)
 
 
 def collision_cone_label(state, nominal_speed: float = 1.0, margin: float = 0.2) -> Label:

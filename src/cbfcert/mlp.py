@@ -21,23 +21,22 @@ All arithmetic is float64. No function changes its inputs, but for the
 scratch given to softplus; what a function returns (h, dh/dx, gradients,
 parameters) is the caller's own, except a Primal's caches, as below.
 
-Workspaces. `forward_batch`, `primal_pass`, `primal_input_gradients`,
-`values_and_input_gradients` and `seeded_loss_param_gradient` take an
-optional `Workspace` and write their hidden-layer arrays into views of
-its buffers: z and the activations of the forward, the sigmoids a primal
-pass keeps, the adjoints of the reverse sweeps and the tangents of the
-nested gradient. Called without one, each makes a fresh one, as `forward`
-always does, so every batch size runs the same code. A Primal built in a
-workspace holds views of it in `inputs[1:]` and `sigs`; they stay valid
-until the next `forward_batch` or `primal_pass` on that workspace.
-`primal_input_gradients` and `seeded_loss_param_gradient` on that primal
-may share its workspace: they write only into buffers the primal does
-not keep. A training phase passes one workspace to every monitoring loss
-and step, the monitoring loss uses it for every row block of its buckets,
-a scoring of N states uses one for every block's filter pass, and a level
-set one for every grid row's `forward` (through the private `_forward`),
-so their pages are faulted in once per phase, scoring or grid instead of
-once per call.
+Workspaces. `forward_batch`, `primal_pass` and `values_and_input_gradients`
+take an optional `Workspace` and write their hidden-layer arrays into
+views of its buffers: z and the activations of the forward and the
+sigmoids a primal pass keeps. Called without one, each makes a fresh
+one, as `forward` always does, so every batch size runs the same code. A
+Primal carries the workspace it was built in and holds views of it in
+`inputs[1:]` and `sigs`; they stay valid until the next `forward_batch`
+or `primal_pass` on that workspace. `primal_input_gradients` and
+`seeded_loss_param_gradient` write the adjoints of their reverse sweeps
+and the tangents of the nested gradient into the primal's workspace, in
+buffers the primal does not keep. A training phase passes one workspace
+to every monitoring loss and step, the monitoring loss uses it for every
+row block of its buckets, a scoring of N states uses one for every
+block's filter pass, and a level set one for every grid row's `forward`
+(through the private `_forward`), so their pages are faulted in once per
+phase, scoring or grid instead of once per call.
 
 Batch semantics. One layer recurrence computes every barrier value, and
 the shape it is given decides how BLAS sums. `forward_batch` and
@@ -277,27 +276,29 @@ def input_gradient(cert: MlpCertificate, x) -> np.ndarray:
 class Primal:
     """One primal pass over a (B, n) batch: the barrier values, each
     layer's input and each hidden layer's sigmoid(z), the caches that the
-    input gradients and the nested gradient read. Built in a workspace,
-    the hidden inputs and sigmoids are views of its buffers."""
+    input gradients and the nested gradient read. The hidden inputs and
+    sigmoids are views of the workspace's buffers, and the sweeps over
+    them write into that workspace too."""
 
     h: np.ndarray                 # (B,)
     inputs: list[np.ndarray]      # layer l's input, (B, layer_sizes[l])
     sigs: list[np.ndarray]        # hidden layer l's sigmoid(z), (B, layer_sizes[l+1])
+    workspace: Workspace
 
 
 def primal_pass(cert: MlpCertificate, xs, workspace: Workspace | None = None) -> Primal:
     """The layer recurrence over a batch, keeping its caches."""
     sigs = []
-    h, inputs = _layers(cert, _check_batch(cert, xs), workspace or Workspace(), sigs)
-    return Primal(h, inputs, sigs)
+    ws = workspace or Workspace()
+    h, inputs = _layers(cert, _check_batch(cert, xs), ws, sigs)
+    return Primal(h, inputs, sigs, ws)
 
 
-def primal_input_gradients(cert: MlpCertificate, primal: Primal, first: int,
-                           workspace: Workspace | None = None) -> np.ndarray:
+def primal_input_gradients(cert: MlpCertificate, primal: Primal, first: int) -> np.ndarray:
     """dh/dx of the primal's rows first: onwards, (B - first, n), by a
     reverse sweep over the cached sigmoids."""
     rows = primal.h.shape[0] - first
-    ws = workspace or Workspace()
+    ws = primal.workspace
     last = cert.n_layers - 1
     # The sweep's first product, ones((rows, 1)) @ w_last, is w_last's row
     # on every row, with -0.0 read as +0.0 (BLAS sums the one term onto
@@ -317,14 +318,12 @@ def primal_input_gradients(cert: MlpCertificate, primal: Primal, first: int,
 def values_and_input_gradients(cert: MlpCertificate, xs, workspace: Workspace | None = None
                                ) -> tuple[np.ndarray, np.ndarray]:
     """(h, dh/dx) for a batch in one pass; shapes (B,) and (B, n)."""
-    ws = workspace or Workspace()
-    primal = primal_pass(cert, xs, ws)
-    return primal.h, primal_input_gradients(cert, primal, 0, ws)
+    primal = primal_pass(cert, xs, workspace)
+    return primal.h, primal_input_gradients(cert, primal, 0)
 
 
 def seeded_loss_param_gradient(cert: MlpCertificate, primal: Primal, seed_dirs,
-                               loss_fn, workspace: Workspace | None = None
-                               ) -> tuple[float, tuple[np.ndarray, ...]]:
+                               loss_fn) -> tuple[float, tuple[np.ndarray, ...]]:
     """Value and parameter gradient of a loss built from h and one
     directional derivative per seeded row of a primal pass.
 
@@ -343,7 +342,7 @@ def seeded_loss_param_gradient(cert: MlpCertificate, primal: Primal, seed_dirs,
                          f"{cert.n_inputs}) for S <= {n_rows} seeded rows")
     if n_rows == 0:
         return 0.0, tuple(np.zeros_like(p) for p in cert.weights + cert.biases)
-    ws = workspace or Workspace()
+    ws = primal.workspace
     n_seeded = seeds.shape[0]
     first = n_rows - n_seeded
     last = cert.n_layers - 1

@@ -8,12 +8,9 @@ the trajectory for diagnostics.
 
 from __future__ import annotations
 
-import csv
-import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -237,43 +234,3 @@ def levelset_grid(cert: MlpCertificate, spec: SliceSpec, bounds
         row[:, i0] = v0
         grid[i] = _forward(cert, row, workspace)
     return vals0, vals1, grid
-
-
-def rollout_to_csv(ro: Rollout, path) -> None:
-    """t, state..., input..., h, constraint_active, constraint_slack;
-    the final row has no input or filter columns."""
-    path = Path(path)
-    n = ro.states.shape[1]
-    m = ro.inputs.shape[1]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{i}" for i in range(n)]
-                        + [f"u{i}" for i in range(m)]
-                        + ["h", "constraint_active", "constraint_slack"])
-        # one .tolist() per array: repr of the Python floats it gives is
-        # the repr of float(v), without a numpy scalar per element
-        states, inputs = ro.states.tolist(), ro.inputs.tolist()
-        h_values = ro.h_values.tolist()
-        active, slack = ro.filter_active.tolist(), ro.filter_slack.tolist()
-        for k, (x, h) in enumerate(zip(states, h_values)):
-            stepped = k < len(inputs)
-            u = [repr(v) for v in inputs[k]] if stepped else [""] * m
-            tail = ([str(int(active[k])), repr(slack[k])]
-                    if stepped and k < len(active) else ["", ""])
-            writer.writerow([repr(k * ro.dt)] + [repr(v) for v in x] + u
-                            + [repr(h)] + tail)
-
-
-def levelset_to_csv(vals0, vals1, grid, path, sidecar: dict) -> None:
-    """Row-major grid CSV with an axis header, and the sidecar as JSON
-    next to it."""
-    path = Path(path)
-    # .tolist() gives the Python floats whose repr is repr(float(v)), as
-    # in rollout_to_csv
-    vals0, vals1, grid = (np.asarray(a, dtype=float).tolist() for a in (vals0, vals1, grid))
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis0\\axis1"] + [repr(v) for v in vals1])
-        for v0, row in zip(vals0, grid):
-            writer.writerow([repr(v0)] + [repr(v) for v in row])
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import sys as _sys
 import time
 import typing
@@ -232,9 +231,6 @@ class TrainingHistory:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def certifying_filter(cert, sys, config: TrainConfig,

@@ -81,6 +81,36 @@ def test_generators_are_seeded_only_where_streams_are_made():
                              ("sampling.stream", "np.random.default_rng")]
 
 
+def test_only_the_cli_writes_files():
+    # every file-writing call of the package, by the function it sits in,
+    # and every csv import: the library computes, the command writes its
+    # artifacts (a certificate also through mlp.save_certificate)
+    writes, csv_importers = [], set()
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open") or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr in ("open", "write_text", "write_bytes")):
+                writes.append(where)
+        names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                 else [node.module] if isinstance(node, ast.ImportFrom) else [])
+        if "csv" in names:
+            csv_importers.add(where.split(".")[0])
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted((_ROOT / "src" / "cbfcert").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert "cli" in {where.split(".")[0] for where in writes}
+    assert [w for w in writes
+            if w.split(".")[0] != "cli" and w != "mlp.save_certificate"] == []
+    assert csv_importers == {"cli"}
+
+
 def test_import_loads_only_the_stdlib_numpy_and_cbfcert():
     # against a bare interpreter, so modules that site and .pth files load
     # are discounted

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -352,14 +353,14 @@ def test_quantify_safety_deterministic():
     r1 = quantify_safety(cert, sys_, filt, 500, 0.05, 1e-3, seed=10)
     r2 = quantify_safety(cert, sys_, filt, 500, 0.05, 1e-3, seed=10)
     assert r1 == r2
-    assert r1.to_json() == r2.to_json()
+    assert json.dumps(r1.to_dict(), indent=2) == json.dumps(r2.to_dict(), indent=2)
 
 
 def test_report_json_round_trip():
     report = ConformalReport(n_samples=100, alpha=0.1, beta=1e-3, index_l=10,
                              quantile=-0.2, epsilon=0.15, score_min=-1.0,
                              score_max=0.5, score_mean=-0.3, seed=4)
-    back = ConformalReport.from_dict(__import__("json").loads(report.to_json()))
+    back = ConformalReport.from_dict(json.loads(json.dumps(report.to_dict(), indent=2)))
     assert back == report
 
 

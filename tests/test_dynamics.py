@@ -126,6 +126,29 @@ def test_labeler_disjoint_and_inside_domain():
         assert np.all(sys_.contains(marked))
 
 
+# one SAFE and one UNSAFE state per system
+_LABELED_STATES = {
+    "dubins": ([1.8, 1.8, 0.0], [0.0, 0.0, 0.0]),
+    "planar_aerial": ([0.0] * 6, [1.5, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    "quadruped": ([0, 0, 0, -1.5, 0, 0, 0, 0.5], [0, 0, 0, 1.5, 0, 0, 0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name, coord", [
+    (name, coord) for name, (safe, _) in _LABELED_STATES.items()
+    for coord in range(len(safe))])
+def test_a_nan_coordinate_is_unlabeled(name, coord):
+    sys_ = make_system(name)
+    states = np.array(_LABELED_STATES[name], dtype=float)
+    assert sys_.label_batch(states).tolist() == [Label.SAFE, Label.UNSAFE]
+    poisoned = states.copy()
+    poisoned[:, coord] = np.nan
+    # the NaN rows beside their clean originals, which keep their labels
+    labels = sys_.label_batch(np.vstack([poisoned, states]))
+    assert labels.tolist() == [Label.UNLABELED] * 2 + [Label.SAFE, Label.UNSAFE]
+    assert sys_.label(poisoned[1]) == Label.UNLABELED
+
+
 @pytest.mark.parametrize("name", ["dubins", "planar_aerial", "quadruped"])
 @pytest.mark.parametrize("count", [1, 7])
 def test_batch_contract(name, count):

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from cbfcert import dynamics, make_system, mlp, simulator
-from cbfcert.cli import main
+from cbfcert.cli import _write_levelset, _write_trajectory, main
 from cbfcert.controller import SafetyFilter
 from cbfcert.dynamics import (ControlAffineSystem, GRAVITY, Label, dubins_system,
                               planar_aerial_system, quadruped_system)
 from cbfcert.simulator import (Rollout, RolloutStatus, SliceSpec,
                                empirical_safety_rate, levelset_grid, rk4_step,
-                               rollout, rollout_to_csv, sample_safe_starts)
+                               rollout, sample_safe_starts)
 
 from oracles import constraint_coefficients
 from toy import analytic_toy_barrier, toy_system
@@ -246,15 +246,13 @@ def test_levelset_evaluates_at_most_one_grid_row_per_call(monkeypatch):
 def test_levelset_csv_bytes_match_the_scalar_writer(tmp_path):
     from oracles import reference_levelset_to_csv
 
-    from cbfcert.simulator import levelset_to_csv
-
     sys_ = quadruped_system()
     spec = SliceSpec(free_axes=(2, 7), resolution=13)
     vals0, vals1, grid = levelset_grid(biased_cert([8, 16, 1], seed=5), spec,
                                        sys_.state_bounds)
     grid[0, :3] = [-0.0, 5e-324, 123456789.125]  # a signed zero, a subnormal
     sidecar = {"resolution": 13}
-    levelset_to_csv(vals0, vals1, grid, tmp_path / "got.csv", sidecar)
+    _write_levelset(tmp_path / "got.csv", vals0, vals1, grid, sidecar)
     reference_levelset_to_csv(vals0, vals1, grid, tmp_path / "ref.csv", sidecar)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
@@ -285,9 +283,8 @@ def test_rollout_records_filter_decisions(tmp_path):
     assert ro.filter_slack.shape[0] == ro.inputs.shape[0]
     # inactive steps keep the reference and carry positive slack
     assert np.all(ro.filter_slack[~ro.filter_active] > 0)
-    from cbfcert.simulator import rollout_to_csv
     path = tmp_path / "traj.csv"
-    rollout_to_csv(ro, path)
+    _write_trajectory(path, ro)
     header = path.read_text().splitlines()[0]
     assert header.endswith("h,constraint_active,constraint_slack")
 
@@ -334,7 +331,7 @@ def test_lock_step_matches_one_at_a_time_every_status(tmp_path):
     # a rollout that never stepped has the same columns as its siblings
     for ro, inputs in ((stopped, ["u0", "u1"]), (completed, ["u0", "u1"])):
         path = tmp_path / "traj.csv"
-        rollout_to_csv(ro, path)
+        _write_trajectory(path, ro)
         rows = [line.split(",") for line in path.read_text().splitlines()]
         assert rows[0] == ["t", "x0", "x1", "x2", *inputs, "h",
                            "constraint_active", "constraint_slack"]
@@ -394,7 +391,7 @@ def test_rollout_to_csv_bytes_match_the_scalar_writer(tmp_path):
     assert batch[0].inputs.shape == (0, 2)   # stopped at step 0
     for i, ro in enumerate(batch):
         got, expected = tmp_path / f"got_{i}.csv", tmp_path / f"ref_{i}.csv"
-        rollout_to_csv(ro, got)
+        _write_trajectory(got, ro)
         reference_rollout_to_csv(ro, expected)
         assert got.read_bytes() == expected.read_bytes()
 

@@ -216,7 +216,8 @@ def test_history_records_each_phases_minor_faults(monkeypatch):
     assert sum(faults) <= process_faults() - before  # each phase's own faults
     monkeypatch.setattr(trainer, "resource", None)
     _, history, _ = refine(cfg)
-    assert json.loads(history.to_json())["phase_minor_faults"] == [None, None]
+    doc = json.loads(json.dumps(history.to_dict(), indent=2))
+    assert doc["phase_minor_faults"] == [None, None]
 
 
 def test_refine_budget_exhausted_returns_best():
