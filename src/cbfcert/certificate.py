@@ -223,32 +223,99 @@ def _tail_bracket(n: int, l: int, beta: float) -> tuple[int, int, float]:
             min(_GRID, math.ceil(upper / _CELL) + 1), log_lo)
 
 
-def epsilon_for(n_samples: int, alpha: float, beta: float) -> float:
-    """Smallest violation level epsilon whose Beta tail bound holds.
+def _pratt_g(x: float) -> tuple[float, float]:
+    """Peizer and Pratt's g(x) = (1 - x^2 + 2 x ln x) / (1 - x)^2 and its
+    derivative; near x = 1, where both ratios cancel, their power series."""
+    t = x - 1.0
+    if abs(t) < 1e-3:
+        return (t * (-1.0 / 3.0 + t * (1.0 / 6.0 - t / 10.0)),
+                -1.0 / 3.0 + t * (1.0 / 3.0 - 0.3 * t))
+    num = 1.0 - x * x + 2.0 * x * math.log(x)
+    return num / (t * t), -2.0 * ((x - math.log(x) - 1.0) * t + num) / (t * t * t)
 
-    Returns the smallest grid point eps = j * 2**-40 with
-    S(eps) = I_{1-eps}(N-l+1, l) <= beta: the value 40 halvings of [0, 1]
-    return, bit for bit. S is the survival function of Beta(l, N-l+1),
-    log-concave in eps and in v = log(1 - eps). Newton steps on
-    log S(v) = log beta, snapped to the grid, shrink a bracket (lo, hi)
-    of grid indices with S > beta at lo and S <= beta at hi, and the
-    chord of log S across the bracket raises lo without an evaluation.
-    Each step lands where either outcome leaves a bracket that halving
-    could still close in the evaluations left, so no call evaluates the
-    incomplete beta more than 40 times; most take 3 to 8.
-    """
+
+def _peizer_pratt_root(n: int, k: int, z: float) -> float:
+    """The eps at which the Peizer-Pratt normal deviate of
+    P(Binomial(N, eps) <= k) equals z (Peizer & Pratt, JASA 1968): Newton
+    steps on logit(eps), which keeps eps inside (0, 1), from the normal
+    approximation. nan where a step overflows or leaves a log's domain."""
+    s, f = k + 0.5, n - k - 0.5
+    # the deviate is d r, with r = sqrt(w / ((N + 1/6) eps (1 - eps))) and
+    # d linear in eps, of slope dd
+    dd = -(n + 1.0 / 3.0) - 0.02 * (1.0 / (k + 1) + 1.0 / (n - k) + 1.0 / (n + 1))
+    # the normal approximation, with eps and 1 - eps at least half their means
+    p = min(max(s / n - z * math.sqrt(s * f / n) / n, 0.5 * s / n), 1.0 - 0.5 * f / n)
+    u = math.log(p / (1.0 - p))
+    try:
+        for _ in range(8):
+            p = 1.0 / (1.0 + math.exp(-u))
+            q = 1.0 - p
+            d = k + 2.0 / 3.0 - (n + 1.0 / 3.0) * p + 0.02 * (q / (k + 1) - p / (n - k)
+                                                                 + (q - 0.5) / (n + 1))
+            xs, xf = s / (n * p), f / (n * q)
+            (gs, dgs), (gf, dgf) = _pratt_g(xs), _pratt_g(xf)
+            w = 1.0 + q * gs + p * gf
+            dw = gf - gs - q * dgs * xs / p + p * dgf * xf / q
+            r = math.sqrt(w / ((n + 1.0 / 6.0) * p * q))
+            # d(d r)/du = r (dd + d (dw / 2w - (q - p) / 2pq)) p q
+            step = (d * r - z) / (r * (dd * p * q + d * (0.5 * dw * p * q / w - 0.5 * (q - p))))
+            u -= step
+            if abs(step) <= 1e-6:
+                break
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return math.nan
+    return 1.0 / (1.0 + math.exp(-u))
+
+
+def epsilon_for(n_samples: int, alpha: float, beta: float) -> float:
+    """Smallest violation level epsilon whose Beta tail bound holds: the
+    smallest grid point eps = j * 2**-40 with I_{1-eps}(N-l+1, l) <= beta,
+    l = quantile_index(N, alpha) (see _beta_tail_root)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if not (0.0 < beta < 1.0):
         raise ValueError("beta must lie in (0, 1)")
-    l = quantile_index(n_samples, alpha)
+    return _beta_tail_root(n_samples, quantile_index(n_samples, alpha), beta)
+
+
+def failure_bound(failures: int, trials: int, beta: float) -> float:
+    """The exact one-sided Clopper-Pearson 1 - beta upper bound on a
+    failure probability after `failures` of `trials` independent trials
+    failed: the smallest grid point eps = j * 2**-40 with
+    P(Binomial(trials, eps) <= failures) <= beta, and 1.0 when every
+    trial failed."""
+    if not 0 <= failures <= trials:
+        raise ValueError(f"failures must lie in [0, {trials}], got {failures}")
+    if not (0.0 < beta < 1.0):
+        raise ValueError("beta must lie in (0, 1)")
+    return 1.0 if failures == trials else _beta_tail_root(trials, failures + 1, beta)
+
+
+def _beta_tail_root(n_samples: int, l: int, beta: float) -> float:
+    """The smallest grid point eps = j * 2**-40 with
+    S(eps) = I_{1-eps}(N-l+1, l) = P(Binomial(N, eps) <= l-1) <= beta,
+    for 1 <= l <= N: the value 40 halvings of [0, 1] return, bit for bit.
+
+    S is the survival function of Beta(l, N-l+1), log-concave in eps and
+    in v = log(1 - eps). The search starts at the Peizer-Pratt root, which
+    needs no evaluation of S. Newton steps on log S(v) = log beta, Halley
+    steps within 0.5 of it, snapped to the grid, shrink a bracket (lo, hi)
+    of grid indices with S > beta at lo and S <= beta at hi, and the
+    chord of log S across the bracket raises lo without an evaluation.
+    Each step lands where either outcome leaves a bracket that halving
+    could still close in the evaluations left, so no call evaluates the
+    incomplete beta more than 40 times; most take 2 to 4.
+    """
     a, b = n_samples - l + 1, l
     log_beta = math.log(beta)
     lo, hi, y_lo = _tail_bracket(n_samples, l, beta)
     y_hi = -math.inf  # log S at hi, once evaluated
-    # start at the normal approximation of the Beta(l, N-l+1) quantile
-    mean = l / (n_samples + 1)
-    guess = mean - NormalDist().inv_cdf(beta) * math.sqrt(mean * (1.0 - mean) / (n_samples + 2))
+    z = NormalDist().inv_cdf(beta)
+    guess = _peizer_pratt_root(n_samples, l - 1, z)
+    if not 0.0 < guess < 1.0:  # nan too
+        # the normal approximation of the Beta(l, N-l+1) quantile
+        mean = l / (n_samples + 1)
+        guess = mean - z * math.sqrt(mean * (1.0 - mean) / (n_samples + 2))
     j = math.ceil(guess / _CELL) if guess < 1.0 else (lo + hi) // 2
     left = _GRID_BITS
     while hi - lo > 1:
@@ -266,8 +333,14 @@ def epsilon_for(n_samples: int, alpha: float, beta: float) -> float:
             lo, y_lo = j, y
         j = (lo + hi) // 2
         if s > 0.0:
-            # Newton on log S(v): d log S / dv = x pdf(x) / S = e^front / (eps S)
-            step = (y - log_beta) * eps * math.exp(min(y - _log_front(x, a, b), 700.0))
+            # Newton on L(v) = log S(v): L' = x pdf(x) / S = e^front / (eps S)
+            inv = eps * math.exp(min(y - _log_front(x, a, b), 700.0))  # 1 / L'
+            step = (y - log_beta) * inv
+            if abs(y - log_beta) < 0.5:
+                # Halley near the root, with L'' = L' (a - (b-1) x / eps - L')
+                shrink = 1.0 - 0.5 * (y - log_beta) * ((a - (b - 1) * x / eps) * inv - 1.0)
+                if 0.0 < shrink < math.inf:
+                    step /= shrink
             v = math.log(x) - step
             j = math.ceil(-math.expm1(min(v, 0.0)) / _CELL)
         if y_lo > y_hi > -math.inf:

@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import mlp
-from .certificate import report_from_scores, verification_scores
+from .certificate import failure_bound, report_from_scores, verification_scores
 from .dynamics import ControlAffineSystem
 from .simulator import (Rollout, SimulationConfig, SliceSpec, empirical_safety_rate,
-                        levelset_grid)
+                        failure_count, levelset_grid)
 from .trainer import (STATUS_CERTIFIED, ConfigError, TrainConfig,
                       alpha_epsilon_curve, certifying_filter, parse_section,
                       refine)
@@ -193,6 +193,9 @@ def cmd_simulate(args) -> int:
         system, filt, sim.n_rollouts, sim.horizon_steps, sim.dt, seed=config.seed)
     summary = {
         "rate": rate,
+        "failure_bound": failure_bound(failure_count(system, rollouts), sim.n_rollouts,
+                                       config.beta),
+        "beta": config.beta,
         "counts": dict(counts),
         "n_rollouts": sim.n_rollouts,
         "horizon_steps": sim.horizon_steps,

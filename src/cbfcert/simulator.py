@@ -149,11 +149,15 @@ def empirical_safety_rate(sys: ControlAffineSystem, filt: SafetyFilter,
     starts = sample_safe_starts(sys, n_rollouts, stream(seed, "rollout_starts"))
     rollouts = rollout(sys, filt, starts, horizon_steps, dt)
     counts = Counter(ro.status.value for ro in rollouts)
+    return 1.0 - failure_count(sys, rollouts) / n_rollouts, counts, rollouts
+
+
+def failure_count(sys: ControlAffineSystem, rollouts: list[Rollout]) -> int:
+    """How many rollouts failed, by the rule empirical_safety_rate states."""
     failed = {RolloutStatus.ENTERED_UNSAFE, RolloutStatus.FILTER_INFEASIBLE}
     if sys.domain_exit_unsafe:
         failed.add(RolloutStatus.EXITED_DOMAIN)
-    failures = sum(ro.status in failed for ro in rollouts)
-    return 1.0 - failures / n_rollouts, counts, rollouts
+    return sum(ro.status in failed for ro in rollouts)
 
 
 @dataclass(frozen=True)

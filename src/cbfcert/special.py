@@ -3,7 +3,8 @@
 This is the only special function the certification math needs: it is the
 CDF of the Beta distribution, used to convert a conformal quantile index
 into a (violation rate, confidence) pair. certificate.epsilon_for inverts
-it by Newton steps, with the Beta density taken from _log_front.
+it from a Peizer-Pratt start by Newton and Halley steps, with the Beta
+density taken from _log_front.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ _FPMIN = 1e-300
 
 
 class BetaDomainError(ValueError):
-    """Raised when (x, a, b) fall outside x in [0, 1], a > 0, b > 0."""
+    """Raised when (x, a, b) fall outside x in [0, 1], a > 0, b > 0, with
+    a, b and a + b finite."""
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -104,6 +106,8 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
         raise BetaDomainError(f"x must lie in [0, 1], got {x}")
     if a <= 0.0 or b <= 0.0:
         raise BetaDomainError(f"a and b must be positive, got a={a}, b={b}")
+    if not math.isfinite(a + b):
+        raise BetaDomainError(f"a, b and a + b must be finite, got a={a}, b={b}")
     if x == 0.0:
         return 0.0
     if x == 1.0:

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cbfcert import certificate, mlp
 from cbfcert.certificate import (ConformalReport, EmptyBucketError,
                                  InsufficientSamplesError, InvalidAlphaError,
                                  LossWeights, conformal_quantile, epsilon_for,
-                                 quantify_safety, quantile_index, score_states,
-                                 total_loss, total_loss_and_gradient)
+                                 failure_bound, quantify_safety, quantile_index,
+                                 score_states, total_loss, total_loss_and_gradient)
 from cbfcert.controller import SafetyFilter
 from cbfcert.dynamics import dubins_system, quadruped_system
 from cbfcert.sampling import TrainingDatasets, build_datasets, stream
@@ -266,8 +267,7 @@ def _epsilon_cases():
     return [(n, (l + float(rng.uniform(0.05, 0.95))) / (n + 1), beta) for n, l, beta in cases]
 
 
-@pytest.fixture(scope="module")
-def epsilon_sweep():
+def _counted_epsilons(cases):
     """(N, alpha, beta, epsilon, incomplete-beta evaluations) per case."""
     original = certificate.regularized_incomplete_beta
     calls = [0]
@@ -279,10 +279,15 @@ def epsilon_sweep():
     rows = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(certificate, "regularized_incomplete_beta", counted)
-        for n, alpha, beta in _epsilon_cases():
+        for n, alpha, beta in cases:
             calls[0] = 0
             rows.append((n, alpha, beta, epsilon_for(n, alpha, beta), calls[0]))
     return rows
+
+
+@pytest.fixture(scope="module")
+def epsilon_sweep():
+    return _counted_epsilons(_epsilon_cases())
 
 
 def test_epsilon_for_matches_the_bisection_oracle_bit_for_bit(epsilon_sweep):
@@ -294,9 +299,47 @@ def test_epsilon_for_matches_the_bisection_oracle_bit_for_bit(epsilon_sweep):
 
 
 def test_epsilon_for_evaluation_count(epsilon_sweep):
+    # 4.82 on average and 8 at most from the normal-approximation start
+    # with Newton steps alone; 3.02 and 8 from the Peizer-Pratt start
     counts = [calls for *_, calls in epsilon_sweep]
-    assert max(counts) <= 40
-    assert sum(counts) / len(counts) <= 12
+    assert max(counts) <= 8
+    assert sum(counts) / len(counts) <= 4.0
+
+
+def test_epsilon_for_evaluation_count_on_curve_grids():
+    # the benchmark's curve operation: 8 alphas from U(0.005, 0.02) to
+    # U(0.1, 0.2) at N = 1e3, 1e4 and 1e5, beta = 1e-3; 4.96 evaluations per
+    # epsilon from the normal-approximation start, 3.0 from Peizer-Pratt
+    rng = np.random.default_rng(25)
+    cases = []
+    for _ in range(50):
+        alphas = np.linspace(rng.uniform(0.005, 0.02), rng.uniform(0.1, 0.2), 8)
+        cases += [(n, float(alpha), 1e-3) for n in (1000, 10000, 100000) for alpha in alphas]
+    counts = [calls for *_, calls in _counted_epsilons(cases)]
+    assert sum(counts) / len(counts) <= 3.25
+
+
+def test_failure_bound_of_no_failure_in_a_thousand_rollouts():
+    # 1 - beta**(1/n), rounded up to the 2**-40 grid
+    assert failure_bound(0, 1000, 1e-3) == pytest.approx(0.00688, abs=5e-6)
+    assert failure_bound(0, 1000, 1e-3) >= 1.0 - 1e-3 ** (1.0 / 1000)
+
+
+@pytest.mark.parametrize("n,k", [(1, 0), (10, 3), (10, 9), (200, 0), (1000, 17),
+                                 (1000, 999), (50000, 1200)])
+@pytest.mark.parametrize("beta", [1e-3, 0.05])
+def test_failure_bound_is_the_clopper_pearson_upper_bound(n, k, beta):
+    expected = float(stats.beta.ppf(1.0 - beta, k + 1, n - k))
+    assert abs(failure_bound(k, n, beta) - expected) < 1e-9
+
+
+def test_failure_bound_when_every_trial_failed_or_out_of_range():
+    assert failure_bound(7, 7, 1e-3) == 1.0
+    for failures, trials in ((-1, 10), (11, 10)):
+        with pytest.raises(ValueError, match="failures"):
+            failure_bound(failures, trials, 1e-3)
+    with pytest.raises(ValueError, match="beta"):
+        failure_bound(0, 10, 1.0)
 
 
 def test_quantify_safety_constant_cert_scores():

@@ -191,6 +191,36 @@ def test_simulate_single_rollout_emits_trajectory(tmp_path):
     assert summary["rate"] == pytest.approx(1.0 - failures / len(statuses))
 
 
+@pytest.mark.parametrize("system,failing", [
+    ("dubins", ("entered_unsafe", "filter_infeasible")),
+    ("planar_aerial", ("entered_unsafe", "filter_infeasible", "exited_domain"))])
+def test_simulate_states_the_failure_bound_of_its_rate(tmp_path, system, failing):
+    # an untrained barrier: on dubins 32 of 40 rollouts fail and 6 exit the
+    # domain harmlessly; on planar_aerial a domain exit fails too, and all
+    # 40 fail, where the bound is 1.0
+    from cbfcert import mlp
+    from cbfcert.certificate import failure_bound
+    from cbfcert.dynamics import make_system
+
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(mlp.init_certificate([make_system(system).n, 8, 1], seed=2),
+                         cert_path)
+    config = tiny_dubins_config(
+        tmp_path, system=system, beta=0.01,
+        simulation={"n_rollouts": 40, "horizon_steps": 40, "dt": 0.05,
+                    "emit_trajectories": False})
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config), "--cert", str(cert_path),
+                 "--out", str(out)]) == 0
+    summary = check_against("summary.schema.json", out / "summary.json")
+    lines = (out / "rollout_statuses.csv").read_text().strip().splitlines()[1:]
+    failures = sum(line.split(",")[1] in failing for line in lines)
+    assert summary["rate"] == 1.0 - failures / 40
+    assert summary["beta"] == 0.01
+    assert summary["failure_bound"] == failure_bound(failures, 40, 0.01)
+    assert 1.0 - summary["rate"] <= summary["failure_bound"] <= 1.0
+
+
 @pytest.mark.parametrize("bounded_training", [False, True])
 def test_simulate_records_the_deployed_against_the_certified_filter(
         tmp_path, capsys, bounded_training):

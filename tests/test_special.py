@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import special as sp_special
@@ -67,6 +69,12 @@ def test_domain_errors():
         regularized_incomplete_beta(0.5, 0.0, 1.0)
     with pytest.raises(BetaDomainError):
         regularized_incomplete_beta(0.5, 1.0, -2.0)
+    # non-finite shapes used to run the whole continued fraction and end in
+    # a bare ArithmeticError, and a + b = inf in a ZeroDivisionError
+    for x, a, b in ((0.5, math.nan, 2.0), (0.5, math.inf, 2.0), (0.5, 2.0, math.inf),
+                    (0.3, 1e308, 1e308)):
+        with pytest.raises(BetaDomainError, match="finite"):
+            regularized_incomplete_beta(x, a, b)
 
 
 def test_monotone_in_x():
