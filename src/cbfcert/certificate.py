@@ -273,9 +273,13 @@ def epsilon_for(n_samples: int, alpha: float, beta: float) -> float:
     l = quantile_index(N, alpha) (see _beta_tail_root)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    _check_beta(beta)
+    return _beta_tail_root(n_samples, quantile_index(n_samples, alpha), beta)
+
+
+def _check_beta(beta: float) -> None:
     if not (0.0 < beta < 1.0):
         raise ValueError("beta must lie in (0, 1)")
-    return _beta_tail_root(n_samples, quantile_index(n_samples, alpha), beta)
 
 
 def failure_bound(failures: int, trials: int, beta: float) -> float:
@@ -286,8 +290,7 @@ def failure_bound(failures: int, trials: int, beta: float) -> float:
     trial failed."""
     if not 0 <= failures <= trials:
         raise ValueError(f"failures must lie in [0, {trials}], got {failures}")
-    if not (0.0 < beta < 1.0):
-        raise ValueError("beta must lie in (0, 1)")
+    _check_beta(beta)
     return 1.0 if failures == trials else _beta_tail_root(trials, failures + 1, beta)
 
 
@@ -464,6 +467,7 @@ def quantify_safety(cert: MlpCertificate, sys: ControlAffineSystem,
     1 - epsilon fraction of the state space scores no worse than the
     returned quantile.
     """
-    quantile_index(n_samples, alpha)  # before the scoring work
+    quantile_index(n_samples, alpha)  # both checks before the scoring work
+    _check_beta(beta)
     scores = verification_scores(cert, sys, controller, n_samples, seed, weights)
     return report_from_scores(scores, alpha, beta, seed)

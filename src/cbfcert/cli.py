@@ -117,24 +117,28 @@ def _write_levelset(path: Path, vals0, vals1, grid, sidecar: dict) -> None:
 
 
 def cmd_train(args) -> int:
-    config, sim, spec, _ = _load_config(args.config, args.seed)
+    config, sim, spec, system = _load_config(args.config, args.seed)
     out = _out_dir(args, "train")
     _write_status(out, "running")
     echo = {**config.to_dict(), "simulation": asdict(sim), "levelset": asdict(spec)}
     _write_json(out / "run_config.json", echo)
 
-    def checkpoint(round_idx, cert_k):
-        mlp.save_certificate(cert_k, out / f"certificate_round_{round_idx}.json")
+    def save(cert_k, name: str) -> dict:
+        """Write cert_k with the spec of the filter refine scores it under."""
+        filter_spec = certifying_filter(cert_k, system, config).spec
+        mlp.save_certificate(cert_k, out / name, filter_spec)
+        return filter_spec
 
     try:
-        cert, history, report = refine(config, on_phase=checkpoint)
+        cert, history, report = refine(
+            config, on_phase=lambda k, cert_k: save(cert_k, f"certificate_round_{k}.json"))
     except Exception as exc:  # noqa: BLE001 - surfaced as exit code + marker
         _write_status(out, f"error: {exc}")
         print(f"error: {exc}", file=_sys.stderr)
         return 1
-    mlp.save_certificate(cert, out / "certificate.json")
+    filter_spec = save(cert, "certificate.json")
     _write_json(out / "history.json", history.to_dict())
-    _write_json(out / "report.json", report.to_dict())
+    _write_json(out / "report.json", {**report.to_dict(), "filter": filter_spec})
     _write_csv(out / "losses.csv", ["phase", "epoch", "loss"],
                ([phase, epoch, loss] for phase, losses in enumerate(history.epoch_losses)
                 for epoch, loss in enumerate(losses)))
@@ -146,12 +150,12 @@ def cmd_train(args) -> int:
 
 
 def _load_deployment(args):
-    """(config, sim, spec, system, cert) for a command that reads a
-    certificate, with --seed applied where the command has it; raises
-    ConfigError."""
+    """(config, sim, spec, the run file's certifying filter) for a command
+    that reads a certificate, with --seed applied where the command has it;
+    raises ConfigError, also when the certificate records another filter."""
     config, sim, spec, system = _load_config(args.config, getattr(args, "seed", None))
     try:
-        cert = mlp.load_certificate(args.cert)
+        cert, recorded = mlp.certificate_from_json(Path(args.cert).read_text())
     except OSError as exc:
         raise ConfigError([f"cannot read certificate {args.cert}: {exc.strerror}"])
     except ValueError as exc:
@@ -159,17 +163,22 @@ def _load_deployment(args):
     if cert.n_inputs != system.n:
         raise ConfigError([f"certificate input size {cert.n_inputs} != system "
                            f"dimension {system.n}"])
-    return config, sim, spec, system, cert
+    filt = certifying_filter(cert, system, config)
+    described = json.loads(json.dumps(filt.spec))  # as the certificate records it
+    if recorded is not None and recorded != described:
+        raise ConfigError([f"certificate: certified under filter {recorded}; "
+                           f"the run file describes {described}"])
+    return config, sim, spec, filt
 
 
 def cmd_verify(args) -> int:
-    config, _, _, system, cert = _load_deployment(args)
+    config, _, _, filt = _load_deployment(args)
     out = _out_dir(args, "verify")
-    scores = verification_scores(cert, system, certifying_filter(cert, system, config),
+    scores = verification_scores(filt.certificate, filt.system, filt,
                                  config.conformal_samples, seed=config.seed,
                                  weights=config.loss_weights())
     report = report_from_scores(scores, config.alpha, config.beta, config.seed)
-    _write_json(out / "report.json", report.to_dict())
+    _write_json(out / "report.json", {**report.to_dict(), "filter": filt.spec})
     if args.emit_scores:
         _write_csv(out / "scores.csv", ["index", "score"], enumerate(scores.tolist()))
     print(f"quantile={report.quantile:.6g} epsilon={report.epsilon:.6g} "
@@ -178,13 +187,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config, sim, _, system, cert = _load_deployment(args)
+    config, sim, _, certified = _load_deployment(args)
     out = _out_dir(args, "simulate")
-    certified = certifying_filter(cert, system, config)
+    system = certified.system
     filt = replace(certified, respect_input_bounds=sim.respect_input_bounds)
-    certified_spec, deployed_spec = (
-        {"kappa_gain": f.kappa_gain, "respect_input_bounds": f.respect_input_bounds}
-        for f in (certified, filt))
+    certified_spec, deployed_spec = certified.spec, filt.spec
     if certified_spec != deployed_spec:
         print(f"warning: deployed filter {deployed_spec} is not the certified filter "
               f"{certified_spec}; the certificate's guarantee does not cover it",
@@ -218,9 +225,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_levelset(args) -> int:
-    _, _, spec, system, cert = _load_deployment(args)
+    _, _, spec, filt = _load_deployment(args)
     out = _out_dir(args, "levelset")
-    vals0, vals1, grid = levelset_grid(cert, spec, system.state_bounds)
+    system = filt.system
+    vals0, vals1, grid = levelset_grid(filt.certificate, spec, system.state_bounds)
     sidecar = {
         "axes": list(spec.free_axes),
         "fixed_values": list(spec.fixed_state(system.state_bounds)),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,6 +56,13 @@ class SafetyFilter:
             raise ValueError("kappa_gain must be a positive finite number")
         if self.correction_cap is not None and not _is_positive_finite(self.correction_cap):
             raise ValueError("correction_cap must be None or a positive finite number")
+
+    @property
+    def spec(self) -> dict:
+        """Every field but the certificate and the system: the filter a
+        certificate's guarantee covers, as certificate.json records it."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("certificate", "system")}
 
     def batch_decide(self, xs: np.ndarray) -> "FilterBatch":
         return filter_batch(self, xs)

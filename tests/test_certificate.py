@@ -653,6 +653,22 @@ def test_report_from_scores_matches_quantify_safety():
         report_from_scores(scores, 1e-5, 1e-3, 7)
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0, float("nan")])
+def test_quantify_safety_checks_beta_before_it_scores(beta, monkeypatch):
+    # like alpha: an invalid beta raises epsilon_for's error before any state is scored
+    def unreachable(*args, **kwargs):
+        raise AssertionError("scored a draw under an invalid beta")
+
+    monkeypatch.setattr(certificate, "verification_scores", unreachable)
+    sys_ = dubins_system()
+    cert = mlp.init_certificate([3, 8, 1], seed=4)
+    with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\)$"):
+        epsilon_for(1000, 0.05, beta)
+    with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\)$"):
+        quantify_safety(cert, sys_, SafetyFilter(certificate=cert, system=sys_),
+                        1000, 0.05, beta, seed=1)
+
+
 STEP_ARCHITECTURES = [
     ("dubins", (3, 64, 1)),
     ("dubins", (3, 12, 1)),

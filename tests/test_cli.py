@@ -17,8 +17,11 @@ SCHEMA_DIR = REPO_ROOT / "docs" / "schemas"
 
 
 def validate_schema(doc, schema):
-    """Minimal JSON-Schema subset checker: type / required / properties /
-    items / enum / pattern / anyOf."""
+    """Minimal JSON-Schema subset checker: type (one or a list) / required /
+    properties / items / enum / pattern / anyOf."""
+    if isinstance(schema.get("type"), list):
+        return validate_schema(doc, {"anyOf": [{**schema, "type": kind}
+                                               for kind in schema["type"]]})
     if "anyOf" in schema:
         failures = []
         for branch in schema["anyOf"]:
@@ -54,6 +57,8 @@ def validate_schema(doc, schema):
         assert isinstance(doc, str), doc
     elif kind == "boolean":
         assert isinstance(doc, bool), doc
+    elif kind == "null":
+        assert doc is None, doc
 
 
 def check_against(name, path):
@@ -86,6 +91,10 @@ def tiny_dubins_config(tmp_path, **overrides) -> Path:
     return path
 
 
+# the filter spec of tiny_dubins_config's run file without overrides
+DEFAULT_SPEC = {"kappa_gain": 1.0, "respect_input_bounds": False, "correction_cap": None}
+
+
 def test_train_smoke_emits_all_artifacts(tmp_path):
     config = tiny_dubins_config(tmp_path)
     out = tmp_path / "run"
@@ -104,11 +113,14 @@ def test_train_smoke_emits_all_artifacts(tmp_path):
 
 def test_certificate_schema_takes_both_format_versions():
     schema = json.loads((SCHEMA_DIR / "certificate.schema.json").read_text())
-    for version in (1, 2):
-        validate_schema(json.loads(_cert_text(version=version)), schema)
+    for text in (_cert_text(version=1), _cert_text(version=2),
+                 _cert_text(version=2, filter=DEFAULT_SPEC)):
+        validate_schema(json.loads(text), schema)
     for bad in [_cert_text(version=2, biases=[_B0.rstrip("="), _B1]),
                 _cert_text(version=2, weights=[_W0[:128] + "!" + _W0[128:], _W1]),
-                _cert_text(format_version=3)]:
+                _cert_text(format_version=3),
+                _cert_text(version=2, filter={**DEFAULT_SPEC, "kappa_gain": "1.0"}),
+                _cert_text(version=2, filter={**DEFAULT_SPEC, "correction_cap": "none"})]:
         with pytest.raises(AssertionError):
             validate_schema(json.loads(bad), schema)
 
@@ -239,8 +251,10 @@ def test_simulate_records_the_deployed_against_the_certified_filter(
                  "--out", str(out)]) == 0
     summary = check_against("summary.schema.json", out / "summary.json")
     assert summary["certified_spec"] == {"kappa_gain": 2.0,
-                                         "respect_input_bounds": bounded_training}
-    assert summary["deployed_spec"] == {"kappa_gain": 2.0, "respect_input_bounds": True}
+                                         "respect_input_bounds": bounded_training,
+                                         "correction_cap": None}
+    assert summary["deployed_spec"] == {"kappa_gain": 2.0, "respect_input_bounds": True,
+                                        "correction_cap": None}
     assert summary["certified_filter"] is bounded_training
     warnings = [line for line in capsys.readouterr().err.splitlines()
                 if line.startswith("warning: ")]
@@ -324,6 +338,8 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
 
 
 def test_train_writes_per_round_checkpoints(tmp_path):
+    # each certificate records the filter refine scored it under, and
+    # train's and verify's reports the filter their draws were scored under
     config = tiny_dubins_config(tmp_path)
     out = tmp_path / "ckpt"
     assert main(["train", "--config", str(config), "--out", str(out)]) in (0, 2)
@@ -331,8 +347,40 @@ def test_train_writes_per_round_checkpoints(tmp_path):
 
     rounds = sorted(out.glob("certificate_round_*.json"))
     assert rounds, "no per-round checkpoints written"
-    for path in rounds:
+    for path in [*rounds, out / "certificate.json"]:
         mlp.load_certificate(path)
+        assert json.loads(path.read_text())["filter"] == DEFAULT_SPEC
+    assert json.loads((out / "report.json").read_text())["filter"] == DEFAULT_SPEC
+    assert main(["verify", "--config", str(config), "--cert", str(out / "certificate.json"),
+                 "--out", str(tmp_path / "verify")]) == 0
+    report = check_against("report.schema.json", tmp_path / "verify" / "report.json")
+    assert report["filter"] == DEFAULT_SPEC
+
+
+def test_box_bounded_certificate_verifies_under_the_spec_it_records(tmp_path):
+    from cbfcert import mlp
+    from cbfcert.certificate import verification_scores
+    from cbfcert.controller import SafetyFilter
+
+    spec = {"kappa_gain": 2.0, "respect_input_bounds": True, "correction_cap": None}
+    config = tiny_dubins_config(tmp_path, kappa_gain=2.0, respect_input_bounds_training=True)
+    out = tmp_path / "train"
+    assert main(["train", "--config", str(config), "--out", str(out)]) in (0, 2)
+    cert_path = out / "certificate.json"
+    assert json.loads(cert_path.read_text())["filter"] == spec
+    assert main(["verify", "--config", str(config), "--cert", str(cert_path),
+                 "--out", str(tmp_path / "verify"), "--seed", "5", "--emit-scores"]) == 0
+    assert json.loads((tmp_path / "verify" / "report.json").read_text())["filter"] == spec
+    # the draw was scored under the bounded filter, whose scores differ
+    # from the unbounded filter's on this certificate
+    rows = (tmp_path / "verify" / "scores.csv").read_text().strip().splitlines()[1:]
+    emitted = np.array([float(row.split(",")[1]) for row in rows])
+    train_config, _, _, sys_ = _load_config(str(config), 5)
+    cert = mlp.load_certificate(cert_path)
+    bounded, unbounded = (
+        verification_scores(cert, sys_, SafetyFilter(cert, sys_, 2.0, bounds), 2000, 5,
+                            train_config.loss_weights()) for bounds in (True, False))
+    assert np.array_equal(emitted, bounded) and not np.array_equal(emitted, unbounded)
 
 
 def test_verify_emit_scores_recounts_to_quantile(tmp_path):
@@ -782,16 +830,48 @@ _MALFORMED_CERTIFICATES = {
 
 @pytest.mark.parametrize("command", ["verify", "simulate", "levelset"])
 def test_format_versions_1_and_2_give_byte_identical_outputs(tmp_path, command):
+    # a certificate that records no filter runs under the run file's, as
+    # one that records the run file's filter does
     outputs = []
-    for version in (1, 2):
-        cert_path = tmp_path / f"cert_v{version}.json"
-        cert_path.write_text(_cert_text(version=version))
-        out = tmp_path / f"out_v{version}"
+    for name, text in [("v1", _cert_text(version=1)), ("v2", _cert_text(version=2)),
+                       ("v2-filter", _cert_text(version=2, filter=DEFAULT_SPEC))]:
+        cert_path = tmp_path / f"cert_{name}.json"
+        cert_path.write_text(text)
+        out = tmp_path / f"out_{name}"
         extra = ["--emit-scores"] if command == "verify" else []
         assert main([command, "--config", str(tiny_dubins_config(tmp_path)), "--cert",
                      str(cert_path), "--out", str(out), *extra]) == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert len(outputs[0]) > 1 and outputs[0] == outputs[1]
+    assert len(outputs[0]) > 1 and outputs[0] == outputs[1] == outputs[2]
+    if command == "verify":
+        assert json.loads(outputs[0]["report.json"])["filter"] == DEFAULT_SPEC
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "levelset"])
+@pytest.mark.parametrize("recorded, overrides", [
+    (DEFAULT_SPEC, {"kappa_gain": 3.0}),
+    (DEFAULT_SPEC, {"respect_input_bounds_training": True}),
+    ({**DEFAULT_SPEC, "kappa_gain": 3.0}, {}),
+    # a malformed record fails the comparison
+    ({**DEFAULT_SPEC, "kappa_gain": "1.0"}, {}),
+    ({"kappa_gain": 1.0, "respect_input_bounds": False}, {}),
+    ({**DEFAULT_SPEC, "eta": None}, {}),
+    ("x", {}),
+], ids=["kappa", "bounds", "recorded-kappa", "recorded-text", "recorded-two-keys",
+        "recorded-extra-key", "recorded-string"])
+def test_certificate_of_another_filter_exits_1_before_outputs(tmp_path, capsys, command,
+                                                              recorded, overrides):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(_cert_text(version=2, filter=recorded))
+    config = tiny_dubins_config(tmp_path, **overrides)
+    out = tmp_path / "x"
+    assert main([command, "--config", str(config), "--cert", str(cert_path),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    described = {**DEFAULT_SPEC, **{k.removesuffix("_training"): v
+                                    for k, v in overrides.items()}}
+    assert capsys.readouterr().err == (f"error: certificate: certified under filter "
+                                       f"{recorded}; the run file describes {described}\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate", "levelset"])

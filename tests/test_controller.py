@@ -304,6 +304,18 @@ def test_kappa_gain_must_be_positive_and_finite(gain):
                      kappa_gain=gain)
 
 
+def test_spec_names_every_field_but_the_certificate_and_the_system():
+    # what a certificate's guarantee is conditional on: a field added to
+    # the filter joins the spec, and so the certificate's record, unasked
+    filt = SafetyFilter(certificate=constant_cert(3, 1.0), system=dubins_system(),
+                        kappa_gain=2.5, respect_input_bounds=True, correction_cap=7.0)
+    names = [f.name for f in dataclasses.fields(SafetyFilter)]
+    assert list(filt.spec) == [n for n in names if n not in ("certificate", "system")]
+    assert filt.spec == {"kappa_gain": 2.5, "respect_input_bounds": True,
+                         "correction_cap": 7.0}
+    assert dataclasses.replace(filt, certificate=constant_cert(3, -1.0)).spec == filt.spec
+
+
 @pytest.mark.parametrize("bounds", [False, True])
 def test_filter_batch_rejects_one_state(bounds):
     # one state is the B=1 view's job; the batch path names the shape it wants

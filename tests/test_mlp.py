@@ -381,16 +381,33 @@ def test_certificate_json_round_trip_exact():
     assert doc["format_version"] == 2
     assert doc["layer_sizes"] == [3, 9, 1]
     assert all(isinstance(entry, str) for entry in doc["weights"] + doc["biases"])
-    _assert_same_parameters(cert, mlp.certificate_from_json(text))
+    assert "filter" not in doc
+    back, recorded = mlp.certificate_from_json(text)
+    _assert_same_parameters(cert, back)
+    assert recorded is None
+
+
+def test_certificate_json_records_the_filter_spec_it_is_given():
+    cert = random_cert([3, 9, 1], seed=13, scale=1.7)
+    spec = {"kappa_gain": 0.1, "respect_input_bounds": True, "correction_cap": None}
+    text = mlp.certificate_to_json(cert, spec)
+    assert json.loads(text)["filter"] == spec
+    back, recorded = mlp.certificate_from_json(text)
+    _assert_same_parameters(cert, back)
+    assert recorded == spec
+    # the record is read, not checked: the CLI compares it with the run file's
+    doc = {**json.loads(text), "filter": "x"}
+    assert mlp.certificate_from_json(json.dumps(doc))[1] == "x"
 
 
 def test_certificate_reads_format_version_1_lists():
     cert = random_cert([3, 9, 4, 1], seed=14, scale=1.3)
     doc = {"layer_sizes": [3, 9, 4, 1], "weights": [w.tolist() for w in cert.weights],
            "biases": [b.tolist() for b in cert.biases], "format_version": 1}
-    back = mlp.certificate_from_json(json.dumps(doc))
+    back, recorded = mlp.certificate_from_json(json.dumps(doc))
     _assert_same_parameters(cert, back)
-    _assert_same_parameters(cert, mlp.certificate_from_json(mlp.certificate_to_json(back)))
+    assert recorded is None
+    _assert_same_parameters(cert, mlp.certificate_from_json(mlp.certificate_to_json(back))[0])
 
 
 def test_certificate_rejects_bad_shapes():
