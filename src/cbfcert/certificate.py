@@ -23,8 +23,8 @@ import numpy as np
 
 from .controller import SafetyFilter, decide, filter_batch
 from .dynamics import ControlAffineSystem, Label
-from .mlp import (MlpCertificate, Workspace, forward_batch, primal_input_gradients,
-                  primal_pass, seeded_loss_param_gradient)
+from .mlp import (MlpCertificate, NumericError, Workspace, forward_batch,
+                  primal_input_gradients, primal_pass, seeded_loss_param_gradient)
 from .sampling import TrainingDatasets, sample_uniform, stream
 from .special import _log_front, regularized_incomplete_beta
 
@@ -359,7 +359,9 @@ def _beta_tail_root(n_samples: int, l: int, beta: float) -> float:
 
 @dataclass(frozen=True)
 class ConformalReport:
-    """Everything the certification step produces, serializable to JSON."""
+    """report.json, format_version 2: the conformal quantile of one uniform
+    draw, the spec of the `filter` it was scored under and the draw's
+    counts (see _calibration_draw); a file without format_version has neither."""
 
     n_samples: int
     alpha: float
@@ -371,38 +373,48 @@ class ConformalReport:
     score_max: float
     score_mean: float
     seed: int
+    filter: dict | None = None
+    draws: tuple[dict, ...] = ()
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {"format_version": 2, **dataclasses.asdict(self), "draws": list(self.draws)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ConformalReport":
         """The report in doc; keys that are not fields are ignored."""
-        return cls(**{f.name: doc[f.name] for f in dataclasses.fields(cls)})
+        given = {f.name: doc[f.name] for f in dataclasses.fields(cls) if f.name in doc}
+        return cls(**{**given, "draws": tuple(doc.get("draws", ()))})
 
 
 def _block_scorer(cert: MlpCertificate, sys: ControlAffineSystem,
                   controller: SafetyFilter, weights: LossWeights):
-    """The conformal scores of one row block, as a function of the block:
-    max over the active condition terms, with q3 minus the filter's slack.
-    Every block's filter pass writes its hidden-layer arrays into the same
-    workspace, so its pages are faulted in once per scoring, not per block."""
+    """The conformal scores of one row block, as a function of the block,
+    and the (4, 3) counts of the rows scored: by Label code, the states,
+    the scores > 0 and those by the term attaining them (decrease, also on
+    a tie, at 0), then the infeasible QPs. Every block's filter pass writes
+    into the same workspace, so its pages fault in once per scoring."""
     _check_filter(cert, controller, sys)
     workspace = Workspace()
+    counts = np.zeros((4, 3), dtype=np.int64)
 
     def block_scores(block):
         labels = sys.label_batch(block)
         batch = filter_batch(controller, block, workspace)
         h, scores = batch.h, -batch.slack
         if not np.all(np.isfinite(h)) or not np.all(np.isfinite(scores)):
-            raise FloatingPointError("non-finite score while sampling the state space")
+            raise NumericError("non-finite score while sampling the state space")
         safe = labels == Label.SAFE
         unsafe = labels == Label.UNSAFE
         scores[safe] = np.maximum(scores[safe], -h[safe])
         scores[unsafe] = np.maximum(scores[unsafe], h[unsafe] + weights.delta)
+        positive = scores > 0
+        terms = np.where(scores[positive] == -batch.slack[positive], 0, labels[positive])
+        for row, values in enumerate((labels, labels[positive], terms)):
+            counts[row] += np.bincount(values, minlength=3)
+        counts[3, 0] += np.count_nonzero(~batch.feasible)
         return scores
 
-    return block_scores
+    return block_scores, counts
 
 
 def score_states(cert: MlpCertificate, sys: ControlAffineSystem,
@@ -415,7 +427,7 @@ def score_states(cert: MlpCertificate, sys: ControlAffineSystem,
     workspace), so memory beyond xs and the scores stays O(block)
     whatever the sample size.
     """
-    scorer = _block_scorer(cert, sys, controller, weights)
+    scorer, _ = _block_scorer(cert, sys, controller, weights)
     xs = np.asarray(xs, dtype=float)
     return _by_blocks(len(xs), lambda start, stop: scorer(xs[start:stop]))
 
@@ -432,13 +444,26 @@ def verification_scores(cert: MlpCertificate, sys: ControlAffineSystem,
     draws do not depend on how they are chunked, and the (N, n) sample is
     never held, so memory beyond the N scores stays O(block).
     """
+    return _calibration_draw(cert, sys, controller, n_samples, seed, weights)[0]
+
+
+def _calibration_draw(cert, sys, controller, n_samples, seed, weights):
+    """verification_scores' scores and the record of their draw that a
+    report keeps under `draws`, from the one scoring pass."""
     weights = weights if weights is not None else LossWeights()
     if n_samples < 0:  # sample_uniform's check, made before the filter's
         raise ValueError("count must be non-negative")
-    scorer = _block_scorer(cert, sys, controller, weights)
+    scorer, counts = _block_scorer(cert, sys, controller, weights)
     rng = stream(seed, "calibration")
-    return _by_blocks(n_samples, lambda start, stop: scorer(
+    scores = _by_blocks(n_samples, lambda start, stop: scorer(
         sample_uniform(sys.state_bounds, stop - start, rng)))
+    by_label, positive, (decrease, safe, unsafe), (infeasible, _, _) = counts.tolist()
+    keys = [label.name.lower() for label in Label]
+    return scores, {"stream": "calibration", "seed": seed, "n_samples": n_samples,
+                    "n_by_label": dict(zip(keys, by_label)), "positive": sum(positive),
+                    "positive_by_label": dict(zip(keys, positive)), "positive_by_condition":
+                    {"safe": safe, "unsafe": unsafe, "decrease": decrease},
+                    "infeasible": infeasible}
 
 
 def report_from_scores(scores, alpha: float, beta: float, seed: int) -> ConformalReport:
@@ -448,20 +473,23 @@ def report_from_scores(scores, alpha: float, beta: float, seed: int) -> Conforma
     scores = np.asarray(scores, dtype=float)
     n_samples = scores.size
     l = quantile_index(n_samples, alpha)
+    with np.errstate(over="ignore"):  # finite scores can overflow the sum: then scale first
+        mean = float(scores.mean())
+    mean = mean if math.isfinite(mean) else float(np.sum(scores / n_samples))
     return ConformalReport(
         n_samples=n_samples, alpha=alpha, beta=beta, index_l=l,
         quantile=conformal_quantile(scores, alpha),
         epsilon=epsilon_for(n_samples, alpha, beta),
         score_min=float(scores.min()), score_max=float(scores.max()),
-        score_mean=float(scores.mean()), seed=seed,
+        score_mean=mean, seed=seed,
     )
 
 
-def quantify_safety(cert: MlpCertificate, sys: ControlAffineSystem,
-                    controller: SafetyFilter, n_samples: int, alpha: float,
-                    beta: float, seed: int,
-                    weights: LossWeights | None = None) -> ConformalReport:
-    """Draw fresh i.i.d. states, score them, and calibrate.
+def calibrate(cert: MlpCertificate, sys: ControlAffineSystem, controller: SafetyFilter,
+              n_samples: int, alpha: float, beta: float, seed: int,
+              weights: LossWeights | None = None) -> tuple[ConformalReport, np.ndarray]:
+    """Draw fresh i.i.d. states, score them once, and calibrate: the report,
+    with the filter's spec and the draw's counts, and the scores.
 
     With probability at least 1 - beta over the draw, at least a
     1 - epsilon fraction of the state space scores no worse than the
@@ -469,5 +497,14 @@ def quantify_safety(cert: MlpCertificate, sys: ControlAffineSystem,
     """
     quantile_index(n_samples, alpha)  # both checks before the scoring work
     _check_beta(beta)
-    scores = verification_scores(cert, sys, controller, n_samples, seed, weights)
-    return report_from_scores(scores, alpha, beta, seed)
+    scores, draw = _calibration_draw(cert, sys, controller, n_samples, seed, weights)
+    report = report_from_scores(scores, alpha, beta, seed)
+    return dataclasses.replace(report, filter=controller.spec, draws=(draw,)), scores
+
+
+def quantify_safety(cert: MlpCertificate, sys: ControlAffineSystem,
+                    controller: SafetyFilter, n_samples: int, alpha: float,
+                    beta: float, seed: int,
+                    weights: LossWeights | None = None) -> ConformalReport:
+    """calibrate's report, without the scores."""
+    return calibrate(cert, sys, controller, n_samples, alpha, beta, seed, weights)[0]

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mlp
-from .certificate import failure_bound, report_from_scores, verification_scores
+from .certificate import calibrate, failure_bound
 from .dynamics import ControlAffineSystem
 from .simulator import (Rollout, SimulationConfig, SliceSpec, empirical_safety_rate,
                         failure_count, levelset_grid)
@@ -57,6 +57,11 @@ def _load_config(path: str, seed: int | None = None
         system = config.build_system()
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"system_params: {exc}"]) from None
+    for key, value in config.system_params.items():
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            raise ConfigError([f"system_params: {key}: must be finite"]) from None
     try:
         spec.fixed_state(system.state_bounds)
     except ValueError as exc:
@@ -123,11 +128,9 @@ def cmd_train(args) -> int:
     echo = {**config.to_dict(), "simulation": asdict(sim), "levelset": asdict(spec)}
     _write_json(out / "run_config.json", echo)
 
-    def save(cert_k, name: str) -> dict:
+    def save(cert_k, name: str) -> None:
         """Write cert_k with the spec of the filter refine scores it under."""
-        filter_spec = certifying_filter(cert_k, system, config).spec
-        mlp.save_certificate(cert_k, out / name, filter_spec)
-        return filter_spec
+        mlp.save_certificate(cert_k, out / name, certifying_filter(cert_k, system, config).spec)
 
     try:
         cert, history, report = refine(
@@ -136,9 +139,9 @@ def cmd_train(args) -> int:
         _write_status(out, f"error: {exc}")
         print(f"error: {exc}", file=_sys.stderr)
         return 1
-    filter_spec = save(cert, "certificate.json")
+    save(cert, "certificate.json")
     _write_json(out / "history.json", history.to_dict())
-    _write_json(out / "report.json", {**report.to_dict(), "filter": filter_spec})
+    _write_json(out / "report.json", report.to_dict())
     _write_csv(out / "losses.csv", ["phase", "epoch", "loss"],
                ([phase, epoch, loss] for phase, losses in enumerate(history.epoch_losses)
                 for epoch, loss in enumerate(losses)))
@@ -173,12 +176,10 @@ def _load_deployment(args):
 
 def cmd_verify(args) -> int:
     config, _, _, filt = _load_deployment(args)
+    report, scores = calibrate(filt.certificate, filt.system, filt, config.conformal_samples,
+                               config.alpha, config.beta, config.seed, config.loss_weights())
     out = _out_dir(args, "verify")
-    scores = verification_scores(filt.certificate, filt.system, filt,
-                                 config.conformal_samples, seed=config.seed,
-                                 weights=config.loss_weights())
-    report = report_from_scores(scores, config.alpha, config.beta, config.seed)
-    _write_json(out / "report.json", {**report.to_dict(), "filter": filt.spec})
+    _write_json(out / "report.json", report.to_dict())
     if args.emit_scores:
         _write_csv(out / "scores.csv", ["index", "score"], enumerate(scores.tolist()))
     print(f"quantile={report.quantile:.6g} epsilon={report.epsilon:.6g} "
@@ -226,9 +227,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_levelset(args) -> int:
     _, _, spec, filt = _load_deployment(args)
-    out = _out_dir(args, "levelset")
     system = filt.system
     vals0, vals1, grid = levelset_grid(filt.certificate, spec, system.state_bounds)
+    out = _out_dir(args, "levelset")
     sidecar = {
         "axes": list(spec.free_axes),
         "fixed_values": list(spec.fixed_state(system.state_bounds)),
@@ -312,9 +313,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        for msg in exc.messages:
-            print(f"error: {msg}", file=_sys.stderr)
-        return 1
+        messages = exc.messages
+    except mlp.NumericError as exc:  # a barrier that evaluates to NaN or infinity
+        messages = [f"certificate: {exc}"]
+    for msg in messages:
+        print(f"error: {msg}", file=_sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

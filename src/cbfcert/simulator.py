@@ -16,7 +16,7 @@ import numpy as np
 
 from .controller import SafetyFilter
 from .dynamics import ControlAffineSystem, Label, closed_loop_field
-from .mlp import MlpCertificate, Workspace, _forward, forward_batch
+from .mlp import MlpCertificate, NumericError, Workspace, _forward, forward_batch
 from .sampling import rejection_sample_label, stream
 from .trainer import ConfigError, check_types
 
@@ -237,4 +237,7 @@ def levelset_grid(cert: MlpCertificate, spec: SliceSpec, bounds
     for i, v0 in enumerate(vals0):
         row[:, i0] = v0
         grid[i] = _forward(cert, row, workspace)
+    if not np.all(np.isfinite(grid)):
+        i, j = np.argwhere(~np.isfinite(grid))[0]
+        raise NumericError(f"non-finite barrier at level-set node ({i}, {j})")
     return vals0, vals1, grid

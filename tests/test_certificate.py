@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -405,6 +406,84 @@ def test_report_json_round_trip():
                              score_max=0.5, score_mean=-0.3, seed=4)
     back = ConformalReport.from_dict(json.loads(json.dumps(report.to_dict(), indent=2)))
     assert back == report
+    # a file without format_version has the ten keys alone
+    assert ConformalReport.from_dict(dataclasses.asdict(report)) == report
+    assert report.filter is None and report.draws == ()
+    # a version 2 report round-trips with its filter and draw
+    cert = mlp.init_certificate([3, 8, 1], seed=4)
+    sys_ = dubins_system()
+    full = quantify_safety(cert, sys_, SafetyFilter(certificate=cert, system=sys_), 500,
+                           0.05, 1e-3, seed=10)
+    doc = json.loads(json.dumps(full.to_dict()))
+    assert doc["format_version"] == 2 and ConformalReport.from_dict(doc) == full
+
+
+def test_score_mean_of_finite_scores_whose_sum_overflows():
+    from cbfcert.certificate import report_from_scores
+
+    big = 1.5 * 2.0 ** 1023  # four of them overflow a sum, a quarter of each does not
+    assert report_from_scores(np.full(4, big), 0.25, 0.5, 0).score_mean == big
+    scores = np.array([-0.25, 0.5, 0.125, 1.0])
+    assert report_from_scores(scores, 0.25, 0.5, 0).score_mean == scores.mean()
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+def test_draw_counts_equal_a_recount_of_the_regenerated_sample(bounded):
+    from cbfcert.certificate import calibrate
+    from cbfcert.controller import filter_batch
+    from cbfcert.sampling import sample_uniform
+
+    sys_ = dubins_system()
+    cert = mlp.init_certificate([3, 16, 1], seed=3)
+    filt = SafetyFilter(certificate=cert, system=sys_, respect_input_bounds=bounded)
+    weights = LossWeights(delta=0.05)
+    n, seed = 2000, 9
+    report, scores = calibrate(cert, sys_, filt, n, 0.05, 1e-3, seed, weights)
+    (draw,) = report.draws
+    # the recount: each state's label term (-inf for an unlabeled state)
+    # against its decrease term, on the whole sample at once
+    xs = sample_uniform(sys_.state_bounds, n, stream(seed, "calibration"))
+    labels = sys_.label_batch(xs)
+    batch = filter_batch(filt, xs)
+    q3 = -batch.slack
+    label_term = np.where(labels == 1, -batch.h,
+                          np.where(labels == 2, batch.h + weights.delta, -np.inf))
+    positive = np.maximum(q3, label_term) > 0
+    names = np.array(["unlabeled", "safe", "unsafe"])
+    condition = np.where(q3 >= label_term, "decrease", names[labels])
+
+    def count(mask, keys, of):
+        return {key: int(np.sum(mask & (of == key))) for key in keys}
+
+    assert draw == {
+        "stream": "calibration", "seed": seed, "n_samples": n,
+        "n_by_label": count(np.ones(n, bool), names, names[labels]),
+        "positive": int(np.sum(positive)),
+        "positive_by_label": count(positive, names, names[labels]),
+        "positive_by_condition": count(positive, ["safe", "unsafe", "decrease"], condition),
+        "infeasible": int(np.sum(~batch.feasible)),
+    }
+    assert (draw["positive"] == int(np.sum(scores > 0))
+            == sum(draw["positive_by_label"].values())
+            == sum(draw["positive_by_condition"].values()))
+    assert sum(draw["n_by_label"].values()) == n
+    # every count is exercised: both label terms fail somewhere, and only
+    # the box-bounded filter meets infeasible QPs and decrease failures
+    by_condition = draw["positive_by_condition"]
+    assert by_condition["safe"] > 0 and by_condition["unsafe"] > 0
+    assert (by_condition["decrease"] > 0) == (draw["infeasible"] > 0) == bounded
+
+
+def test_a_tie_counts_under_the_decrease_term():
+    # a constant barrier c < 0 at kappa = 1: q3 = -kappa c equals the safe
+    # term -c on every safe state and exceeds the unsafe term c + delta
+    sys_ = dubins_system()
+    cert = constant_cert(3, -0.3)
+    filt = SafetyFilter(certificate=cert, system=sys_, kappa_gain=1.0)
+    (draw,) = quantify_safety(cert, sys_, filt, 1000, 0.05, 1e-3, seed=2).draws
+    assert draw["n_by_label"]["safe"] > 0 and draw["n_by_label"]["unsafe"] > 0
+    assert draw["positive_by_label"] == draw["n_by_label"]
+    assert draw["positive_by_condition"] == {"safe": 0, "unsafe": 0, "decrease": 1000}
 
 
 def test_gradient_uses_filtered_inputs_consistently():
@@ -605,6 +684,8 @@ def test_verification_scores_equal_scores_of_the_whole_draw(system, sizes, n, bo
     expected = score_states(cert, sys_, filt, xs, weights)
     got = verification_scores(cert, sys_, filt, n, 11, weights)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    # and those of the one-shot oracle: counting the draw moves no bit
+    assert got.tobytes() == reference_score_states(cert, sys_, filt, xs, weights).tobytes()
 
 
 def test_verification_scores_refuse_a_negative_count_before_the_filter():
@@ -641,14 +722,20 @@ def test_verification_scores_memory_grows_by_the_scores_alone():
 
 
 def test_report_from_scores_matches_quantify_safety():
-    from cbfcert.certificate import report_from_scores, verification_scores
+    from cbfcert.certificate import calibrate, report_from_scores, verification_scores
 
     sys_ = dubins_system()
     cert = mlp.init_certificate([3, 12, 1], seed=4)
     filt = SafetyFilter(certificate=cert, system=sys_)
     report = quantify_safety(cert, sys_, filt, 3000, 0.01, 1e-3, seed=7)
     scores = verification_scores(cert, sys_, filt, 3000, seed=7)
-    assert report_from_scores(scores, 0.01, 1e-3, 7) == report
+    # calibrate is quantify_safety's report with verification_scores' scores
+    again, calibrated = calibrate(cert, sys_, filt, 3000, 0.01, 1e-3, seed=7)
+    assert again == report and calibrated.tobytes() == scores.tobytes()
+    # the statement comes from the scores alone; the filter and draw from the pass
+    assert report_from_scores(scores, 0.01, 1e-3, 7) == dataclasses.replace(
+        report, filter=None, draws=())
+    assert report.filter == filt.spec and len(report.draws) == 1
     with pytest.raises(InvalidAlphaError):
         report_from_scores(scores, 1e-5, 1e-3, 7)
 
@@ -659,7 +746,7 @@ def test_quantify_safety_checks_beta_before_it_scores(beta, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("scored a draw under an invalid beta")
 
-    monkeypatch.setattr(certificate, "verification_scores", unreachable)
+    monkeypatch.setattr(certificate, "_calibration_draw", unreachable)
     sys_ = dubins_system()
     cert = mlp.init_certificate([3, 8, 1], seed=4)
     with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\)$"):

@@ -350,11 +350,18 @@ def test_train_writes_per_round_checkpoints(tmp_path):
     for path in [*rounds, out / "certificate.json"]:
         mlp.load_certificate(path)
         assert json.loads(path.read_text())["filter"] == DEFAULT_SPEC
-    assert json.loads((out / "report.json").read_text())["filter"] == DEFAULT_SPEC
+    trained = check_against("report.schema.json", out / "report.json")
+    assert trained["filter"] == DEFAULT_SPEC
     assert main(["verify", "--config", str(config), "--cert", str(out / "certificate.json"),
                  "--out", str(tmp_path / "verify")]) == 0
     report = check_against("report.schema.json", tmp_path / "verify" / "report.json")
     assert report["filter"] == DEFAULT_SPEC
+    # each report records the one draw it was calibrated on
+    for doc in (trained, report):
+        (draw,) = doc["draws"]
+        assert doc["format_version"] == 2 and draw["stream"] == "calibration"
+        assert draw["seed"] == doc["seed"] and draw["n_samples"] == doc["n_samples"] == 2000
+    assert report["seed"] == 3
 
 
 def test_box_bounded_certificate_verifies_under_the_spec_it_records(tmp_path):
@@ -400,6 +407,34 @@ def test_verify_emit_scores_recounts_to_quantile(tmp_path):
     scores = np.array([float(r.split(",")[1]) for r in rows])
     assert len(scores) == report["n_samples"]
     assert conformal_quantile(scores, report["alpha"]) == report["quantile"]
+    # the draw's counts are those of the emitted scores
+    (draw,) = report["draws"]
+    assert draw["seed"] == 9 and draw["positive"] == int(np.sum(scores > 0)) > 0
+
+
+def test_report_is_strict_json_when_the_score_sum_overflows(tmp_path):
+    # finite scores near 1e306, whose plain sum overflows to -inf
+    from cbfcert import mlp
+
+    cert = mlp.init_certificate([3, 8, 1], seed=5)
+    scaled = mlp.MlpCertificate(cert.layer_sizes, (cert.weights[0], cert.weights[1] * 1e306),
+                                (cert.biases[0], cert.biases[1] * 1e306))
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(scaled, cert_path)
+    out = tmp_path / "v"
+    assert main(["verify", "--config", str(tiny_dubins_config(tmp_path)), "--cert",
+                 str(cert_path), "--out", str(out), "--emit-scores"]) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    rows = (out / "scores.csv").read_text().strip().splitlines()[1:]
+    scores = np.array([float(row.split(",")[1]) for row in rows])
+    with np.errstate(over="ignore"):
+        assert np.all(np.isfinite(scores)) and not np.isfinite(scores.sum())
+    assert report["score_mean"] == float(np.sum(scores / scores.size))
+    validate_schema(report, json.loads((SCHEMA_DIR / "report.schema.json").read_text()))
 
 
 def test_quadruped_system_params_flow_through_config(tmp_path):
@@ -446,6 +481,53 @@ def test_bad_system_param_value_rejected_before_outputs(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith(f"error: system_params: quadruped: {culprit} "), err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "verify", "levelset", "simulate"])
+@pytest.mark.parametrize("params, key", [
+    ({"margin": float("nan")}, "margin"),
+    ({"margin": float("inf")}, "margin"),
+    ({"k1": 0.2, "nominal_speed": float("nan")}, "nominal_speed"),
+])
+def test_non_finite_system_param_rejected_before_outputs(tmp_path, capsys, command,
+                                                         params, key):
+    # JSON as Python reads it takes NaN and Infinity; the built system
+    # evaluates at the box midpoint, where a labeler parameter's NaN shows
+    # nowhere, so the numbers are checked themselves
+    from cbfcert import mlp
+
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(mlp.init_certificate([8, 8, 1], seed=1), cert_path)
+    config = tiny_dubins_config(tmp_path, system="quadruped", system_params=params)
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "x")]
+    if command != "train":
+        argv += ["--cert", str(cert_path)]
+    assert main(argv) == 1
+    assert not (tmp_path / "x").exists()
+    assert capsys.readouterr().err == f"error: system_params: {key}: must be finite\n"
+
+
+# a barrier that overflows is expected to warn on its way to NaN
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("command, message", [
+    ("verify", "non-finite score while sampling the state space"),
+    ("levelset", "non-finite barrier at level-set node (0, 0)"),
+])
+def test_non_finite_barrier_exits_1_before_outputs(tmp_path, capsys, command, message):
+    # finite parameters: two hidden units of 1000 meet output weights of
+    # +-1e308, so the barrier is inf - inf = NaN everywhere
+    from cbfcert import mlp
+
+    cert = mlp.MlpCertificate((3, 2, 1), (np.zeros((2, 3)), np.array([[1e308, -1e308]])),
+                              (np.full(2, 1000.0), np.zeros(1)))
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(cert, cert_path)
+    out = tmp_path / "x"
+    assert main([command, "--config", str(tiny_dubins_config(tmp_path)), "--cert",
+                 str(cert_path), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: certificate: {message}\n"
 
 
 def test_unknown_simulation_key_rejected(tmp_path):
