@@ -397,6 +397,7 @@ def _block_scorer(cert: MlpCertificate, sys: ControlAffineSystem,
     workspace = Workspace()
     counts = np.zeros((4, 3), dtype=np.int64)
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite score raises below
     def block_scores(block):
         labels = sys.label_batch(block)
         batch = filter_batch(controller, block, workspace)

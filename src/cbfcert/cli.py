@@ -189,16 +189,16 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     config, sim, _, certified = _load_deployment(args)
-    out = _out_dir(args, "simulate")
     system = certified.system
     filt = replace(certified, respect_input_bounds=sim.respect_input_bounds)
+    rate, counts, rollouts = empirical_safety_rate(
+        system, filt, sim.n_rollouts, sim.horizon_steps, sim.dt, seed=config.seed)
+    out = _out_dir(args, "simulate")
     certified_spec, deployed_spec = certified.spec, filt.spec
     if certified_spec != deployed_spec:
         print(f"warning: deployed filter {deployed_spec} is not the certified filter "
               f"{certified_spec}; the certificate's guarantee does not cover it",
               file=_sys.stderr)
-    rate, counts, rollouts = empirical_safety_rate(
-        system, filt, sim.n_rollouts, sim.horizon_steps, sim.dt, seed=config.seed)
     summary = {
         "rate": rate,
         "failure_bound": failure_bound(failure_count(system, rollouts), sim.n_rollouts,

@@ -72,13 +72,16 @@ class SafetyFilter:
 class FilterBatch:
     """Vectorized filter results: inputs, exact constraint slack a.u - b,
     whether the constraint was binding, per-state feasibility, and the
-    barrier values the constraint was built from."""
+    barrier values and system terms f(x), g(x) the constraint was built
+    from, so that a caller stepping the system need not evaluate them again."""
 
     inputs: np.ndarray     # (B, m)
     slack: np.ndarray      # (B,)
     active: np.ndarray     # (B,) bool
     feasible: np.ndarray   # (B,) bool
     h: np.ndarray          # (B,) barrier value at each state
+    f: np.ndarray          # (B, n) drift at each state
+    g: np.ndarray          # (B, n, m) input matrix at each state
 
 
 def _box_bounds(filt: SafetyFilter) -> tuple[np.ndarray, np.ndarray] | None:
@@ -175,12 +178,13 @@ def decide(filt: SafetyFilter, xs: np.ndarray, h: np.ndarray, grads: np.ndarray,
     if refs.shape != a_all.shape:
         raise ValueError(f"reference_policy gave {refs.shape}, expected {a_all.shape}")
     box = _box_bounds(filt)
-    if box is None:
-        return _batch_unbounded(refs, a_all, b_all, filt.correction_cap, h)
-    return FilterBatch(*_batch_box(refs, a_all, b_all, *box), h=h)
+    solve = (_batch_unbounded(refs, a_all, b_all, filt.correction_cap) if box is None
+             else _batch_box(refs, a_all, b_all, *box))
+    return FilterBatch(*solve, h=h, f=f, g=g)
 
 
-def _batch_unbounded(refs, a_all, b_all, cap, h) -> FilterBatch:
+def _batch_unbounded(refs, a_all, b_all, cap):
+    """(inputs, slack, active, feasible) of the unbounded QP at each row."""
     # Closed-form projection onto a.u >= b for every state at once. The
     # scalar reference is tests/oracles.py:_solve_unbounded, and
     # test_batch_matches_scalar_decisions checks that both decide alike.
@@ -202,5 +206,4 @@ def _batch_unbounded(refs, a_all, b_all, cap, h) -> FilterBatch:
             shrink = cap / size[over]
             corr[over] *= shrink[:, None]
             slack[over] = (shrink - 1.0) * viol[over]
-    return FilterBatch(inputs=refs + corr, slack=slack, active=active,
-                       feasible=feasible, h=h)
+    return refs + corr, slack, active, feasible

@@ -66,7 +66,13 @@ def closed_loop_field(sys: ControlAffineSystem, xs, us) -> np.ndarray:
     if xs.ndim != 2 or us.shape != (xs.shape[0], sys.m):
         raise ValueError(f"need states (B, n) and inputs (B, {sys.m}), "
                          f"got {xs.shape} and {us.shape}")
-    return sys.f(xs) + np.einsum("bnm,bm->bn", sys.g(xs), us)
+    return affine_field(sys.f(xs), sys.g(xs), us)
+
+
+def affine_field(f: np.ndarray, g: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """f + g u from drifts f (B, n), input matrices g (B, n, m) and inputs
+    us (B, m): closed_loop_field with f(x) and g(x) already evaluated."""
+    return f + np.einsum("bnm,bm->bn", g, us)
 
 
 def _box_mask(pts: np.ndarray, cols, lo, hi) -> np.ndarray:

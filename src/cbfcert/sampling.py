@@ -71,11 +71,16 @@ def sample_uniform(bounds, count: int, seed) -> np.ndarray:
 def rejection_sample_label(sys: ControlAffineSystem, want_label: int, count: int,
                            rng: np.random.Generator) -> np.ndarray:
     """Uniform draws over X kept only when the labeler matches; raises
-    LabelingMeasureError when the acceptance rate collapses."""
+    LabelingMeasureError when the acceptance rate collapses.
+
+    The first chunk is sized to the request, later ones to at least 4096
+    rows. The generator's stream does not depend on the chunking, so the
+    rows kept, the first count accepted, do not either.
+    """
     out = np.empty((count, sys.n))
     got = 0
     drawn = 0
-    chunk = max(4096, 2 * count)
+    chunk = max(64, 2 * count)
     while got < count:
         pts = sample_uniform(sys.state_bounds, chunk, rng)
         keep = pts[sys.label_batch(pts) == want_label]
@@ -83,6 +88,7 @@ def rejection_sample_label(sys: ControlAffineSystem, want_label: int, count: int
         out[got:got + take] = keep[:take]
         got += take
         drawn += chunk
+        chunk = max(4096, 2 * count)
         if drawn >= _STALL_MIN_DRAWS and got / drawn < _STALL_RATE:
             raise LabelingMeasureError(
                 f"acceptance rate {got / drawn:.2e} for label {Label(want_label).name} "

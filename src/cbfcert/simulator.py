@@ -14,8 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .controller import SafetyFilter
-from .dynamics import ControlAffineSystem, Label, closed_loop_field
+from .controller import SafetyFilter, filter_batch
+from .dynamics import ControlAffineSystem, Label, affine_field, closed_loop_field
 from .mlp import MlpCertificate, NumericError, Workspace, _forward, forward_batch
 from .sampling import rejection_sample_label, stream
 from .trainer import ConfigError, check_types
@@ -48,16 +48,22 @@ class NonFiniteStepError(FloatingPointError):
         self.row = row
 
 
-def rk4_step(sys: ControlAffineSystem, x, u, dt: float) -> np.ndarray:
+def rk4_step(sys: ControlAffineSystem, x, u, dt: float, k1=None) -> np.ndarray:
     """One classical Runge-Kutta step of f(x) + g(x) u, u held constant, for
-    states (B, n) and inputs (B, m); one state (n,) is the one-state batch."""
+    states (B, n) and inputs (B, m); one state (n,) is the one-state batch.
+
+    k1, when given, is the first stage f(x) + g(x) u itself: rollout builds
+    it from the f(x) and g(x) its filter evaluated, so that only stages 2-4
+    evaluate the system. It must have the bits closed_loop_field gives.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.ndim == 1:
-        return rk4_step(sys, x[None], u[None], dt)[0]
-    k1 = closed_loop_field(sys, x, u)
+        return rk4_step(sys, x[None], u[None], dt, None if k1 is None else k1[None])[0]
+    if k1 is None:
+        k1 = closed_loop_field(sys, x, u)
     k2 = closed_loop_field(sys, x + 0.5 * dt * k1, u)
     k3 = closed_loop_field(sys, x + 0.5 * dt * k2, u)
     k4 = closed_loop_field(sys, x + dt * k3, u)
@@ -68,6 +74,9 @@ def rk4_step(sys: ControlAffineSystem, x, u, dt: float) -> np.ndarray:
     return out
 
 
+# Every non-finite value a rollout meets raises a named error, so numpy's
+# overflow and invalid-value warnings would only print ahead of it.
+@np.errstate(over="ignore", invalid="ignore")
 def rollout(sys: ControlAffineSystem, filt: SafetyFilter, x0, horizon_steps: int,
             dt: float) -> Rollout | list[Rollout]:
     """Filter, step, repeat, from one start (n,) or, in lock step, from a
@@ -77,7 +86,8 @@ def rollout(sys: ControlAffineSystem, filt: SafetyFilter, x0, horizon_steps: int
     then filter infeasibility, and stops those that fail; the final states
     get the first two checks too. Failure modes land in the status field
     rather than raising; a non-finite state raises FloatingPointError
-    naming its start.
+    naming its start, and a non-finite barrier value or constraint slack
+    raises NumericError naming its start and step.
     """
     starts = np.asarray(x0, dtype=float)
     x = np.atleast_2d(starts).copy()
@@ -92,9 +102,12 @@ def rollout(sys: ControlAffineSystem, filt: SafetyFilter, x0, horizon_steps: int
     steps = np.full(count, horizon_steps)
     live = np.arange(count)
     angles = list(sys.angle_dims)
+    workspace = Workspace()
 
     def retire(stop, why):
         nonlocal live, x
+        if not stop.any():
+            return
         for i in live[stop]:
             status[i], steps[i] = why, k
         live, x = live[~stop], x[~stop]
@@ -104,7 +117,9 @@ def rollout(sys: ControlAffineSystem, filt: SafetyFilter, x0, horizon_steps: int
         retire(~sys.contains(x), RolloutStatus.EXITED_DOMAIN)
         if k == horizon_steps or not live.size:
             break
-        decision = filt.batch_decide(x)
+        decision = filter_batch(filt, x, workspace)
+        _check_finite("barrier", decision.h, live, k)
+        _check_finite("constraint slack", decision.slack, live, k)
         ok = decision.feasible
         retire(~ok, RolloutStatus.FILTER_INFEASIBLE)
         if not live.size:
@@ -112,8 +127,10 @@ def rollout(sys: ControlAffineSystem, filt: SafetyFilter, x0, horizon_steps: int
         u = decision.inputs[ok]
         inputs[live, k], active[live, k], slack[live, k], h_vals[live, k] = (
             u, decision.active[ok], decision.slack[ok], decision.h[ok])
+        # RK4's first stage from the f(x) and g(x) the filter evaluated
+        k1 = affine_field(decision.f[ok], decision.g[ok], u)
         try:
-            x = rk4_step(sys, x, u, dt)
+            x = rk4_step(sys, x, u, dt, k1)
         except NonFiniteStepError as exc:
             raise FloatingPointError(
                 f"rollout from start {live[exc.row]}, step {k}: {exc}") from None
@@ -121,13 +138,25 @@ def rollout(sys: ControlAffineSystem, filt: SafetyFilter, x0, horizon_steps: int
         states[live, k + 1] = x
     # the filter gave h at every state it decided; forward only the last ones
     rows = np.arange(count)
-    h_vals[rows, steps] = forward_batch(filt.certificate, states[rows, steps])
+    final = forward_batch(filt.certificate, states[rows, steps])
+    _check_finite("barrier", final, rows, steps)
+    h_vals[rows, steps] = final
     out = [Rollout(states=states[i, :s + 1].copy(), inputs=inputs[i, :s].copy(),
                    h_values=h_vals[i, :s + 1].copy(),
                    filter_active=active[i, :s].copy(),
                    filter_slack=slack[i, :s].copy(), dt=dt, status=status[i])
            for i, s in enumerate(steps)]
     return out[0] if starts.ndim == 1 else out
+
+
+def _check_finite(what: str, values: np.ndarray, starts: np.ndarray, step) -> None:
+    """Raise NumericError naming the first rollout, by its start index in
+    starts, whose value is not finite at step (one step, or one per row)."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(finite.argmin())
+        raise NumericError(f"non-finite {what} at rollout {starts[row]}, "
+                           f"step {np.broadcast_to(step, finite.shape)[row]}")
 
 
 def sample_safe_starts(sys: ControlAffineSystem, count: int,
@@ -215,6 +244,7 @@ class SliceSpec:
         return self.fixed_values
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite node raises below
 def levelset_grid(cert: MlpCertificate, spec: SliceSpec, bounds
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Barrier values on a resolution x resolution grid over the slice.

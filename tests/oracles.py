@@ -402,6 +402,61 @@ def reference_rollout_to_csv(ro, path):
                             + [repr(float(h))] + tail)
 
 
+def reference_rollout(sys, filt, starts, horizon_steps, dt):
+    """Lock-step rollouts from starts (B, n) that evaluate everything
+    afresh at each step: filt.batch_decide in a new workspace, then an
+    rk4_step that evaluates all four stages itself. rollout, which takes
+    RK4's first stage from the filter's f and g and keeps one workspace,
+    must give the same bits. Returns a list of Rollouts."""
+    from cbfcert.dynamics import Label
+    from cbfcert.mlp import forward_batch
+    from cbfcert.simulator import Rollout, RolloutStatus, rk4_step
+
+    x = np.array(starts, dtype=float)
+    count, horizon = x.shape[0], horizon_steps
+    states = np.empty((count, horizon + 1, sys.n))
+    inputs = np.empty((count, horizon, sys.m))
+    h_vals = np.empty((count, horizon + 1))
+    active = np.empty((count, horizon), dtype=bool)
+    slack = np.empty((count, horizon))
+    states[:, 0] = x
+    status = [RolloutStatus.COMPLETED] * count
+    steps = np.full(count, horizon)
+    live = np.arange(count)
+    angles = list(sys.angle_dims)
+
+    def retire(stop, why, k):
+        nonlocal live, x
+        for i in live[stop]:
+            status[i], steps[i] = why, k
+        live, x = live[~stop], x[~stop]
+
+    for k in range(horizon + 1):
+        retire(sys.label_batch(x) == Label.UNSAFE, RolloutStatus.ENTERED_UNSAFE, k)
+        retire(~sys.contains(x), RolloutStatus.EXITED_DOMAIN, k)
+        if k == horizon or not live.size:
+            break
+        decision = filt.batch_decide(x)
+        ok = decision.feasible
+        retire(~ok, RolloutStatus.FILTER_INFEASIBLE, k)
+        if not live.size:
+            break
+        u = decision.inputs[ok]
+        inputs[live, k], active[live, k] = u, decision.active[ok]
+        slack[live, k], h_vals[live, k] = decision.slack[ok], decision.h[ok]
+        x = rk4_step(sys, x, u, dt)
+        x[:, angles] = np.mod(x[:, angles] + np.pi, 2.0 * np.pi) - np.pi
+        states[live, k + 1] = x
+    # the final states in one batch, as rollout evaluates them: a barrier
+    # row's bits may depend on the batch it is evaluated in
+    rows = np.arange(count)
+    h_vals[rows, steps] = forward_batch(filt.certificate, states[rows, steps])
+    return [Rollout(states=states[i, :s + 1], inputs=inputs[i, :s],
+                    h_values=h_vals[i, :s + 1], filter_active=active[i, :s],
+                    filter_slack=slack[i, :s], dt=dt, status=status[i])
+            for i, s in enumerate(steps)]
+
+
 # Scalar references of the package's batch paths: one state at a time,
 # with 1-D products on row 0 of the system's one-state f and g. The
 # package keeps only the batch forms (controller.filter_batch, certificate

@@ -507,11 +507,9 @@ def test_non_finite_system_param_rejected_before_outputs(tmp_path, capsys, comma
     assert capsys.readouterr().err == f"error: system_params: {key}: must be finite\n"
 
 
-# a barrier that overflows is expected to warn on its way to NaN
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("command, message", [
     ("verify", "non-finite score while sampling the state space"),
+    ("simulate", "non-finite barrier at rollout 0, step 0"),
     ("levelset", "non-finite barrier at level-set node (0, 0)"),
 ])
 def test_non_finite_barrier_exits_1_before_outputs(tmp_path, capsys, command, message):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from cbfcert.dynamics import (ControlAffineSystem, Label, collision_cone_label,
                               collision_cone_label_batch, dubins_system, make_system,
                               planar_aerial_system)
 from cbfcert.sampling import (STREAMS, LabelingMeasureError, build_datasets,
-                              sample_uniform, stream)
+                              rejection_sample_label, sample_uniform, stream)
 
 from oracles import min_distance_constant_velocity
 
@@ -157,3 +159,39 @@ def test_collision_cone_oracle_equivalence_10k():
         elif labels[i] == Label.SAFE:
             assert dmin >= pts[i, 7] + 0.2 - 1e-12
 
+
+def fixed_chunk_rejection_sample(sys_, want_label, count, rng):
+    """Rejection sampling in chunks of max(4096, 2 count) rows each, the
+    first one included: the draw a resized chunk must not change."""
+    chunk, kept, got = max(4096, 2 * count), [], 0
+    while got < count:
+        pts = sample_uniform(sys_.state_bounds, chunk, rng)
+        keep = pts[sys_.label_batch(pts) == want_label][:count - got]
+        kept.append(keep)
+        got += len(keep)
+    return np.concatenate(kept)
+
+
+@pytest.mark.parametrize("label", list(Label), ids=[label.name for label in Label])
+@pytest.mark.parametrize("name", ["dubins", "quadruped"])
+def test_chunk_sizes_change_no_draw(name, label):
+    sys_ = make_system(name)
+    for count in (1, 4, 10, 600, 6700):
+        got = rejection_sample_label(sys_, label, count, stream(count, "safe"))
+        want = fixed_chunk_rejection_sample(sys_, label, count, stream(count, "safe"))
+        assert got.tobytes() == want.tobytes(), count
+
+
+@pytest.mark.parametrize("name", ["dubins", "quadruped"])
+def test_four_starts_label_at_most_64_rows(name):
+    base = make_system(name)
+    labeled = []
+
+    def counting(pts):
+        labeled.append(len(pts))
+        return base.label_batch(pts)
+
+    sys_ = dataclasses.replace(base, label_batch=counting)
+    starts = rejection_sample_label(sys_, Label.SAFE, 4, stream(0, "rollout_starts"))
+    assert np.all(base.label_batch(starts) == Label.SAFE)
+    assert sum(labeled) <= 64

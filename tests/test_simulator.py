@@ -73,6 +73,19 @@ def test_rk4_one_state_is_row_zero_of_the_batch_step(system):
     assert np.array_equal(one, batch[0])
 
 
+@pytest.mark.parametrize("system", [dubins_system, planar_aerial_system,
+                                    quadruped_system, toy_system])
+def test_rk4_given_its_first_stage_is_bit_identical(system):
+    sys_ = system()
+    rng = np.random.default_rng(4)
+    xs = sample_safe_starts(sys_, 9, rng)
+    us = rng.uniform(-1.0, 1.0, (9, sys_.m))
+    k1 = dynamics.closed_loop_field(sys_, xs, us)
+    assert rk4_step(sys_, xs, us, 0.02, k1).tobytes() == rk4_step(sys_, xs, us, 0.02).tobytes()
+    one = rk4_step(sys_, xs[0], us[0], 0.02, k1[0])
+    assert one.tobytes() == rk4_step(sys_, xs[0], us[0], 0.02).tobytes()
+
+
 def test_rk4_requires_positive_dt():
     with pytest.raises(ValueError):
         rk4_step(dubins_system(), np.zeros(3), np.zeros(2), 0.0)
@@ -490,3 +503,67 @@ def test_three_input_system_rollout_and_simulate(registered_integrator_3d, tmp_p
         rows = np.array([[float(v) for v in line.split(",")[1:7]]
                          for line in path.read_text().splitlines()[1:-1]])
         check_three_input_decisions(filt, rows[:, :3], rows[:, 3:6])
+
+
+def steered_dubins():
+    def steer(xs):
+        return np.stack([np.ones(len(xs)), np.clip(xs[:, 0] * xs[:, 1], -1, 1)],
+                        axis=1)
+
+    return dataclasses.replace(dubins_system(), reference_policy=steer)
+
+
+# (system, certificate, extra starts) for the reference rollout
+_REFERENCE_CASES = {
+    # the origin is unsafe: a rollout that stops at step 0 amid the others
+    "dubins": (steered_dubins, lambda: mlp.init_certificate([3, 16, 1], seed=5),
+               [np.zeros(3)]),
+    "quadruped": (quadruped_system, lambda: mlp.init_certificate([8, 16, 1], seed=2), []),
+    "planar_aerial": (planar_aerial_system,
+                      lambda: mlp.init_certificate([6, 16, 1], seed=3), []),
+    "integrator_3d": (integrator_3d, l1_barrier, []),
+}
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_rollout_is_bit_identical_to_the_reference_rollout(case, bounded):
+    from oracles import reference_rollout
+
+    system, cert, extra = _REFERENCE_CASES[case]
+    sys_ = system()
+    filt = SafetyFilter(certificate=cert(), system=sys_, respect_input_bounds=bounded)
+    starts = np.vstack([*extra, sample_safe_starts(sys_, 24, np.random.default_rng(7))])
+    got = rollout(sys_, filt, starts, 80, 0.02)
+    want = reference_rollout(sys_, filt, starts, 80, 0.02)
+    for ro, ref in zip(got, want, strict=True):
+        assert ro.status == ref.status
+        for name in ("states", "inputs", "h_values", "filter_active", "filter_slack"):
+            assert getattr(ro, name).tobytes() == getattr(ref, name).tobytes(), name
+    statuses = {ro.status for ro in got}
+    if case == "dubins" and bounded:
+        assert statuses == set(RolloutStatus)
+    if case == "planar_aerial":
+        # domain exit is a failure on this system; the reference must see some
+        assert sys_.domain_exit_unsafe and RolloutStatus.EXITED_DOMAIN in statuses
+
+
+def nan_barrier(n):
+    """Finite parameters whose output is inf - inf = NaN at every state."""
+    return mlp.MlpCertificate((n, 2, 1), (np.zeros((2, n)), np.array([[1e308, -1e308]])),
+                              (np.full(2, 1000.0), np.zeros(1)))
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+@pytest.mark.parametrize("horizon, message", [
+    # the origin is unsafe, so rollout 0 stops before the filter sees it
+    (5, "non-finite barrier at rollout 1, step 0"),
+    # no step is taken: the final states' barrier is checked too
+    (0, "non-finite barrier at rollout 0, step 0"),
+])
+def test_rollout_names_the_first_non_finite_barrier(horizon, message, bounded):
+    sys_ = dubins_system()
+    filt = SafetyFilter(certificate=nan_barrier(3), system=sys_, respect_input_bounds=bounded)
+    starts = np.vstack([np.zeros(3), sample_safe_starts(sys_, 3, np.random.default_rng(1))])
+    with pytest.raises(mlp.NumericError, match=f"^{message}$"):
+        rollout(sys_, filt, starts, horizon, 0.02)
