@@ -22,7 +22,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .controller import SafetyFilter, decide, filter_batch
-from .dynamics import ControlAffineSystem, Label
+from .dynamics import ControlAffineSystem, Label, affine_field
 from .mlp import (MlpCertificate, NumericError, Workspace, forward_batch,
                   primal_input_gradients, primal_pass, seeded_loss_param_gradient)
 from .sampling import TrainingDatasets, sample_uniform, stream
@@ -153,10 +153,9 @@ def total_loss_and_gradient(cert: MlpCertificate, datasets: TrainingDatasets,
     # which alone carry the closed-loop field f + g u as their tangent
     primal = primal_pass(cert, np.concatenate([datasets.safe, datasets.unsafe, domain]),
                          workspace)
-    f, g = controller.system.f(domain), controller.system.g(domain)
-    batch = decide(controller, domain, primal.h[first:],
-                   primal_input_gradients(cert, primal, first), f, g)
-    seeds = f + np.einsum("bnm,bm->bn", g, batch.inputs)
+    batch = decide(controller, domain, primal.h[first:], primal_input_gradients(primal, first),
+                   controller.system.f(domain), controller.system.g(domain))
+    seeds = affine_field(batch.f, batch.g, batch.inputs)
     lam1, lam2 = weights.lambda1, weights.lambda2
     gamma = controller.kappa_gain
 
@@ -168,7 +167,7 @@ def total_loss_and_gradient(cert: MlpCertificate, datasets: TrainingDatasets,
         dh[first:][act3] = -lam2 * gamma / nd
         return value, dh, np.where(act3, -lam2 / nd, 0.0)
 
-    return seeded_loss_param_gradient(cert, primal, seeds, combined)
+    return seeded_loss_param_gradient(primal, seeds, combined)
 
 
 def conformal_quantile(scores, alpha: float) -> float:

@@ -189,10 +189,9 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     config, sim, _, certified = _load_deployment(args)
-    system = certified.system
     filt = replace(certified, respect_input_bounds=sim.respect_input_bounds)
     rate, counts, rollouts = empirical_safety_rate(
-        system, filt, sim.n_rollouts, sim.horizon_steps, sim.dt, seed=config.seed)
+        filt, sim.n_rollouts, sim.horizon_steps, sim.dt, seed=config.seed)
     out = _out_dir(args, "simulate")
     certified_spec, deployed_spec = certified.spec, filt.spec
     if certified_spec != deployed_spec:
@@ -201,7 +200,7 @@ def cmd_simulate(args) -> int:
               file=_sys.stderr)
     summary = {
         "rate": rate,
-        "failure_bound": failure_bound(failure_count(system, rollouts), sim.n_rollouts,
+        "failure_bound": failure_bound(failure_count(filt.system, rollouts), sim.n_rollouts,
                                        config.beta),
         "beta": config.beta,
         "counts": dict(counts),

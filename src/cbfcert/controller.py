@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import ControlAffineSystem
-from .mlp import MlpCertificate, Workspace, values_and_input_gradients
+from .mlp import MlpCertificate, NumericError, Workspace, values_and_input_gradients
 
 _DEGENERATE_SQ = 1e-28
 
@@ -84,13 +84,6 @@ class FilterBatch:
     g: np.ndarray          # (B, n, m) input matrix at each state
 
 
-def _box_bounds(filt: SafetyFilter) -> tuple[np.ndarray, np.ndarray] | None:
-    if not filt.respect_input_bounds or filt.system.input_bounds is None:
-        return None
-    ib = filt.system.input_bounds
-    return ib[:, 0], ib[:, 1]
-
-
 def _box_optimum(r, a, b, lo, hi):
     """The KKT point clip(r + lam a, lo, hi) of min |u - r|^2 s.t. a.u >= b,
     lo <= u <= hi, for the smallest lam >= 0 that meets the constraint, in
@@ -125,9 +118,11 @@ def _batch_box(refs, a, b, lo, hi):
     # the stacked matmul has the bits of the 1-D a @ u (ddot) of every row
     slack = np.matmul(a[:, None, :], inputs[:, :, None]).ravel()
     slack -= b
-    feasible = slack >= 0   # a NaN slack binds, and no walk meets it
+    finite = np.isfinite(slack)   # false where a, b or the reference is not
+    feasible = slack >= 0   # a NaN slack binds
     active = ~feasible
-    rows = active.nonzero()[0]
+    feasible &= finite      # and a non-finite row is not walked
+    rows = (active & finite).nonzero()[0]
     if not rows.size:
         return inputs, slack, active, feasible
     a_rows = a[rows]
@@ -141,13 +136,18 @@ def _batch_box(refs, a, b, lo, hi):
     return inputs, slack, active, feasible
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises below
 def filter_input(filt: SafetyFilter, x) -> np.ndarray:
     """The safety-filtered input at one state x (n,): row 0 of filter_batch
-    on the one-state batch; raises InfeasibleFilterError when the
+    on the one-state batch; raises NumericError when the barrier or the
+    constraint is not finite there, and InfeasibleFilterError when the
     constraint cannot be satisfied."""
     x = np.asarray(x, dtype=float)
     batch = filter_batch(filt, x[None])
     if not batch.feasible[0]:
+        # a non-finite h, a or b leaves the slack or the input non-finite
+        if not np.isfinite(batch.slack[0]) or not np.all(np.isfinite(batch.inputs[0])):
+            raise NumericError(f"non-finite barrier constraint at state {x}")
         raise InfeasibleFilterError(
             f"barrier constraint infeasible at state {x} (slack {batch.slack[0]:.6g})"
         )
@@ -170,16 +170,19 @@ def decide(filt: SafetyFilter, xs: np.ndarray, h: np.ndarray, grads: np.ndarray,
 
     Infeasible states fall back to the (clipped) reference input and keep
     their negative slack so that callers can score the violation instead
-    of aborting; rollout code treats feasible=False as a hard stop.
+    of aborting; rollout code treats feasible=False as a hard stop. A
+    state whose barrier value, constraint (a, b), slack or input is not
+    finite is infeasible too.
     """
     a_all = np.einsum("bn,bnm->bm", grads, g)
     b_all = -np.einsum("bn,bn->b", grads, f) - filt.kappa_gain * h
     refs = np.asarray(filt.system.reference_policy(xs), dtype=float)
     if refs.shape != a_all.shape:
         raise ValueError(f"reference_policy gave {refs.shape}, expected {a_all.shape}")
-    box = _box_bounds(filt)
-    solve = (_batch_unbounded(refs, a_all, b_all, filt.correction_cap) if box is None
-             else _batch_box(refs, a_all, b_all, *box))
+    ib = filt.system.input_bounds
+    solve = (_batch_box(refs, a_all, b_all, ib[:, 0], ib[:, 1])
+             if filt.respect_input_bounds and ib is not None
+             else _batch_unbounded(refs, a_all, b_all, filt.correction_cap))
     return FilterBatch(*solve, h=h, f=f, g=g)
 
 
@@ -206,4 +209,7 @@ def _batch_unbounded(refs, a_all, b_all, cap):
             shrink = cap / size[over]
             corr[over] *= shrink[:, None]
             slack[over] = (shrink - 1.0) * viol[over]
-    return refs + corr, slack, active, feasible
+    inputs = refs + corr
+    # a non-finite a, b or reference makes the slack or the input non-finite
+    feasible &= np.isfinite(slack) & np.isfinite(inputs).all(axis=1)
+    return inputs, slack, active, feasible

@@ -85,10 +85,10 @@ def _box_mask(pts: np.ndarray, cols, lo, hi) -> np.ndarray:
 def _label_codes(pts: np.ndarray, safe: np.ndarray, unsafe: np.ndarray) -> np.ndarray:
     """(B,) Label codes from a labeler's masks: UNSAFE where unsafe, else
     SAFE where safe; a state with a NaN coordinate is UNLABELED."""
-    out = np.zeros(pts.shape[0], dtype=int)
-    out[safe] = Label.SAFE
-    out[unsafe] = Label.UNSAFE
-    out[np.isnan(pts).any(axis=1)] = Label.UNLABELED
+    # safe as 0 or 1 is UNLABELED or SAFE; plain ints, as an array meets
+    # a Label member several times slower
+    out = np.where(unsafe, int(Label.UNSAFE), safe)
+    out[np.isnan(pts).any(axis=1)] = int(Label.UNLABELED)
     return out
 
 

@@ -21,22 +21,23 @@ All arithmetic is float64. No function changes its inputs, but for the
 scratch given to softplus; what a function returns (h, dh/dx, gradients,
 parameters) is the caller's own, except a Primal's caches, as below.
 
-Workspaces. `forward_batch`, `primal_pass` and `values_and_input_gradients`
-take an optional `Workspace` and write their hidden-layer arrays into
-views of its buffers: z and the activations of the forward and the
-sigmoids a primal pass keeps. Called without one, each makes a fresh
-one, as `forward` always does, so every batch size runs the same code. A
-Primal carries the workspace it was built in and holds views of it in
-`inputs[1:]` and `sigs`; they stay valid until the next `forward_batch`
-or `primal_pass` on that workspace. `primal_input_gradients` and
+Workspaces. `forward`, `forward_batch`, `primal_pass` and
+`values_and_input_gradients` take an optional `Workspace` and write
+their hidden-layer arrays into views of its buffers: z and the
+activations of the forward and the sigmoids a primal pass keeps. Called
+without one, each makes a fresh one, so every batch size runs the same
+code. A Primal carries the certificate and the workspace it was built
+with and holds views of the workspace in `inputs[1:]` and `sigs`; they
+stay valid until the next `forward`, `forward_batch` or `primal_pass` on
+that workspace. `primal_input_gradients` and
 `seeded_loss_param_gradient` write the adjoints of their reverse sweeps
 and the tangents of the nested gradient into the primal's workspace, in
 buffers the primal does not keep. A training phase passes one workspace
 to every monitoring loss and step, the monitoring loss uses it for every
 row block of its buckets, a scoring of N states uses one for every
-block's filter pass, and a level set one for every grid row's `forward`
-(through the private `_forward`), so their pages are faulted in once per
-phase, scoring or grid instead of once per call.
+block's filter pass, and a level set one for every grid row's `forward`,
+so their pages are faulted in once per phase, scoring or grid instead of
+once per call.
 
 Batch semantics. One layer recurrence computes every barrier value, and
 the shape it is given decides how BLAS sums. `forward_batch` and
@@ -246,23 +247,17 @@ def forward_batch(cert: MlpCertificate, xs, workspace: Workspace | None = None) 
     return _layers(cert, _check_batch(cert, xs), workspace or Workspace(), None)[0]
 
 
-def forward(cert: MlpCertificate, x) -> float | np.ndarray:
+def forward(cert: MlpCertificate, x, workspace: Workspace | None = None) -> float | np.ndarray:
     """Barrier value h(x): a float for one state (n,), an array of shape
     (...) for a stack of states (..., n). The states run as an (R, 1, n)
     stack, so a state's value is the same bits whatever it is stacked
     with (see Batch semantics)."""
-    return _forward(cert, x, Workspace())
-
-
-def _forward(cert: MlpCertificate, x, ws: Workspace) -> float | np.ndarray:
-    """forward, its hidden-layer arrays in ws: a caller that evaluates
-    many stacks, as the level-set grid does row by row, holds one."""
     a = np.asarray(x, dtype=float)
     if a.ndim == 0 or a.shape[-1] != cert.n_inputs:
         raise ShapeError(
             f"state shape {np.shape(x)} does not match input size {cert.n_inputs}"
         )
-    h = _layers(cert, a.reshape(-1, 1, cert.n_inputs), ws, None)[0]
+    h = _layers(cert, a.reshape(-1, 1, cert.n_inputs), workspace or Workspace(), None)[0]
     return float(h[0]) if a.ndim == 1 else h.reshape(a.shape[:-1])
 
 
@@ -274,12 +269,13 @@ def input_gradient(cert: MlpCertificate, x) -> np.ndarray:
 
 @dataclass
 class Primal:
-    """One primal pass over a (B, n) batch: the barrier values, each
-    layer's input and each hidden layer's sigmoid(z), the caches that the
-    input gradients and the nested gradient read. The hidden inputs and
-    sigmoids are views of the workspace's buffers, and the sweeps over
-    them write into that workspace too."""
+    """One primal pass of a certificate over a (B, n) batch: the barrier
+    values, each layer's input and each hidden layer's sigmoid(z), the
+    caches that the input gradients and the nested gradient read. The
+    hidden inputs and sigmoids are views of the workspace's buffers, and
+    the sweeps over them write into that workspace too."""
 
+    cert: MlpCertificate
     h: np.ndarray                 # (B,)
     inputs: list[np.ndarray]      # layer l's input, (B, layer_sizes[l])
     sigs: list[np.ndarray]        # hidden layer l's sigmoid(z), (B, layer_sizes[l+1])
@@ -291,14 +287,14 @@ def primal_pass(cert: MlpCertificate, xs, workspace: Workspace | None = None) ->
     sigs = []
     ws = workspace or Workspace()
     h, inputs = _layers(cert, _check_batch(cert, xs), ws, sigs)
-    return Primal(h, inputs, sigs, ws)
+    return Primal(cert, h, inputs, sigs, ws)
 
 
-def primal_input_gradients(cert: MlpCertificate, primal: Primal, first: int) -> np.ndarray:
+def primal_input_gradients(primal: Primal, first: int) -> np.ndarray:
     """dh/dx of the primal's rows first: onwards, (B - first, n), by a
     reverse sweep over the cached sigmoids."""
+    cert, ws = primal.cert, primal.workspace
     rows = primal.h.shape[0] - first
-    ws = primal.workspace
     last = cert.n_layers - 1
     # The sweep's first product, ones((rows, 1)) @ w_last, is w_last's row
     # on every row, with -0.0 read as +0.0 (BLAS sums the one term onto
@@ -319,11 +315,11 @@ def values_and_input_gradients(cert: MlpCertificate, xs, workspace: Workspace | 
                                ) -> tuple[np.ndarray, np.ndarray]:
     """(h, dh/dx) for a batch in one pass; shapes (B,) and (B, n)."""
     primal = primal_pass(cert, xs, workspace)
-    return primal.h, primal_input_gradients(cert, primal, 0)
+    return primal.h, primal_input_gradients(primal, 0)
 
 
-def seeded_loss_param_gradient(cert: MlpCertificate, primal: Primal, seed_dirs,
-                               loss_fn) -> tuple[float, tuple[np.ndarray, ...]]:
+def seeded_loss_param_gradient(primal: Primal, seed_dirs, loss_fn
+                               ) -> tuple[float, tuple[np.ndarray, ...]]:
     """Value and parameter gradient of a loss built from h and one
     directional derivative per seeded row of a primal pass.
 
@@ -335,6 +331,7 @@ def seeded_loss_param_gradient(cert: MlpCertificate, primal: Primal, seed_dirs,
     must follow the inactive (zero-derivative) convention inside loss_fn.
     An empty batch yields (0.0, zero gradients).
     """
+    cert, ws = primal.cert, primal.workspace
     seeds = np.asarray(seed_dirs, dtype=float)
     n_rows = primal.h.shape[0]
     if seeds.ndim != 2 or seeds.shape[1] != cert.n_inputs or seeds.shape[0] > n_rows:
@@ -342,7 +339,6 @@ def seeded_loss_param_gradient(cert: MlpCertificate, primal: Primal, seed_dirs,
                          f"{cert.n_inputs}) for S <= {n_rows} seeded rows")
     if n_rows == 0:
         return 0.0, tuple(np.zeros_like(p) for p in cert.weights + cert.biases)
-    ws = primal.workspace
     n_seeded = seeds.shape[0]
     first = n_rows - n_seeded
     last = cert.n_layers - 1

@@ -65,7 +65,9 @@ def sample_uniform(bounds, count: int, seed) -> np.ndarray:
         raise ValueError("count must be non-negative")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     pts = rng.uniform(size=(count, bounds.shape[0]))
-    return bounds[:, 0] + pts * (bounds[:, 1] - bounds[:, 0])
+    pts *= bounds[:, 1] - bounds[:, 0]
+    pts += bounds[:, 0]
+    return pts
 
 
 def rejection_sample_label(sys: ControlAffineSystem, want_label: int, count: int,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .controller import SafetyFilter, filter_batch
 from .dynamics import ControlAffineSystem, Label, affine_field, closed_loop_field
-from .mlp import MlpCertificate, NumericError, Workspace, _forward, forward_batch
+from .mlp import MlpCertificate, NumericError, Workspace, forward, forward_batch
 from .sampling import rejection_sample_label, stream
 from .trainer import ConfigError, check_types
 
@@ -77,10 +77,9 @@ def rk4_step(sys: ControlAffineSystem, x, u, dt: float, k1=None) -> np.ndarray:
 # Every non-finite value a rollout meets raises a named error, so numpy's
 # overflow and invalid-value warnings would only print ahead of it.
 @np.errstate(over="ignore", invalid="ignore")
-def rollout(sys: ControlAffineSystem, filt: SafetyFilter, x0, horizon_steps: int,
-            dt: float) -> Rollout | list[Rollout]:
-    """Filter, step, repeat, from one start (n,) or, in lock step, from a
-    batch of starts (B, n); returns a Rollout or a list of them.
+def rollout(filt: SafetyFilter, x0, horizon_steps: int, dt: float) -> Rollout | list[Rollout]:
+    """Filter, step, repeat on the filter's system, from one start (n,) or,
+    in lock step, from starts (B, n); returns a Rollout or a list of them.
 
     Each step checks the live rollouts for unsafe entry, then domain exit,
     then filter infeasibility, and stops those that fail; the final states
@@ -89,6 +88,7 @@ def rollout(sys: ControlAffineSystem, filt: SafetyFilter, x0, horizon_steps: int
     naming its start, and a non-finite barrier value or constraint slack
     raises NumericError naming its start and step.
     """
+    sys = filt.system
     starts = np.asarray(x0, dtype=float)
     x = np.atleast_2d(starts).copy()
     count = x.shape[0]
@@ -164,10 +164,10 @@ def sample_safe_starts(sys: ControlAffineSystem, count: int,
     return rejection_sample_label(sys, Label.SAFE, count, rng)
 
 
-def empirical_safety_rate(sys: ControlAffineSystem, filt: SafetyFilter,
-                          n_rollouts: int, horizon_steps: int, dt: float,
-                          seed: int) -> tuple[float, Counter, list[Rollout]]:
-    """Fraction of rollouts from uniform safe starts that never fail.
+def empirical_safety_rate(filt: SafetyFilter, n_rollouts: int, horizon_steps: int,
+                          dt: float, seed: int) -> tuple[float, Counter, list[Rollout]]:
+    """Fraction of rollouts from uniform safe starts of the filter's
+    system that never fail.
 
     Unsafe entry and filter infeasibility always count as failures; domain
     exit counts as a failure only for systems that declare it so (the
@@ -175,10 +175,10 @@ def empirical_safety_rate(sys: ControlAffineSystem, filt: SafetyFilter,
     """
     if n_rollouts < 1:
         raise ValueError("n_rollouts must be >= 1")
-    starts = sample_safe_starts(sys, n_rollouts, stream(seed, "rollout_starts"))
-    rollouts = rollout(sys, filt, starts, horizon_steps, dt)
+    starts = sample_safe_starts(filt.system, n_rollouts, stream(seed, "rollout_starts"))
+    rollouts = rollout(filt, starts, horizon_steps, dt)
     counts = Counter(ro.status.value for ro in rollouts)
-    return 1.0 - failure_count(sys, rollouts) / n_rollouts, counts, rollouts
+    return 1.0 - failure_count(filt.system, rollouts) / n_rollouts, counts, rollouts
 
 
 def failure_count(sys: ControlAffineSystem, rollouts: list[Rollout]) -> int:
@@ -266,7 +266,7 @@ def levelset_grid(cert: MlpCertificate, spec: SliceSpec, bounds
     workspace = Workspace()
     for i, v0 in enumerate(vals0):
         row[:, i0] = v0
-        grid[i] = _forward(cert, row, workspace)
+        grid[i] = forward(cert, row, workspace)
     if not np.all(np.isfinite(grid)):
         i, j = np.argwhere(~np.isfinite(grid))[0]
         raise NumericError(f"non-finite barrier at level-set node ({i}, {j})")

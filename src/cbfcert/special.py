@@ -21,10 +21,6 @@ class BetaDomainError(ValueError):
     a, b and a + b finite."""
 
 
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
 def _stirling_remainder(z: float) -> float:
     # Binet function delta(z) = lgamma(z) - (z-1/2)ln z + z - ln(2 pi)/2,
     # truncated series; good to ~1e-18 for z >= 50
@@ -40,7 +36,7 @@ def _log_front(x: float, a: float, b: float) -> float:
     if small < 50.0:
         powers = a * math.log(x) + b * math.log1p(-x)
         if big < 50.0:
-            return powers - _log_beta(a, b)
+            return powers - (math.lgamma(a) + math.lgamma(b) - math.lgamma(total))
         # lgamma(big) - lgamma(a + b) through Stirling's series: the two
         # lgammas would cancel to a few hundred from about big ln(big)
         big_minus_total = (-small * math.log(total) - (big - 0.5) * math.log1p(small / big)

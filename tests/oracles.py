@@ -402,6 +402,26 @@ def reference_rollout_to_csv(ro, path):
                             + [repr(float(h))] + tail)
 
 
+def reference_sample_uniform(bounds, count, seed):
+    """The uniform draw as lo + u (hi - lo), in fresh arrays; seed is an
+    int, a sequence of ints or a Generator. sample_uniform, which scales
+    the generator's array in place, must give the same bits."""
+    bounds = np.asarray(bounds, dtype=float)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    pts = rng.uniform(size=(count, bounds.shape[0]))
+    return bounds[:, 0] + pts * (bounds[:, 1] - bounds[:, 0])
+
+
+def reference_label_codes(pts, safe, unsafe):
+    """Label codes written mask by mask into int zeros: SAFE (1), then
+    UNSAFE (2) over it, then UNLABELED (0) on rows with a NaN."""
+    out = np.zeros(pts.shape[0], dtype=int)
+    out[safe] = 1
+    out[unsafe] = 2
+    out[np.isnan(pts).any(axis=1)] = 0
+    return out
+
+
 def reference_rollout(sys, filt, starts, horizon_steps, dt):
     """Lock-step rollouts from starts (B, n) that evaluate everything
     afresh at each step: filt.batch_decide in a new workspace, then an

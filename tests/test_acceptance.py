@@ -238,7 +238,7 @@ def test_acceptance_6_dubins_certify_levelset_and_safety_rate():
     assert bad_nodes <= budget, f"{bad_nodes} positive nodes in the unsafe box"
 
     filt = SafetyFilter(certificate=cert, system=sys_, respect_input_bounds=True)
-    rate, counts, rollouts = empirical_safety_rate(sys_, filt, 1000, 500, 0.02,
+    rate, counts, rollouts = empirical_safety_rate(filt, 1000, 500, 0.02,
                                                    seed=101)
     floor = 0.99 - 3.0 * math.sqrt(0.01 * 0.99 / 1000.0)
     assert rate >= floor, f"safety rate {rate} below {floor}"

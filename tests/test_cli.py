@@ -809,9 +809,9 @@ def test_simulate_honours_false_booleans(tmp_path, monkeypatch):
     deployed = []
     real_rate = cli.empirical_safety_rate
 
-    def spy(system, filt, *args, **kwargs):
+    def spy(filt, *args, **kwargs):
         deployed.append(filt.respect_input_bounds)
-        return real_rate(system, filt, *args, **kwargs)
+        return real_rate(filt, *args, **kwargs)
 
     monkeypatch.setattr(cli, "empirical_safety_rate", spy)
     out = tmp_path / "sim"

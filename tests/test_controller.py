@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cbfcert import controller, mlp
-from cbfcert.controller import (InfeasibleFilterError, SafetyFilter, filter_batch,
+from cbfcert.controller import (InfeasibleFilterError, SafetyFilter, decide, filter_batch,
                                 filter_input, _batch_box)
 from cbfcert.dynamics import dubins_system, planar_aerial_system, quadruped_system
 from cbfcert.sampling import sample_uniform
@@ -325,6 +325,66 @@ def test_filter_batch_rejects_one_state(bounds):
         filter_batch(filt, np.zeros(3))
     assert np.array_equal(filter_input(filt, np.zeros(3)),
                           filter_batch(filt, np.zeros((1, 3))).inputs[0])
+
+
+def overflowing_cert():
+    """Finite parameters whose barrier overflows at every state: two
+    hidden units of 1000 meet output weights of +-1e308."""
+    return mlp.MlpCertificate((3, 2, 1), (np.zeros((2, 3)), np.array([[1e308, -1e308]])),
+                              (np.full(2, 1000.0), np.zeros(1)))
+
+
+@pytest.mark.parametrize("bounds", [False, True])
+def test_non_finite_barrier_is_infeasible_and_filter_input_names_its_state(bounds):
+    filt = SafetyFilter(certificate=overflowing_cert(), system=dubins_system(),
+                        respect_input_bounds=bounds)
+    x = np.array([1.8, 1.8, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = filt.batch_decide(np.vstack([x, x]))
+    assert not np.any(np.isfinite(batch.h))
+    assert not np.any(batch.feasible)
+    # filter_input raises, and no numpy warning escapes it
+    with pytest.raises(mlp.NumericError,
+                       match=r"^non-finite barrier constraint at state \[1\.8 1\.8 0\. \]$"):
+        filter_input(filt, x)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("term, index", [
+    ("h", (1,)), ("grads", (1, 0)), ("f", (1, 1)), ("g", (1, 0, 0)), ("refs", (1, 1))])
+@pytest.mark.parametrize("bounds, cap", [(False, None), (False, 0.05), (True, None)])
+def test_decide_marks_a_row_with_a_non_finite_term_infeasible(term, index, value, bounds,
+                                                              cap):
+    # barrier value, gradient, drift, input matrix and reference make h,
+    # the constraint (a, b) and the input; row 1 alone is spoilt
+    base = dubins_system()
+    cert = mlp.init_certificate([3, 16, 1], seed=5)
+    xs = sample_uniform(base.state_bounds, 6, seed=3)
+    h, grads = mlp.values_and_input_gradients(cert, xs)
+    terms = {"h": h, "grads": grads, "f": base.f(xs), "g": base.g(xs),
+             "refs": base.reference_policy(xs)}
+    sys_ = dataclasses.replace(base, reference_policy=lambda _: terms["refs"])
+    filt = SafetyFilter(certificate=cert, system=sys_, respect_input_bounds=bounds,
+                        correction_cap=cap)
+
+    def run():
+        return decide(filt, xs, terms["h"], terms["grads"], terms["f"], terms["g"])
+
+    clean = run()
+    terms[term] = terms[term].copy()
+    terms[term][index] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        spoilt = run()
+    # what filter_input reads to tell a non-finite row from an infeasible one
+    finite = np.isfinite(spoilt.slack[1]) and np.all(np.isfinite(spoilt.inputs[1]))
+    if bounds and term == "refs" and not np.isnan(value):
+        # the box clips an infinite reference to a bound: a finite input
+        assert finite
+    else:
+        assert not spoilt.feasible[1] and not finite
+    rest = np.arange(6) != 1
+    for field in ("inputs", "slack", "active", "feasible"):
+        assert getattr(spoilt, field)[rest].tobytes() == getattr(clean, field)[rest].tobytes()
 
 
 def test_correction_cap_limits_magnitude_and_reports_violation():

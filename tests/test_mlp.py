@@ -78,6 +78,11 @@ def test_forward_stack_is_bitwise_per_state(sizes, count):
     assert stacked.shape == (count,)
     assert np.array_equal(stacked, [mlp.forward(cert, x) for x in xs])
     assert np.array_equal(stacked, reference_stacked_forward(cert.weights, cert.biases, xs))
+    # in a workspace, which a larger stack has grown first: the same bits
+    ws = mlp.Workspace()
+    mlp.forward(cert, np.ones((count + 7, sizes[0])), ws)
+    assert mlp.forward(cert, xs, ws).tobytes() == stacked.tobytes()
+    assert np.array_equal(stacked, [mlp.forward(cert, x, ws) for x in xs])
 
 
 @pytest.mark.parametrize("sizes", _KERNEL_NETS)
@@ -88,6 +93,9 @@ def test_forward_three_dimensional_stack_is_bitwise_per_state(sizes):
     assert stacked.shape == (21, 21)
     per_state = [[mlp.forward(cert, x) for x in row] for row in xs]
     assert np.array_equal(stacked, per_state)
+    ws = mlp.Workspace()
+    assert np.array_equal(stacked, [mlp.forward(cert, row, ws) for row in xs])
+    assert mlp.forward(cert, xs, ws).tobytes() == stacked.tobytes()
     assert np.array_equal(stacked, reference_stacked_forward(cert.weights, cert.biases, xs))
 
 
@@ -95,6 +103,8 @@ def test_forward_single_state_is_a_float():
     cert = random_cert([3, 8, 1], seed=2)
     value = mlp.forward(cert, np.array([0.1, -0.2, 0.3]))
     assert type(value) is float
+    in_workspace = mlp.forward(cert, np.array([0.1, -0.2, 0.3]), mlp.Workspace())
+    assert type(in_workspace) is float and in_workspace == value
     assert mlp.forward(cert, np.zeros((0, 3))).shape == (0,)
     with pytest.raises(mlp.ShapeError):
         mlp.forward(cert, np.zeros((4, 2)))
@@ -143,7 +153,7 @@ def test_empty_batch_loss_is_zero():
 
     empty = np.zeros((0, 3))
     value, grads = mlp.seeded_loss_param_gradient(
-        cert, mlp.primal_pass(cert, empty), empty, loss_fn)
+        mlp.primal_pass(cert, empty), empty, loss_fn)
     assert value == 0.0
     assert [g.shape for g in grads] == [p.shape for p in cert.weights + cert.biases]
     assert all(not g.any() for g in grads)
@@ -185,7 +195,7 @@ def test_plain_value_loss_gradient_matches_fd():
         return float(h[0]), np.ones(1), np.zeros(1)
 
     _, grads = mlp.seeded_loss_param_gradient(
-        cert, mlp.primal_pass(cert, x), np.ones_like(x), loss_fn)
+        mlp.primal_pass(cert, x), np.ones_like(x), loss_fn)
     fd_w, fd_b = _fd_param_gradient(cert, lambda c: mlp.forward(c, x[0]))
     _assert_grads_close(grads, fd_w, fd_b)
 
@@ -200,7 +210,7 @@ def test_directional_derivative_loss_gradient_matches_fd():
         return c * float(d[0]), np.zeros(1), np.full(1, c)
 
     _, grads = mlp.seeded_loss_param_gradient(
-        cert, mlp.primal_pass(cert, x), v[None, :], loss_fn)
+        mlp.primal_pass(cert, x), v[None, :], loss_fn)
     fd_w, fd_b = _fd_param_gradient(
         cert, lambda cc: c * float(mlp.input_gradient(cc, x[0]) @ v)
     )
@@ -237,7 +247,7 @@ def test_nested_gradient_with_active_hinges_20_configs():
         if np.min(np.abs(args)) < 1e-3:
             continue
         _, grads = mlp.seeded_loss_param_gradient(
-            cert, mlp.primal_pass(cert, xs), vs, loss_fn)
+            mlp.primal_pass(cert, xs), vs, loss_fn)
 
         def value_of(c, vs=vs, thresh=thresh):
             hh = mlp.forward_batch(c, xs)
@@ -428,7 +438,7 @@ def test_nonfinite_batch_element_identified():
 
     with pytest.raises(mlp.NumericError, match="element 1"):
         mlp.seeded_loss_param_gradient(
-            cert, mlp.primal_pass(cert, xs), np.ones_like(xs), loss_fn)
+            mlp.primal_pass(cert, xs), np.ones_like(xs), loss_fn)
 
 
 def _linear_loss(coef_h, coef_d):
@@ -443,7 +453,7 @@ def test_seed_directions_must_fit_the_batch():
     loss_fn = _linear_loss(np.ones(5), np.ones(5))
     for seeds in (np.ones((5, 4)), np.ones((6, 3)), np.ones(5), np.ones((5, 1, 3))):
         with pytest.raises(mlp.ShapeError, match="seed directions"):
-            mlp.seeded_loss_param_gradient(cert, primal, seeds, loss_fn)
+            mlp.seeded_loss_param_gradient(primal, seeds, loss_fn)
 
 
 def test_batch_calls_reject_one_state():
@@ -467,12 +477,12 @@ def test_primal_pass_is_values_and_input_gradients(sizes, rows):
     primal = mlp.primal_pass(cert, xs)
     h, grads = mlp.values_and_input_gradients(cert, xs)
     assert np.array_equal(primal.h, h)
-    assert np.array_equal(mlp.primal_input_gradients(cert, primal, 0), grads)
+    assert np.array_equal(mlp.primal_input_gradients(primal, 0), grads)
     assert np.array_equal(primal.h, mlp.forward_batch(cert, xs))
     assert np.array_equal(primal.h, reference_batch_forward(cert.weights, cert.biases, xs))
     # the sweep over a row range reads the same cached sigmoids
     first = 2 * rows // 5
-    np.testing.assert_allclose(mlp.primal_input_gradients(cert, primal, first),
+    np.testing.assert_allclose(mlp.primal_input_gradients(primal, first),
                                grads[first:], rtol=1e-14, atol=0)
 
 
@@ -485,10 +495,10 @@ def test_unseeded_rows_carry_no_tangent():
     coef_h, coef_d = rng.standard_normal(90), rng.standard_normal(30)
     primal = mlp.primal_pass(cert, xs)
     value, grads = mlp.seeded_loss_param_gradient(
-        cert, primal, seeds, _linear_loss(coef_h, coef_d))
+        primal, seeds, _linear_loss(coef_h, coef_d))
     padded = np.concatenate([np.zeros((60, 8)), seeds])
     v_all, g_all = mlp.seeded_loss_param_gradient(
-        cert, primal, padded, _linear_loss(coef_h, np.concatenate([np.zeros(60), coef_d])))
+        primal, padded, _linear_loss(coef_h, np.concatenate([np.zeros(60), coef_d])))
     assert value == pytest.approx(v_all, rel=1e-14)
     for got, want in zip(grads, g_all):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -503,12 +513,12 @@ def test_batch_gradient_is_the_sum_of_row_gradients():
     seeds = rng.standard_normal((768, 8))
     coef_h, coef_d = rng.standard_normal(768), rng.standard_normal(768)
     value, grads = mlp.seeded_loss_param_gradient(
-        cert, mlp.primal_pass(cert, xs), seeds, _linear_loss(coef_h, coef_d))
+        mlp.primal_pass(cert, xs), seeds, _linear_loss(coef_h, coef_d))
     total_value = 0.0
     total = [np.zeros_like(p) for p in cert.weights + cert.biases]
     for i in range(768):
         v, g = mlp.seeded_loss_param_gradient(
-            cert, mlp.primal_pass(cert, xs[i:i + 1]), seeds[i:i + 1],
+            mlp.primal_pass(cert, xs[i:i + 1]), seeds[i:i + 1],
             _linear_loss(coef_h[i:i + 1], coef_d[i:i + 1]))
         total_value += v
         for acc, part in zip(total, g):
@@ -601,5 +611,5 @@ def test_input_gradients_equal_the_sweep_from_a_column_of_ones(sizes):
             if l < cert.n_layers - 1:
                 d *= primal.sigs[l][first:]
             d = d @ cert.weights[l]
-        got = mlp.primal_input_gradients(cert, primal, first)
+        got = mlp.primal_input_gradients(primal, first)
         assert np.array_equal(got, d) and np.array_equal(np.signbit(got), np.signbit(d))

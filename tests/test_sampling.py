@@ -10,7 +10,7 @@ from cbfcert.dynamics import (ControlAffineSystem, Label, collision_cone_label,
 from cbfcert.sampling import (STREAMS, LabelingMeasureError, build_datasets,
                               rejection_sample_label, sample_uniform, stream)
 
-from oracles import min_distance_constant_velocity
+from oracles import min_distance_constant_velocity, reference_label_codes, reference_sample_uniform
 
 
 def test_sample_uniform_empty():
@@ -195,3 +195,40 @@ def test_four_starts_label_at_most_64_rows(name):
     starts = rejection_sample_label(sys_, Label.SAFE, 4, stream(0, "rollout_starts"))
     assert np.all(base.label_batch(starts) == Label.SAFE)
     assert sum(labeled) <= 64
+
+
+@pytest.mark.parametrize("name", ["dubins", "planar_aerial", "quadruped"])
+def test_draws_and_labels_keep_the_bits_of_fresh_array_formulas(name, monkeypatch):
+    # every draw a run makes, and labels of NaN and +-inf rows, with the
+    # package's in-place formulas and then with the oracles' fresh arrays
+    from cbfcert import certificate, controller, dynamics, sampling, simulator
+
+    sys_ = make_system(name)
+    cert = mlp.init_certificate([sys_.n, 8, 1], seed=1)
+    filt = controller.SafetyFilter(certificate=cert, system=sys_)
+    base = sample_uniform(sys_.state_bounds, 3, seed=4)
+    odd = [base]
+    for value in (np.nan, np.inf, -np.inf):
+        for coord in range(sys_.n):
+            row = base.copy()
+            row[:, coord] = value
+            odd.append(row)
+    pts = np.vstack([sample_uniform(sys_.state_bounds, 500, seed=5), *odd])
+
+    def draws():
+        data = build_datasets(sys_, 300, 300, 300, seed=2)
+        with np.errstate(invalid="ignore"):   # cos(inf) in the quadruped labeler
+            labels = sys_.label_batch(pts)
+        return [data.safe, data.unsafe, data.domain,
+                simulator.sample_safe_starts(sys_, 10, stream(0, "rollout_starts")),
+                sampling.sample_uniform(sys_.state_bounds, 1100, stream(3, "calibration")),
+                certificate.verification_scores(cert, sys_, filt, 1100, seed=3), labels]
+
+    got = draws()
+    monkeypatch.setattr(sampling, "sample_uniform", reference_sample_uniform)
+    monkeypatch.setattr(certificate, "sample_uniform", reference_sample_uniform)
+    monkeypatch.setattr(dynamics, "_label_codes", reference_label_codes)
+    want = draws()
+    assert got[-1].dtype == np.int64
+    for i, (g, w) in enumerate(zip(got, want, strict=True)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), i

@@ -125,7 +125,7 @@ def test_rk4_fourth_order_convergence():
 def test_rollout_immediate_unsafe_start():
     sys_ = dubins_system()
     filt = SafetyFilter(certificate=constant_cert(3, 1.0), system=sys_)
-    ro = rollout(sys_, filt, np.array([0.0, 0.0, 0.0]), 50, 0.02)
+    ro = rollout(filt, np.array([0.0, 0.0, 0.0]), 50, 0.02)
     assert ro.status == RolloutStatus.ENTERED_UNSAFE
     assert ro.states.shape == (1, 3)
     assert ro.inputs.shape == (0, 2)
@@ -135,7 +135,7 @@ def test_rollout_immediate_unsafe_start():
 def test_rollout_zero_dynamics_constant_trajectory():
     sys_ = zero_dynamics_system()
     filt = SafetyFilter(certificate=constant_cert(1, 1.0), system=sys_)
-    ro = rollout(sys_, filt, np.array([0.5]), 20, 0.05)
+    ro = rollout(filt, np.array([0.5]), 20, 0.05)
     assert ro.status == RolloutStatus.COMPLETED
     assert np.all(ro.states == 0.5)
 
@@ -145,7 +145,7 @@ def test_rollout_filter_infeasible_status():
     # constant negative barrier: zero gradient, b > 0, degenerate
     filt = SafetyFilter(certificate=constant_cert(1, -1.0), system=sys_,
                         respect_input_bounds=True)
-    ro = rollout(sys_, filt, np.array([0.2]), 10, 0.05)
+    ro = rollout(filt, np.array([0.2]), 10, 0.05)
     assert ro.status == RolloutStatus.FILTER_INFEASIBLE
 
 
@@ -155,7 +155,7 @@ def test_rollout_domain_exit():
     # drives x to the right edge; unsafe label triggers first at 1.5
     filt = SafetyFilter(certificate=constant_cert(1, 5.0), system=sys_,
                         respect_input_bounds=True)
-    ro = rollout(sys_, filt, np.array([0.9]), 200, 0.05)
+    ro = rollout(filt, np.array([0.9]), 200, 0.05)
     assert ro.status == RolloutStatus.ENTERED_UNSAFE
 
 
@@ -163,7 +163,7 @@ def test_empirical_rate_analytic_barrier_is_one():
     sys_ = toy_system()
     filt = SafetyFilter(certificate=analytic_toy_barrier(), system=sys_,
                         respect_input_bounds=True)
-    rate, counts, rollouts = empirical_safety_rate(sys_, filt, 1000, 200, 0.02,
+    rate, counts, rollouts = empirical_safety_rate(filt, 1000, 200, 0.02,
                                                    seed=5)
     assert rate == 1.0
     assert counts[RolloutStatus.ENTERED_UNSAFE.value] == 0
@@ -175,7 +175,7 @@ def test_empirical_rate_single_rollout_binary():
     sys_ = toy_system()
     filt = SafetyFilter(certificate=constant_cert(1, 5.0), system=sys_,
                         respect_input_bounds=True)
-    rate, counts, _ = empirical_safety_rate(sys_, filt, 1, 400, 0.05, seed=1)
+    rate, counts, _ = empirical_safety_rate(filt, 1, 400, 0.05, seed=1)
     assert rate in (0.0, 1.0)
     assert sum(counts.values()) == 1
 
@@ -184,8 +184,8 @@ def test_empirical_rate_deterministic():
     sys_ = toy_system()
     filt = SafetyFilter(certificate=analytic_toy_barrier(), system=sys_,
                         respect_input_bounds=True)
-    r1 = empirical_safety_rate(sys_, filt, 50, 100, 0.02, seed=9)
-    r2 = empirical_safety_rate(sys_, filt, 50, 100, 0.02, seed=9)
+    r1 = empirical_safety_rate(filt, 50, 100, 0.02, seed=9)
+    r2 = empirical_safety_rate(filt, 50, 100, 0.02, seed=9)
     assert r1[0] == r2[0] and r1[1] == r2[1]
 
 
@@ -241,12 +241,12 @@ def test_levelset_evaluates_at_most_one_grid_row_per_call(monkeypatch):
 
     sizes, workspaces = [], []
 
-    def counted(cert, states, workspace):
+    def counted(cert, states, workspace=None):
         sizes.append(len(states))
         workspaces.append(workspace)
-        return mlp._forward(cert, states, workspace)
+        return mlp.forward(cert, states, workspace)
 
-    monkeypatch.setattr(simulator, "_forward", counted)
+    monkeypatch.setattr(simulator, "forward", counted)
     spec = SliceSpec(free_axes=(0, 1), fixed_values=(0.0, 0.0, 0.3), resolution=9)
     levelset_grid(biased_cert([3, 8, 1], seed=4), spec, dubins_system().state_bounds)
     assert sum(sizes) == 81
@@ -291,7 +291,7 @@ def test_rollout_records_filter_decisions(tmp_path):
     sys_ = toy_system()
     filt = SafetyFilter(certificate=analytic_toy_barrier(), system=sys_,
                         respect_input_bounds=True)
-    ro = rollout(sys_, filt, np.array([0.5]), 40, 0.05)
+    ro = rollout(filt, np.array([0.5]), 40, 0.05)
     assert ro.filter_active.shape[0] == ro.inputs.shape[0]
     assert ro.filter_slack.shape[0] == ro.inputs.shape[0]
     # inactive steps keep the reference and carry positive slack
@@ -302,13 +302,13 @@ def test_rollout_records_filter_decisions(tmp_path):
     assert header.endswith("h,constraint_active,constraint_slack")
 
 
-def lock_step_matches_one_at_a_time(sys_, filt, starts, horizon, dt):
+def lock_step_matches_one_at_a_time(filt, starts, horizon, dt):
     """Run the starts as one batch and one at a time; the batch must agree
     up to the last-ulp differences of batched BLAS products."""
-    batch = rollout(sys_, filt, starts, horizon, dt)
+    batch = rollout(filt, starts, horizon, dt)
     assert isinstance(batch, list) and len(batch) == len(starts)
     for x0, ro in zip(starts, batch):
-        one = rollout(sys_, filt, x0, horizon, dt)
+        one = rollout(filt, x0, horizon, dt)
         assert isinstance(one, Rollout)
         assert ro.status == one.status
         assert ro.states.shape == one.states.shape
@@ -334,7 +334,7 @@ def test_lock_step_matches_one_at_a_time_every_status(tmp_path):
     # the origin is unsafe, so that rollout stops at step 0 amid full ones
     starts = np.vstack([np.zeros(3),
                         sample_safe_starts(sys_, 12, np.random.default_rng(5))])
-    batch = lock_step_matches_one_at_a_time(sys_, filt, starts, 80, 0.02)
+    batch = lock_step_matches_one_at_a_time(filt, starts, 80, 0.02)
     assert {ro.status for ro in batch} == set(RolloutStatus)
     stopped = batch[0]
     assert stopped.status == RolloutStatus.ENTERED_UNSAFE
@@ -358,7 +358,7 @@ def test_lock_step_matches_one_at_a_time_quadruped():
     filt = SafetyFilter(certificate=mlp.init_certificate([8, 16, 1], seed=2),
                         system=sys_, respect_input_bounds=True)
     starts = sample_safe_starts(sys_, 12, np.random.default_rng(2))
-    batch = lock_step_matches_one_at_a_time(sys_, filt, starts, 80, 0.02)
+    batch = lock_step_matches_one_at_a_time(filt, starts, 80, 0.02)
     assert {RolloutStatus.COMPLETED, RolloutStatus.EXITED_DOMAIN} <= {
         ro.status for ro in batch}
 
@@ -368,7 +368,7 @@ def test_lock_step_matches_one_at_a_time_infeasible_toy():
     filt = SafetyFilter(certificate=constant_cert(1, -1.0), system=sys_,
                         respect_input_bounds=True)
     batch = lock_step_matches_one_at_a_time(
-        sys_, filt, np.array([[0.2], [-0.5], [1.8]]), 10, 0.05)
+        filt, np.array([[0.2], [-0.5], [1.8]]), 10, 0.05)
     assert [ro.status for ro in batch] == [RolloutStatus.FILTER_INFEASIBLE] * 2 + [
         RolloutStatus.ENTERED_UNSAFE]
 
@@ -384,7 +384,7 @@ def test_rollout_non_finite_state_names_its_start():
     filt = SafetyFilter(certificate=constant_cert(1, 1.0), system=sys_)
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
                                                    match="start 2"):
-        rollout(sys_, filt, np.array([[0.1], [0.2], [0.9]]), 5, 0.05)
+        rollout(filt, np.array([[0.1], [0.2], [0.9]]), 5, 0.05)
 
 
 def test_rollout_to_csv_bytes_match_the_scalar_writer(tmp_path):
@@ -399,7 +399,7 @@ def test_rollout_to_csv_bytes_match_the_scalar_writer(tmp_path):
                         system=sys_, respect_input_bounds=True)
     starts = np.vstack([np.zeros(3),
                         sample_safe_starts(sys_, 12, np.random.default_rng(5))])
-    batch = rollout(sys_, filt, starts, 80, 0.02)
+    batch = rollout(filt, starts, 80, 0.02)
     assert {ro.status for ro in batch} == set(RolloutStatus)
     assert batch[0].inputs.shape == (0, 2)   # stopped at step 0
     for i, ro in enumerate(batch):
@@ -421,7 +421,7 @@ def test_rollout_takes_h_from_the_filter_and_forwards_only_final_states(monkeypa
     filt = SafetyFilter(certificate=mlp.init_certificate([3, 16, 1], seed=5),
                         system=sys_, respect_input_bounds=True)
     starts = sample_safe_starts(sys_, 12, np.random.default_rng(5))
-    batch = rollout(sys_, filt, starts, 60, 0.02)
+    batch = rollout(filt, starts, 60, 0.02)
     assert calls == [len(starts)]
     for ro in batch:
         np.testing.assert_allclose(ro.h_values, mlp.forward_batch(filt.certificate, ro.states),
@@ -482,7 +482,7 @@ def test_three_input_system_rollout_and_simulate(registered_integrator_3d, tmp_p
     cert = l1_barrier()
     filt = SafetyFilter(certificate=cert, system=sys_, respect_input_bounds=True)
     starts = sample_safe_starts(sys_, 8, np.random.default_rng(3))
-    batch = rollout(sys_, filt, starts, 100, 0.02)
+    batch = rollout(filt, starts, 100, 0.02)
     assert all(ro.status == RolloutStatus.COMPLETED for ro in batch)
     assert sum(int(ro.filter_active.sum()) for ro in batch) > 100
     for ro in batch:
@@ -534,7 +534,7 @@ def test_rollout_is_bit_identical_to_the_reference_rollout(case, bounded):
     sys_ = system()
     filt = SafetyFilter(certificate=cert(), system=sys_, respect_input_bounds=bounded)
     starts = np.vstack([*extra, sample_safe_starts(sys_, 24, np.random.default_rng(7))])
-    got = rollout(sys_, filt, starts, 80, 0.02)
+    got = rollout(filt, starts, 80, 0.02)
     want = reference_rollout(sys_, filt, starts, 80, 0.02)
     for ro, ref in zip(got, want, strict=True):
         assert ro.status == ref.status
@@ -566,4 +566,4 @@ def test_rollout_names_the_first_non_finite_barrier(horizon, message, bounded):
     filt = SafetyFilter(certificate=nan_barrier(3), system=sys_, respect_input_bounds=bounded)
     starts = np.vstack([np.zeros(3), sample_safe_starts(sys_, 3, np.random.default_rng(1))])
     with pytest.raises(mlp.NumericError, match=f"^{message}$"):
-        rollout(sys_, filt, starts, horizon, 0.02)
+        rollout(filt, starts, horizon, 0.02)
