@@ -300,10 +300,12 @@ def _beta_tail_root(n_samples: int, l: int, beta: float) -> float:
 
     S is the survival function of Beta(l, N-l+1), log-concave in eps and
     in v = log(1 - eps). The search starts at the Peizer-Pratt root, which
-    needs no evaluation of S. Newton steps on log S(v) = log beta, Halley
-    steps within 0.5 of it, snapped to the grid, shrink a bracket (lo, hi)
-    of grid indices with S > beta at lo and S <= beta at hi, and the
-    chord of log S across the bracket raises lo without an evaluation.
+    needs no evaluation of S, or at the bracket's midpoint where that root
+    fails. Halley steps on log S(v) = log beta (Newton steps where Halley's
+    divisor is not positive and finite), snapped to the grid, shrink a
+    bracket (lo, hi) of grid indices with S > beta at lo and S <= beta at
+    hi, and the chord of log S across the bracket raises lo without an
+    evaluation.
     Each step lands where either outcome leaves a bracket that halving
     could still close in the evaluations left, so no call evaluates the
     incomplete beta more than 40 times; most take 2 to 4.
@@ -314,11 +316,7 @@ def _beta_tail_root(n_samples: int, l: int, beta: float) -> float:
     y_hi = -math.inf  # log S at hi, once evaluated
     z = NormalDist().inv_cdf(beta)
     guess = _peizer_pratt_root(n_samples, l - 1, z)
-    if not 0.0 < guess < 1.0:  # nan too
-        # the normal approximation of the Beta(l, N-l+1) quantile
-        mean = l / (n_samples + 1)
-        guess = mean - z * math.sqrt(mean * (1.0 - mean) / (n_samples + 2))
-    j = math.ceil(guess / _CELL) if guess < 1.0 else (lo + hi) // 2
+    j = math.ceil(guess / _CELL) if 0.0 < guess < 1.0 else (lo + hi) // 2  # nan too
     left = _GRID_BITS
     while hi - lo > 1:
         # either outcome must leave at most 2**(left-1) cells for halving
@@ -338,11 +336,10 @@ def _beta_tail_root(n_samples: int, l: int, beta: float) -> float:
             # Newton on L(v) = log S(v): L' = x pdf(x) / S = e^front / (eps S)
             inv = eps * math.exp(min(y - _log_front(x, a, b), 700.0))  # 1 / L'
             step = (y - log_beta) * inv
-            if abs(y - log_beta) < 0.5:
-                # Halley near the root, with L'' = L' (a - (b-1) x / eps - L')
-                shrink = 1.0 - 0.5 * (y - log_beta) * ((a - (b - 1) * x / eps) * inv - 1.0)
-                if 0.0 < shrink < math.inf:
-                    step /= shrink
+            # Halley, with L'' = L' (a - (b-1) x / eps - L')
+            shrink = 1.0 - 0.5 * (y - log_beta) * ((a - (b - 1) * x / eps) * inv - 1.0)
+            if 0.0 < shrink < math.inf:
+                step /= shrink
             v = math.log(x) - step
             j = math.ceil(-math.expm1(min(v, 0.0)) / _CELL)
         if y_lo > y_hi > -math.inf:
@@ -360,7 +357,7 @@ def _beta_tail_root(n_samples: int, l: int, beta: float) -> float:
 class ConformalReport:
     """report.json, format_version 2: the conformal quantile of one uniform
     draw, the spec of the `filter` it was scored under and the draw's
-    counts (see _calibration_draw); a file without format_version has neither."""
+    counts (see _calibration_draw)."""
 
     n_samples: int
     alpha: float
@@ -377,12 +374,6 @@ class ConformalReport:
 
     def to_dict(self) -> dict:
         return {"format_version": 2, **dataclasses.asdict(self), "draws": list(self.draws)}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ConformalReport":
-        """The report in doc; keys that are not fields are ignored."""
-        given = {f.name: doc[f.name] for f in dataclasses.fields(cls) if f.name in doc}
-        return cls(**{**given, "draws": tuple(doc.get("draws", ()))})
 
 
 def _block_scorer(cert: MlpCertificate, sys: ControlAffineSystem,

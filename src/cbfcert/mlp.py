@@ -48,8 +48,9 @@ batch. `forward` runs it on the (R, 1, n) stack of its states: one
 one-row product per state and layer, which numpy's stacked matmul issues
 identically for every state, so any stack of states gives, bit for bit,
 what one state at a time gives.
-`certificate.score_states` and `certificate.verification_scores` (verify,
-and the certify step of every refinement round) and the per-epoch
+The certificate's block scorer (`certificate.calibrate` for verify,
+`certificate.quantify_safety` for the certify step of every refinement
+round, and `score_states` and `verification_scores`) and the per-epoch
 monitoring loss `certificate.total_loss` call the batch path in row
 blocks of K = `certificate._BLOCK_ROWS` rows, the remainder joining the
 last block, so no call sees more than 2K-1 rows whatever the sample or
@@ -480,40 +481,24 @@ def _float64_base64(arr: np.ndarray) -> str:
 
 def certificate_from_json(text: str) -> tuple[MlpCertificate, object]:
     """The certificate in a JSON document of format_version 2 (base64
-    arrays) or 1 (nested number lists), and the filter spec it records
-    (None when it records none), unchecked; raises ValueError when the
-    document is not a certificate."""
+    arrays), and the filter spec it records (None when it records none),
+    unchecked; raises ValueError when the document is not a certificate."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("a certificate must be a JSON object")
     version = doc.get("format_version")
-    if type(version) is not int or version not in (1, CERT_FORMAT_VERSION):
+    if type(version) is not int or version != CERT_FORMAT_VERSION:
         raise ValueError(f"unsupported certificate format_version: {version!r}")
     try:
         sizes = tuple(doc["layer_sizes"])
         if not all(isinstance(s, int) and not isinstance(s, bool) for s in sizes):
             raise TypeError(f"layer_sizes must be JSON integers, got {list(sizes)}")
-        if version == 1:
-            weights = tuple(_number_array(w) for w in doc["weights"])
-            biases = tuple(_number_array(b) for b in doc["biases"])
-        else:
-            shapes = list(zip(sizes[1:], sizes[:-1]))
-            weights = _base64_arrays(doc["weights"], shapes)
-            biases = _base64_arrays(doc["biases"], [(rows,) for rows, _ in shapes])
+        shapes = list(zip(sizes[1:], sizes[:-1]))
+        weights = _base64_arrays(doc["weights"], shapes)
+        biases = _base64_arrays(doc["biases"], [(rows,) for rows, _ in shapes])
         return MlpCertificate(sizes, weights, biases), doc.get("filter")
     except (KeyError, TypeError, ValueError, NumericError) as exc:
         raise ValueError(f"malformed certificate: {exc!r}") from None
-
-
-def _number_array(value) -> np.ndarray:
-    """A format_version 1 array: value as a float array; raises TypeError
-    unless numpy reads it as numbers (not bools, strings or nulls). A bool
-    among floats is read as a float: checking each element would cost more
-    than the whole load."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
-        raise TypeError(f"parameters must be JSON numbers, got {arr.dtype} values")
-    return arr.astype(float, copy=False)
 
 
 def _base64_arrays(entries, shapes) -> tuple[np.ndarray, ...]:

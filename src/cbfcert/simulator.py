@@ -84,9 +84,8 @@ def rollout(filt: SafetyFilter, x0, horizon_steps: int, dt: float) -> Rollout | 
     Each step checks the live rollouts for unsafe entry, then domain exit,
     then filter infeasibility, and stops those that fail; the final states
     get the first two checks too. Failure modes land in the status field
-    rather than raising; a non-finite state raises FloatingPointError
-    naming its start, and a non-finite barrier value or constraint slack
-    raises NumericError naming its start and step.
+    rather than raising; a non-finite state, barrier value or constraint
+    slack raises NumericError naming its start and step.
     """
     sys = filt.system
     starts = np.asarray(x0, dtype=float)
@@ -132,7 +131,7 @@ def rollout(filt: SafetyFilter, x0, horizon_steps: int, dt: float) -> Rollout | 
         try:
             x = rk4_step(sys, x, u, dt, k1)
         except NonFiniteStepError as exc:
-            raise FloatingPointError(
+            raise NumericError(
                 f"rollout from start {live[exc.row]}, step {k}: {exc}") from None
         x[:, angles] = np.mod(x[:, angles] + np.pi, 2.0 * np.pi) - np.pi
         states[live, k + 1] = x

@@ -111,16 +111,17 @@ def test_train_smoke_emits_all_artifacts(tmp_path):
     assert report["n_samples"] == 2000
 
 
-def test_certificate_schema_takes_both_format_versions():
+def test_certificate_schema_takes_format_version_2_only():
     schema = json.loads((SCHEMA_DIR / "certificate.schema.json").read_text())
-    for text in (_cert_text(version=1), _cert_text(version=2),
-                 _cert_text(version=2, filter=DEFAULT_SPEC)):
+    for text in (_cert_text(), _cert_text(filter=DEFAULT_SPEC)):
         validate_schema(json.loads(text), schema)
-    for bad in [_cert_text(version=2, biases=[_B0.rstrip("="), _B1]),
-                _cert_text(version=2, weights=[_W0[:128] + "!" + _W0[128:], _W1]),
+    for bad in [_FORMAT_1,
+                _cert_text(weights=[[[0.5] * 3] * 8, _W1]),
+                _cert_text(biases=[_B0.rstrip("="), _B1]),
+                _cert_text(weights=[_W0[:128] + "!" + _W0[128:], _W1]),
                 _cert_text(format_version=3),
-                _cert_text(version=2, filter={**DEFAULT_SPEC, "kappa_gain": "1.0"}),
-                _cert_text(version=2, filter={**DEFAULT_SPEC, "correction_cap": "none"})]:
+                _cert_text(filter={**DEFAULT_SPEC, "kappa_gain": "1.0"}),
+                _cert_text(filter={**DEFAULT_SPEC, "correction_cap": "none"})]:
         with pytest.raises(AssertionError):
             validate_schema(json.loads(bad), schema)
 
@@ -168,10 +169,15 @@ def test_verify_constant_positive_cert_reports_positive_quantile(tmp_path):
     assert code == 0
     report = check_against("report.schema.json", out / "report.json")
     assert report["quantile"] > 0
-    # report round-trips through JSON
-    from cbfcert.certificate import ConformalReport
-    back = ConformalReport.from_dict(report)
-    assert back.quantile == report["quantile"]
+    # the file is the library's report of the same draw, as it is
+    from cbfcert.certificate import calibrate
+    from cbfcert.trainer import certifying_filter
+
+    run, _, _, system = _load_config(config, None)
+    expected, _ = calibrate(cert, system, certifying_filter(cert, system, run),
+                            run.conformal_samples, run.alpha, run.beta, run.seed,
+                            run.loss_weights())
+    assert report == json.loads(json.dumps(expected.to_dict()))
 
 
 def test_verify_missing_certificate_exits_1(tmp_path):
@@ -528,6 +534,25 @@ def test_non_finite_barrier_exits_1_before_outputs(tmp_path, capsys, command, me
     assert capsys.readouterr().err == f"error: certificate: {message}\n"
 
 
+def test_overflowing_rk4_step_exits_1_before_outputs(tmp_path, capsys):
+    # h = theta - 1e308 is finite, so the unbounded filter asks for a finite
+    # turn rate of about 1e308, and RK4's weighted stage sum overflows
+    from cbfcert import mlp
+
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(mlp.MlpCertificate((3, 1), (np.array([[0.0, 0.0, 1.0]]),),
+                                            (np.array([-1e308]),)), cert_path)
+    config = tiny_dubins_config(tmp_path, simulation={
+        "n_rollouts": 3, "horizon_steps": 50, "dt": 0.02, "respect_input_bounds": False})
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", str(config), "--cert", str(cert_path),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: certificate: rollout from start 0, step 0: non-finite "
+                          "state after RK4 step from [") and err.count("\n") == 1, err
+
+
 def test_unknown_simulation_key_rejected(tmp_path):
     config = tiny_dubins_config(tmp_path, simulation={"rollouts": 5})
     code = main(["train", "--config", str(config), "--out", str(tmp_path / "x")])
@@ -848,16 +873,12 @@ def test_verify_scores_the_sample_once(tmp_path, monkeypatch):
     assert (tmp_path / "v1" / "scores.csv").exists()
 
 
-def _cert_text(drop=None, version=1, **changes) -> str:
-    """A [3, 8, 1] certificate document in format_version 1 (number lists)
-    or 2 (base64), with keys changed or dropped."""
+def _cert_text(drop=None, **changes) -> str:
+    """A [3, 8, 1] certificate document (format_version 2), with keys
+    changed or dropped."""
     from cbfcert import mlp
 
-    cert = mlp.init_certificate([3, 8, 1], seed=1)
-    doc = json.loads(mlp.certificate_to_json(cert))
-    if version == 1:
-        doc.update(weights=[w.tolist() for w in cert.weights],
-                   biases=[b.tolist() for b in cert.biases], format_version=1)
+    doc = json.loads(mlp.certificate_to_json(mlp.init_certificate([3, 8, 1], seed=1)))
     doc.update(changes)
     doc.pop(drop, None)
     return json.dumps(doc)
@@ -871,6 +892,9 @@ _W0 = _base64(np.full((8, 3), 0.5))    # 192 bytes, no padding
 _W1 = _base64(np.full((1, 8), 0.5))
 _B0 = _base64(np.zeros(8))             # 64 bytes: 88 characters, two of them "="
 _B1 = _base64(np.zeros(1))
+# a [3, 8, 1] certificate in format_version 1, nested number lists, no longer read
+_FORMAT_1 = json.dumps({"layer_sizes": [3, 8, 1], "weights": [[[0.5] * 3] * 8, [[0.5] * 8]],
+                        "biases": [[0.0] * 8, [0.0]], "format_version": 1})
 
 _MALFORMED_CERTIFICATES = {
     "array": "[]",
@@ -887,34 +911,35 @@ _MALFORMED_CERTIFICATES = {
     "weights-number": _cert_text(weights=5),
     "weights-objects": _cert_text(weights=[{}, {}]),
     "weights-ragged": _cert_text(weights=[[[1.0], [1.0, 2.0]], [[0.0]]]),
+    "weights-string": _cert_text(weights=_W0),
+    "weights-bool": _cert_text(weights=[True, _W1]),
     "biases-missing": _cert_text(drop="biases"),
-    "biases-null": _cert_text(biases=[[None] * 8, [0.0]]),
-    "biases-nan": _cert_text(biases=[[float("nan")] * 8, [0.0]]),
+    "biases-null": _cert_text(biases=[None, _B1]),
+    "biases-nan": _cert_text(biases=[_B0, _base64(np.array([np.nan]))]),
     "version": _cert_text(format_version=99),
     "version-bool": _cert_text(format_version=True),
-    "version-float": _cert_text(format_version=1.0),
-    "weights-string": _cert_text(weights=[[["0.5", 0.1, 0.2]] + [[0.1] * 3] * 7, [[0.5] * 8]]),
-    "weights-bool": _cert_text(weights=[[[True] * 3] * 8, [[0.5] * 8]]),
-    "v1-base64": _cert_text(weights=[_W0, _W1]),
-    "v2-sizes-mismatch": _cert_text(version=2, layer_sizes=[3, 9, 1]),
-    "v2-not-base64": _cert_text(version=2, weights=[_W0[:128] + "!" + _W0[128:], _W1]),
-    "v2-no-padding": _cert_text(version=2, biases=[_B0.rstrip("="), _B1]),
-    "v2-byte-count": _cert_text(version=2, weights=[_base64(np.zeros(23)), _W1]),
-    "v2-list": _cert_text(version=2, weights=[[[0.5] * 3] * 8, _W1]),
-    "v2-one-string": _cert_text(version=2, biases=_B0),
-    "v2-extra-layer": _cert_text(version=2, weights=[_W0, _W1, _W1]),
-    "v2-nan": _cert_text(version=2, biases=[_base64(np.full(8, np.nan)), _B1]),
-    "v2-inf": _cert_text(version=2, weights=[_W0, _base64(np.full((1, 8), -np.inf))]),
+    "version-float": _cert_text(format_version=2.0),
+    # a format_version 2 body labelled 1: the label decides, not the body
+    "v1-base64": _cert_text(format_version=1),
+    "v2-sizes-mismatch": _cert_text(layer_sizes=[4, 8, 1]),
+    "v2-not-base64": _cert_text(weights=[_W0[:128] + "!" + _W0[128:], _W1]),
+    "v2-no-padding": _cert_text(biases=[_B0.rstrip("="), _B1]),
+    "v2-byte-count": _cert_text(weights=[_base64(np.zeros(23)), _W1]),
+    "v2-list": _cert_text(weights=[[[0.5] * 3] * 8, _W1]),
+    "v2-one-string": _cert_text(biases=_B0),
+    "v2-extra-layer": _cert_text(weights=[_W0, _W1, _W1]),
+    "v2-nan": _cert_text(biases=[_base64(np.full(8, np.nan)), _B1]),
+    "v2-inf": _cert_text(weights=[_W0, _base64(np.full((1, 8), -np.inf))]),
 }
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate", "levelset"])
-def test_format_versions_1_and_2_give_byte_identical_outputs(tmp_path, command):
+def test_certificates_with_and_without_a_recorded_filter_give_byte_identical_outputs(
+        tmp_path, command):
     # a certificate that records no filter runs under the run file's, as
     # one that records the run file's filter does
     outputs = []
-    for name, text in [("v1", _cert_text(version=1)), ("v2", _cert_text(version=2)),
-                       ("v2-filter", _cert_text(version=2, filter=DEFAULT_SPEC))]:
+    for name, text in [("plain", _cert_text()), ("filter", _cert_text(filter=DEFAULT_SPEC))]:
         cert_path = tmp_path / f"cert_{name}.json"
         cert_path.write_text(text)
         out = tmp_path / f"out_{name}"
@@ -922,7 +947,7 @@ def test_format_versions_1_and_2_give_byte_identical_outputs(tmp_path, command):
         assert main([command, "--config", str(tiny_dubins_config(tmp_path)), "--cert",
                      str(cert_path), "--out", str(out), *extra]) == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert len(outputs[0]) > 1 and outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0]) > 1 and outputs[0] == outputs[1]
     if command == "verify":
         assert json.loads(outputs[0]["report.json"])["filter"] == DEFAULT_SPEC
 
@@ -942,7 +967,7 @@ def test_format_versions_1_and_2_give_byte_identical_outputs(tmp_path, command):
 def test_certificate_of_another_filter_exits_1_before_outputs(tmp_path, capsys, command,
                                                               recorded, overrides):
     cert_path = tmp_path / "cert.json"
-    cert_path.write_text(_cert_text(version=2, filter=recorded))
+    cert_path.write_text(_cert_text(filter=recorded))
     config = tiny_dubins_config(tmp_path, **overrides)
     out = tmp_path / "x"
     assert main([command, "--config", str(config), "--cert", str(cert_path),
@@ -967,6 +992,18 @@ def test_malformed_certificate_exits_1_before_outputs(tmp_path, capsys, command,
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: unreadable certificate: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "levelset"])
+def test_format_1_certificate_is_an_unsupported_version(tmp_path, capsys, command):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(_FORMAT_1)
+    out = tmp_path / "x"
+    assert main([command, "--config", str(tiny_dubins_config(tmp_path)), "--cert",
+                 str(cert_path), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == ("error: unreadable certificate: unsupported "
+                                       "certificate format_version: 1\n")
 
 
 @pytest.mark.parametrize("command, flag", [

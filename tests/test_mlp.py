@@ -410,16 +410,6 @@ def test_certificate_json_records_the_filter_spec_it_is_given():
     assert mlp.certificate_from_json(json.dumps(doc))[1] == "x"
 
 
-def test_certificate_reads_format_version_1_lists():
-    cert = random_cert([3, 9, 4, 1], seed=14, scale=1.3)
-    doc = {"layer_sizes": [3, 9, 4, 1], "weights": [w.tolist() for w in cert.weights],
-           "biases": [b.tolist() for b in cert.biases], "format_version": 1}
-    back, recorded = mlp.certificate_from_json(json.dumps(doc))
-    _assert_same_parameters(cert, back)
-    assert recorded is None
-    _assert_same_parameters(cert, mlp.certificate_from_json(mlp.certificate_to_json(back))[0])
-
-
 def test_certificate_rejects_bad_shapes():
     with pytest.raises(mlp.ShapeError):
         mlp.MlpCertificate((3, 1), (np.zeros((1, 2)),), (np.zeros(1),))

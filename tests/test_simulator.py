@@ -382,8 +382,7 @@ def test_rollout_non_finite_state_names_its_start():
         label_batch=base.label_batch, reference_policy=base.reference_policy,
     )
     filt = SafetyFilter(certificate=constant_cert(1, 1.0), system=sys_)
-    with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
-                                                   match="start 2"):
+    with np.errstate(over="ignore"), pytest.raises(mlp.NumericError, match="start 2, step"):
         rollout(filt, np.array([[0.1], [0.2], [0.9]]), 5, 0.05)
 
 
