@@ -4,9 +4,9 @@ certification and a CBF-QP deployment filter."""
 from .certificate import (ConformalReport, LossWeights, conformal_quantile,
                           epsilon_for, quantify_safety, total_loss)
 from .controller import InfeasibleFilterError, SafetyFilter, filter_input
-from .dynamics import (ControlAffineSystem, Label, closed_loop_field,
-                       collision_cone_label, dubins_system, make_system,
-                       planar_aerial_system, quadruped_system, register_system)
+from .dynamics import (ControlAffineSystem, Label, closed_loop_field, dubins_system,
+                       make_system, planar_aerial_system, quadruped_system,
+                       register_system)
 from .mlp import (MlpCertificate, adam_step, forward, init_adam,
                   init_certificate, input_gradient, load_certificate,
                   save_certificate)
@@ -21,7 +21,7 @@ __all__ = [
     "LossWeights", "MlpCertificate", "Rollout", "RolloutStatus", "SafetyFilter",
     "SliceSpec", "TrainConfig", "TrainingDatasets", "TrainingHistory",
     "adam_step", "alpha_epsilon_curve", "build_datasets", "closed_loop_field",
-    "collision_cone_label", "conformal_quantile", "dubins_system",
+    "conformal_quantile", "dubins_system",
     "empirical_safety_rate", "epsilon_for", "filter_input", "forward",
     "init_adam", "init_certificate", "input_gradient", "levelset_grid",
     "load_certificate", "make_system",

@@ -425,7 +425,7 @@ def score_states(cert: MlpCertificate, sys: ControlAffineSystem,
 
 def verification_scores(cert: MlpCertificate, sys: ControlAffineSystem,
                         controller: SafetyFilter, n_samples: int, seed: int,
-                        weights: LossWeights | None = None) -> np.ndarray:
+                        weights: LossWeights) -> np.ndarray:
     """The score sample a report with the same seed was calibrated on;
     exposed so score lists can be dumped for audit.
 
@@ -441,7 +441,6 @@ def verification_scores(cert: MlpCertificate, sys: ControlAffineSystem,
 def _calibration_draw(cert, sys, controller, n_samples, seed, weights):
     """verification_scores' scores and the record of their draw that a
     report keeps under `draws`, from the one scoring pass."""
-    weights = weights if weights is not None else LossWeights()
     if n_samples < 0:  # sample_uniform's check, made before the filter's
         raise ValueError("count must be non-negative")
     scorer, counts = _block_scorer(cert, sys, controller, weights)
@@ -478,7 +477,7 @@ def report_from_scores(scores, alpha: float, beta: float, seed: int) -> Conforma
 
 def calibrate(cert: MlpCertificate, sys: ControlAffineSystem, controller: SafetyFilter,
               n_samples: int, alpha: float, beta: float, seed: int,
-              weights: LossWeights | None = None) -> tuple[ConformalReport, np.ndarray]:
+              weights: LossWeights) -> tuple[ConformalReport, np.ndarray]:
     """Draw fresh i.i.d. states, score them once, and calibrate: the report,
     with the filter's spec and the draw's counts, and the scores.
 
@@ -495,7 +494,6 @@ def calibrate(cert: MlpCertificate, sys: ControlAffineSystem, controller: Safety
 
 def quantify_safety(cert: MlpCertificate, sys: ControlAffineSystem,
                     controller: SafetyFilter, n_samples: int, alpha: float,
-                    beta: float, seed: int,
-                    weights: LossWeights | None = None) -> ConformalReport:
+                    beta: float, seed: int, weights: LossWeights) -> ConformalReport:
     """calibrate's report, without the scores."""
     return calibrate(cert, sys, controller, n_samples, alpha, beta, seed, weights)[0]

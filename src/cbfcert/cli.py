@@ -57,11 +57,6 @@ def _load_config(path: str, seed: int | None = None
         system = config.build_system()
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"system_params: {exc}"]) from None
-    for key, value in config.system_params.items():
-        try:
-            json.dumps(value, allow_nan=False)
-        except ValueError:
-            raise ConfigError([f"system_params: {key}: must be finite"]) from None
     try:
         spec.fixed_state(system.state_bounds)
     except ValueError as exc:
@@ -125,7 +120,7 @@ def cmd_train(args) -> int:
     config, sim, spec, system = _load_config(args.config, args.seed)
     out = _out_dir(args, "train")
     _write_status(out, "running")
-    echo = {**config.to_dict(), "simulation": asdict(sim), "levelset": asdict(spec)}
+    echo = {**asdict(config), "simulation": asdict(sim), "levelset": asdict(spec)}
     _write_json(out / "run_config.json", echo)
 
     def save(cert_k, name: str) -> None:
@@ -140,7 +135,7 @@ def cmd_train(args) -> int:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     save(cert, "certificate.json")
-    _write_json(out / "history.json", history.to_dict())
+    _write_json(out / "history.json", asdict(history))
     _write_json(out / "report.json", report.to_dict())
     _write_csv(out / "losses.csv", ["phase", "epoch", "loss"],
                ([phase, epoch, loss] for phase, losses in enumerate(history.epoch_losses)
@@ -167,8 +162,11 @@ def _load_deployment(args):
         raise ConfigError([f"certificate input size {cert.n_inputs} != system "
                            f"dimension {system.n}"])
     filt = certifying_filter(cert, system, config)
-    described = json.loads(json.dumps(filt.spec))  # as the certificate records it
-    if recorded is not None and recorded != described:
+    described = filt.spec
+    # == takes True for 1.0 and 0 for False; the record must match by type too
+    if recorded is not None and (recorded != described or any(
+            isinstance(recorded[key], bool) != isinstance(value, bool)
+            for key, value in described.items())):
         raise ConfigError([f"certificate: certified under filter {recorded}; "
                            f"the run file describes {described}"])
     return config, sim, spec, filt

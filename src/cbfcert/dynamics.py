@@ -10,7 +10,7 @@ one-state view of the labeler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable
 
@@ -223,11 +223,6 @@ def collision_cone_label_batch(states, nominal_speed: float = 1.0,
     unsafe = (dist <= r) | (approaching & (miss <= r))
     safe = (dist >= r + margin) & (~approaching | (miss >= r + margin))
     return _label_codes(pts, safe, unsafe)
-
-
-def collision_cone_label(state, nominal_speed: float = 1.0, margin: float = 0.2) -> Label:
-    return Label(int(collision_cone_label_batch(
-        np.asarray(state, float)[None, :], nominal_speed, margin)[0]))
 
 
 def quadruped_system(k1: float = 0.0, k2: float = 0.0, kr: float = 0.0,

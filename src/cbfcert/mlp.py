@@ -73,6 +73,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .sampling import stream
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -192,9 +194,9 @@ class MlpCertificate:
 
 
 def init_certificate(layer_sizes, seed: int = 0) -> MlpCertificate:
-    """Glorot-uniform weights, zero biases, reproducible for a fixed seed."""
+    """Glorot-uniform weights from stream(seed, "init"), zero biases."""
     sizes = tuple(int(s) for s in layer_sizes)
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "init")
     weights = []
     biases = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -330,7 +332,6 @@ def seeded_loss_param_gradient(primal: Primal, seed_dirs, loss_fn
     shape the Lie-derivative penalty has, and must return
     (value, dvalue_dh, dvalue_dd) with (B,) and (S,) partials. Hinge kinks
     must follow the inactive (zero-derivative) convention inside loss_fn.
-    An empty batch yields (0.0, zero gradients).
     """
     cert, ws = primal.cert, primal.workspace
     seeds = np.asarray(seed_dirs, dtype=float)
@@ -338,8 +339,6 @@ def seeded_loss_param_gradient(primal: Primal, seed_dirs, loss_fn
     if seeds.ndim != 2 or seeds.shape[1] != cert.n_inputs or seeds.shape[0] > n_rows:
         raise ShapeError(f"seed directions shape {seeds.shape}, expected (S, "
                          f"{cert.n_inputs}) for S <= {n_rows} seeded rows")
-    if n_rows == 0:
-        return 0.0, tuple(np.zeros_like(p) for p in cert.weights + cert.biases)
     n_seeded = seeds.shape[0]
     first = n_rows - n_seeded
     last = cert.n_layers - 1

@@ -20,7 +20,7 @@ _STALL_RATE = 1e-4
 # 2**32 or more into words ([s, 101] is [s, 101, 0]), so streams are told
 # apart by generator state, not by key.
 STREAMS = {
-    "init": (),  # mlp.init_certificate's default_rng(seed)
+    "init": (),  # mlp.init_certificate's weights
     "safe": (1,),
     "unsafe": (2,),
     "domain": (3,),
@@ -52,18 +52,14 @@ def stream(seed: int, name: str, *index: int) -> np.random.Generator:
     return np.random.default_rng([seed, *STREAMS[name], *index])
 
 
-def sample_uniform(bounds, count: int, seed) -> np.ndarray:
-    """count points, each coordinate independent uniform over its interval.
-
-    seed may be an int, a sequence of ints, or a Generator; fixed seeds
-    reproduce exact sequences.
-    """
+def sample_uniform(bounds, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count points from rng, each coordinate independent uniform over its
+    interval."""
     bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim != 2 or bounds.shape[1] != 2 or np.any(bounds[:, 0] >= bounds[:, 1]):
         raise ValueError("bounds must be (n, 2) intervals with lo < hi")
     if count < 0:
         raise ValueError("count must be non-negative")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     pts = rng.uniform(size=(count, bounds.shape[0]))
     pts *= bounds[:, 1] - bounds[:, 0]
     pts += bounds[:, 0]

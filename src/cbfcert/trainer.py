@@ -10,8 +10,8 @@ seen is returned.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+import json
 import sys as _sys
 import time
 import typing
@@ -87,6 +87,13 @@ class TrainConfig:
         errors = []
         if self.system not in _BUILDERS:
             errors.append(f"system: unknown {self.system!r}")
+        for key, value in self.system_params.items():
+            try:
+                # default=str passes a value json cannot write (a numpy
+                # array), which no run file holds, to the builder as before
+                json.dumps(value, allow_nan=False, default=str)
+            except ValueError:
+                errors.append(f"system_params: {key}: must be finite")
         if not self.hidden_layers or any(h <= 0 for h in self.hidden_layers):
             errors.append("hidden_layers: need at least one positive layer width")
         for name in ("epochs", "batch_size", "n_safe", "n_unsafe", "n_domain",
@@ -131,9 +138,6 @@ class TrainConfig:
 
     def layer_sizes(self, n: int) -> tuple[int, ...]:
         return (n, *self.hidden_layers, 1)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
@@ -228,9 +232,6 @@ class TrainingHistory:
     # minor page faults of each phase; None where resource is unavailable
     phase_minor_faults: list[int | None] = field(default_factory=list)
     status: str = STATUS_BUDGET_EXHAUSTED
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def certifying_filter(cert, sys, config: TrainConfig,

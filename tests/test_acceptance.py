@@ -274,8 +274,9 @@ def _phase0_quantile(total_points, seed, epochs):
     cert, _ = train_phase(cert, ds, config.loss_weights(), config, sys_,
                           stream(seed, "epochs", 0))
     filt = SafetyFilter(certificate=cert, system=sys_)
-    return quantify_safety(cert, sys_, filt, config.conformal_samples,
-                           config.alpha, config.beta, seed=seed + 5000).quantile
+    return quantify_safety(cert, sys_, filt, config.conformal_samples, config.alpha,
+                           config.beta, seed=seed + 5000,
+                           weights=config.loss_weights()).quantile
 
 
 def test_acceptance_7_score_non_increasing_in_sample_size():

@@ -385,7 +385,8 @@ def test_quantify_safety_identical_scores():
         reference_policy=sys_.reference_policy,
     )
     filt = SafetyFilter(certificate=cert, system=unlabeled)
-    report = quantify_safety(cert, unlabeled, filt, 500, 0.05, 1e-3, seed=3)
+    report = quantify_safety(cert, unlabeled, filt, 500, 0.05, 1e-3, seed=3,
+                             weights=LossWeights())
     assert report.quantile == pytest.approx(-0.3)
     assert report.score_min == report.score_max == pytest.approx(-0.3)
 
@@ -394,8 +395,8 @@ def test_quantify_safety_deterministic():
     sys_ = dubins_system()
     cert = mlp.init_certificate([3, 8, 1], seed=4)
     filt = SafetyFilter(certificate=cert, system=sys_)
-    r1 = quantify_safety(cert, sys_, filt, 500, 0.05, 1e-3, seed=10)
-    r2 = quantify_safety(cert, sys_, filt, 500, 0.05, 1e-3, seed=10)
+    r1 = quantify_safety(cert, sys_, filt, 500, 0.05, 1e-3, seed=10, weights=LossWeights())
+    r2 = quantify_safety(cert, sys_, filt, 500, 0.05, 1e-3, seed=10, weights=LossWeights())
     assert r1 == r2
     assert json.dumps(r1.to_dict(), indent=2) == json.dumps(r2.to_dict(), indent=2)
 
@@ -414,7 +415,7 @@ def test_report_json_round_trip():
     cert = mlp.init_certificate([3, 8, 1], seed=4)
     sys_ = dubins_system()
     full = quantify_safety(cert, sys_, SafetyFilter(certificate=cert, system=sys_), 500,
-                           0.05, 1e-3, seed=10)
+                           0.05, 1e-3, seed=10, weights=LossWeights())
     doc = full.to_dict()
     assert json.loads(json.dumps(doc)) == doc
     assert doc["filter"] == full.filter and doc["draws"] == list(full.draws) != []
@@ -482,7 +483,8 @@ def test_a_tie_counts_under_the_decrease_term():
     sys_ = dubins_system()
     cert = constant_cert(3, -0.3)
     filt = SafetyFilter(certificate=cert, system=sys_, kappa_gain=1.0)
-    (draw,) = quantify_safety(cert, sys_, filt, 1000, 0.05, 1e-3, seed=2).draws
+    (draw,) = quantify_safety(cert, sys_, filt, 1000, 0.05, 1e-3, seed=2,
+                              weights=LossWeights()).draws
     assert draw["n_by_label"]["safe"] > 0 and draw["n_by_label"]["unsafe"] > 0
     assert draw["positive_by_label"] == draw["n_by_label"]
     assert draw["positive_by_condition"] == {"safe": 0, "unsafe": 0, "decrease": 1000}
@@ -518,9 +520,10 @@ def test_certificate_and_system_must_be_the_filters(name):
         "total_loss_and_gradient": lambda c, s, f: total_loss_and_gradient(
             c, ds, f, weights),
         "score_states": lambda c, s, f: score_states(c, s, f, ds.domain, weights),
-        "verification_scores": lambda c, s, f: verification_scores(c, s, f, 100, 0),
-        "quantify_safety": lambda c, s, f: quantify_safety(c, s, f, 100, 0.05,
-                                                           1e-3, seed=0),
+        "verification_scores": lambda c, s, f: verification_scores(c, s, f, 100, 0,
+                                                                   LossWeights()),
+        "quantify_safety": lambda c, s, f: quantify_safety(c, s, f, 100, 0.05, 1e-3,
+                                                           seed=0, weights=LossWeights()),
     }[name]
     call(cert, sys_, filt)
     with pytest.raises(ValueError, match="certificate"):
@@ -541,7 +544,7 @@ def test_exact_slack_q3_matches_inner_product_form():
     filt = SafetyFilter(certificate=cert, system=sys_)
     from cbfcert.sampling import sample_uniform
 
-    xs = sample_uniform(sys_.state_bounds, 500, seed=6)
+    xs = sample_uniform(sys_.state_bounds, 500, np.random.default_rng(6))
     batch = filt.batch_decide(xs)
     weights = LossWeights()
     seen_active = 0
@@ -564,7 +567,7 @@ def test_score_states_never_forwards_twice(monkeypatch):
     filt = SafetyFilter(certificate=cert, system=sys_)
     from cbfcert.sampling import sample_uniform
 
-    xs = sample_uniform(sys_.state_bounds, 400, seed=8)
+    xs = sample_uniform(sys_.state_bounds, 400, np.random.default_rng(8))
     weights = LossWeights()
     expected = score_states(cert, sys_, filt, xs, weights)
 
@@ -695,12 +698,12 @@ def test_verification_scores_refuse_a_negative_count_before_the_filter():
 
     cert, sys_, filt, _ = scoring_setup(dubins_system, [3, 8, 1], 0)
     with pytest.raises(ValueError, match="count must be non-negative"):
-        verification_scores(cert, sys_, filt, -1, 0)
+        verification_scores(cert, sys_, filt, -1, 0, LossWeights())
     other = mlp.init_certificate([3, 8, 1], seed=1)
     with pytest.raises(ValueError, match="count must be non-negative"):
-        verification_scores(other, sys_, filt, -1, 0)
+        verification_scores(other, sys_, filt, -1, 0, LossWeights())
     with pytest.raises(ValueError, match="SafetyFilter built on this certificate"):
-        verification_scores(other, sys_, filt, 1, 0)
+        verification_scores(other, sys_, filt, 1, 0, LossWeights())
 
 
 def test_verification_scores_memory_grows_by_the_scores_alone():
@@ -716,7 +719,7 @@ def test_verification_scores_memory_grows_by_the_scores_alone():
     for n in (10_000, 100_000):
         tracemalloc.start()
         try:
-            verification_scores(cert, sys_, filt, n, 3)
+            verification_scores(cert, sys_, filt, n, 3, LossWeights())
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -729,10 +732,12 @@ def test_report_from_scores_matches_quantify_safety():
     sys_ = dubins_system()
     cert = mlp.init_certificate([3, 12, 1], seed=4)
     filt = SafetyFilter(certificate=cert, system=sys_)
-    report = quantify_safety(cert, sys_, filt, 3000, 0.01, 1e-3, seed=7)
-    scores = verification_scores(cert, sys_, filt, 3000, seed=7)
+    weights = LossWeights()
+    report = quantify_safety(cert, sys_, filt, 3000, 0.01, 1e-3, seed=7, weights=weights)
+    scores = verification_scores(cert, sys_, filt, 3000, seed=7, weights=weights)
     # calibrate is quantify_safety's report with verification_scores' scores
-    again, calibrated = calibrate(cert, sys_, filt, 3000, 0.01, 1e-3, seed=7)
+    again, calibrated = calibrate(cert, sys_, filt, 3000, 0.01, 1e-3, seed=7,
+                                  weights=weights)
     assert again == report and calibrated.tobytes() == scores.tobytes()
     # the statement comes from the scores alone; the filter and draw from the pass
     assert report_from_scores(scores, 0.01, 1e-3, 7) == dataclasses.replace(
@@ -755,7 +760,7 @@ def test_quantify_safety_checks_beta_before_it_scores(beta, monkeypatch):
         epsilon_for(1000, 0.05, beta)
     with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\)$"):
         quantify_safety(cert, sys_, SafetyFilter(certificate=cert, system=sys_),
-                        1000, 0.05, beta, seed=1)
+                        1000, 0.05, beta, seed=1, weights=LossWeights())
 
 
 STEP_ARCHITECTURES = [

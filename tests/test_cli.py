@@ -335,6 +335,18 @@ def test_curve_non_finite_alpha_exits_1_before_any_output(tmp_path, capsys, boun
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "0"], "N must be >= 1, got 0"),
+    (["--alpha-count", "-1"], "empty or negative alpha range"),
+    (["--alpha-min", "0.2", "--alpha-max", "0.1"], "empty or negative alpha range"),
+], ids=["n-0", "negative-count", "min-above-max"])
+def test_curve_bad_range_exits_1_before_any_output(tmp_path, capsys, flags, message):
+    out = tmp_path / "c"
+    assert main(["curve", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("CBFCERT_OUT", str(tmp_path / "root"))
     code = main(["curve", "--n", "100", "--beta", "0.5", "--alpha-min", "0.05",
@@ -468,7 +480,6 @@ def test_quadruped_system_params_flow_through_config(tmp_path):
     ({"nominal_speed": "a"}, "label_batch"),
     ({"margin": "a"}, "label_batch"),
     ({"nominal_speed": [1.0, 2.0]}, "label_batch"),
-    ({"kr": float("nan")}, "f"),
 ])
 def test_bad_system_param_value_rejected_before_outputs(tmp_path, capsys, command,
                                                         params, culprit):
@@ -494,12 +505,14 @@ def test_bad_system_param_value_rejected_before_outputs(tmp_path, capsys, comman
     ({"margin": float("nan")}, "margin"),
     ({"margin": float("inf")}, "margin"),
     ({"k1": 0.2, "nominal_speed": float("nan")}, "nominal_speed"),
+    ({"kr": float("nan")}, "kr"),
 ])
 def test_non_finite_system_param_rejected_before_outputs(tmp_path, capsys, command,
                                                          params, key):
     # JSON as Python reads it takes NaN and Infinity; the built system
     # evaluates at the box midpoint, where a labeler parameter's NaN shows
-    # nowhere, so the numbers are checked themselves
+    # nowhere, so TrainConfig checks the numbers themselves, before the
+    # system is built
     from cbfcert import mlp
 
     cert_path = tmp_path / "cert.json"
@@ -657,18 +670,20 @@ def test_section_built_in_python_equals_the_run_file_one():
     assert type(SimulationConfig(dt=1).dt) is float
 
 
-@pytest.mark.parametrize("section, cls, key, value", [
-    ("simulation", SimulationConfig, "dt", "x"),
-    ("levelset", SliceSpec, "resolution", True),
-])
-def test_section_built_in_python_refuses_like_the_run_file(tmp_path, section, cls,
-                                                           key, value):
-    config = tiny_dubins_config(tmp_path, **{section: {key: value}})
+@pytest.mark.parametrize("section, cls, values", [
+    ("simulation", SimulationConfig, {"dt": "x"}),
+    ("levelset", SliceSpec, {"resolution": True}),
+    (None, TrainConfig, {"system": "quadruped", "system_params": {"margin": float("nan")}}),
+], ids=["simulation-SimulationConfig-dt-x", "levelset-SliceSpec-resolution-True",
+        "config-TrainConfig-system_params-nan"])
+def test_section_built_in_python_refuses_like_the_run_file(tmp_path, section, cls, values):
+    config = tiny_dubins_config(tmp_path, **({section: values} if section else values))
     with pytest.raises(ConfigError) as from_file:
         _load_config(str(config))
     with pytest.raises(ConfigError) as built:
-        cls(**{key: value})
-    assert from_file.value.messages == [f"{section}.{m}" for m in built.value.messages]
+        cls(**values)
+    prefix = f"{section}." if section else ""
+    assert from_file.value.messages == [prefix + m for m in built.value.messages]
 
 
 @pytest.mark.parametrize("limit", [-1, 2.5, True])
@@ -962,8 +977,11 @@ def test_certificates_with_and_without_a_recorded_filter_give_byte_identical_out
     ({"kappa_gain": 1.0, "respect_input_bounds": False}, {}),
     ({**DEFAULT_SPEC, "eta": None}, {}),
     ("x", {}),
+    # == takes true for 1.0 and 0 for false; the types must match too
+    ({**DEFAULT_SPEC, "kappa_gain": True}, {}),
+    ({**DEFAULT_SPEC, "respect_input_bounds": 0}, {}),
 ], ids=["kappa", "bounds", "recorded-kappa", "recorded-text", "recorded-two-keys",
-        "recorded-extra-key", "recorded-string"])
+        "recorded-extra-key", "recorded-string", "recorded-bool-kappa", "recorded-int-bounds"])
 def test_certificate_of_another_filter_exits_1_before_outputs(tmp_path, capsys, command,
                                                               recorded, overrides):
     cert_path = tmp_path / "cert.json"
@@ -992,6 +1010,56 @@ def test_malformed_certificate_exits_1_before_outputs(tmp_path, capsys, command,
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: unreadable certificate: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "levelset"])
+def test_certificate_of_another_input_size_exits_1_before_outputs(tmp_path, capsys,
+                                                                  command):
+    from cbfcert import mlp
+
+    cert_path = tmp_path / "cert.json"
+    mlp.save_certificate(mlp.init_certificate([8, 8, 1], seed=1), cert_path)
+    out = tmp_path / "x"
+    assert main([command, "--config", str(tiny_dubins_config(tmp_path)), "--cert",
+                 str(cert_path), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == ("error: certificate input size 8 != system "
+                                       "dimension 3\n")
+
+
+@pytest.mark.parametrize("command", ["train", "verify", "simulate", "levelset"])
+def test_run_file_that_is_a_list_exits_1_before_outputs(tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_text("[]")
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "x")]
+    if command != "train":
+        argv += ["--cert", str(tmp_path / "cert.json")]
+    assert main(argv) == 1
+    assert not (tmp_path / "x").exists()
+    assert capsys.readouterr().err == "error: config: top level must be an object\n"
+
+
+def test_train_exits_1_with_the_error_in_status_when_refine_raises(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a registered system whose labeler never gives UNSAFE: the config is
+    # valid, and rejection sampling stalls inside refine
+    import dataclasses
+
+    from cbfcert import dynamics
+
+    def safe_only():
+        return dataclasses.replace(
+            dynamics.dubins_system(), name="safe_only",
+            label_batch=lambda pts: np.full(pts.shape[0], int(dynamics.Label.SAFE)))
+
+    monkeypatch.setitem(dynamics._BUILDERS, "safe_only", safe_only)
+    out = tmp_path / "x"
+    assert main(["train", "--config", str(tiny_dubins_config(tmp_path, system="safe_only")),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: acceptance rate 0.00e+00 for label UNSAFE") and \
+        err.count("\n") == 1, err
+    assert (out / "STATUS").read_text() == err  # the same line
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate", "levelset"])

@@ -201,7 +201,7 @@ def test_batch_matches_scalar_decisions(monkeypatch):
         sys_ = system()
         lo, hi = sys_.input_bounds[:, 0], sys_.input_bounds[:, 1]
         cert = mlp.init_certificate(layers, seed=11)
-        xs = sample_uniform(sys_.state_bounds, 400, seed=2)
+        xs = sample_uniform(sys_.state_bounds, 400, np.random.default_rng(2))
         for bounds in (False, True):
             for cap in (None, 1e3, 0.05):
                 filt = SafetyFilter(certificate=cert, system=sys_,
@@ -271,7 +271,7 @@ def test_filter_batch_h_is_the_forward_value(system, layers, bounds, count, scal
     cert = mlp.MlpCertificate(cert.layer_sizes, (scale * cert.weights[0],) + cert.weights[1:],
                               cert.biases)
     filt = SafetyFilter(certificate=cert, system=sys_, respect_input_bounds=bounds)
-    xs = sample_uniform(sys_.state_bounds, count, seed=count + 1)
+    xs = sample_uniform(sys_.state_bounds, count, np.random.default_rng(count + 1))
     if scale > 1.0:
         z = np.abs(xs @ cert.weights[0].T)
         assert np.any(z > 30.0) and np.any(z < 30.0)
@@ -359,7 +359,7 @@ def test_decide_marks_a_row_with_a_non_finite_term_infeasible(term, index, value
     # the constraint (a, b) and the input; row 1 alone is spoilt
     base = dubins_system()
     cert = mlp.init_certificate([3, 16, 1], seed=5)
-    xs = sample_uniform(base.state_bounds, 6, seed=3)
+    xs = sample_uniform(base.state_bounds, 6, np.random.default_rng(3))
     h, grads = mlp.values_and_input_gradients(cert, xs)
     terms = {"h": h, "grads": grads, "f": base.f(xs), "g": base.g(xs),
              "refs": base.reference_policy(xs)}
@@ -404,7 +404,7 @@ def test_box_bounded_filter_ignores_correction_cap(system, layers):
     # bounded training filter decides alike with and without one
     sys_ = system()
     cert = mlp.init_certificate(layers, seed=6)
-    xs = sample_uniform(sys_.state_bounds, 2000, seed=7)
+    xs = sample_uniform(sys_.state_bounds, 2000, np.random.default_rng(7))
     # centre h on the sample, so that some constraints bind
     shift = np.median(mlp.forward_batch(cert, xs))
     cert = mlp.MlpCertificate(cert.layer_sizes, cert.weights,

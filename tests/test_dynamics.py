@@ -117,7 +117,7 @@ def test_affinity_of_closed_loop_field():
 def test_labeler_disjoint_and_inside_domain():
     for name in ("dubins", "planar_aerial", "quadruped"):
         sys_ = make_system(name)
-        pts = sample_uniform(sys_.state_bounds, 100_000, seed=2)
+        pts = sample_uniform(sys_.state_bounds, 100_000, np.random.default_rng(2))
         labels = sys_.label_batch(pts)
         # single integer per point by construction; check the label sets
         # cover everything and safe/unsafe samples stay in the domain
@@ -154,7 +154,7 @@ def test_a_nan_coordinate_is_unlabeled(name, coord):
 def test_batch_contract(name, count):
     sys_ = make_system(name)
     n, m = sys_.n, sys_.m
-    pts = sample_uniform(sys_.state_bounds, count, seed=3)
+    pts = sample_uniform(sys_.state_bounds, count, np.random.default_rng(3))
     assert sys_.f(pts).shape == (count, n)
     assert sys_.g(pts).shape == (count, n, m)
     assert sys_.reference_policy(pts).shape == (count, m)

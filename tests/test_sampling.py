@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cbfcert import mlp
-from cbfcert.dynamics import (ControlAffineSystem, Label, collision_cone_label,
-                              collision_cone_label_batch, dubins_system, make_system,
-                              planar_aerial_system)
+from cbfcert.dynamics import (ControlAffineSystem, Label, collision_cone_label_batch,
+                              dubins_system, make_system, planar_aerial_system,
+                              quadruped_system)
 from cbfcert.sampling import (STREAMS, LabelingMeasureError, build_datasets,
                               rejection_sample_label, sample_uniform, stream)
 
@@ -14,12 +14,12 @@ from oracles import min_distance_constant_velocity, reference_label_codes, refer
 
 
 def test_sample_uniform_empty():
-    pts = sample_uniform([[-1, 1]], 0, seed=0)
+    pts = sample_uniform([[-1, 1]], 0, np.random.default_rng(0))
     assert pts.shape == (0, 1)
 
 
 def test_sample_uniform_statistics():
-    pts = sample_uniform([[-2.0, 2.0]] * 3, 100_000, seed=42)
+    pts = sample_uniform([[-2.0, 2.0]] * 3, 100_000, np.random.default_rng(42))
     assert pts.shape == (100_000, 3)
     means = pts.mean(axis=0)
     assert np.all(np.abs(means) < 0.02)
@@ -28,16 +28,16 @@ def test_sample_uniform_statistics():
 
 
 def test_sample_uniform_deterministic():
-    a = sample_uniform([[-1, 1], [0, 5]], 1000, seed=7)
-    b = sample_uniform([[-1, 1], [0, 5]], 1000, seed=7)
+    a = sample_uniform([[-1, 1], [0, 5]], 1000, np.random.default_rng(7))
+    b = sample_uniform([[-1, 1], [0, 5]], 1000, np.random.default_rng(7))
     assert np.all(a == b)
 
 
 def test_sample_uniform_validates_bounds():
     with pytest.raises(ValueError):
-        sample_uniform([[1, 1]], 5, seed=0)
+        sample_uniform([[1, 1]], 5, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        sample_uniform([[0, 1]], -2, seed=0)
+        sample_uniform([[0, 1]], -2, np.random.default_rng(0))
 
 
 _SEEDS = (0, 1, 5, 17, 101, 211, 2**31 - 1, 2**32 - 1)
@@ -115,23 +115,23 @@ def test_rejection_stall_raises():
 def test_collision_cone_head_on_unsafe():
     # robot at origin heading +x at speed 1, obstacle dead ahead, stationary
     state = np.array([0, 0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.5])
-    assert collision_cone_label(state) == Label.UNSAFE
+    assert quadruped_system().label(state) == Label.UNSAFE
 
 
 def test_collision_cone_lateral_safe():
     state = np.array([0, 0, 0.0, 0.0, 1.9, 0.0, 0.0, 0.5])
-    assert collision_cone_label(state, margin=0.2) == Label.SAFE
+    assert quadruped_system(margin=0.2).label(state) == Label.SAFE
 
 
 def test_collision_cone_boundary_inclusive_unsafe():
     # |p| == r exactly
     state = np.array([0, 0, 0.0, 0.5, 0.0, 1.0, 0.0, 0.5])
-    assert collision_cone_label(state) == Label.UNSAFE
+    assert quadruped_system().label(state) == Label.UNSAFE
 
 
 def test_collision_cone_oracle_equivalence_10k():
     sys_ = make_system("quadruped")
-    pts = sample_uniform(sys_.state_bounds, 10_000, seed=9)
+    pts = sample_uniform(sys_.state_bounds, 10_000, np.random.default_rng(9))
     # robot at the origin heading +x at the nominal speed 1 and a still
     # obstacle of radius 0.5, so v_rel = (-1, 0) where vo = (0, 0)
     edge = np.array([
@@ -206,14 +206,14 @@ def test_draws_and_labels_keep_the_bits_of_fresh_array_formulas(name, monkeypatc
     sys_ = make_system(name)
     cert = mlp.init_certificate([sys_.n, 8, 1], seed=1)
     filt = controller.SafetyFilter(certificate=cert, system=sys_)
-    base = sample_uniform(sys_.state_bounds, 3, seed=4)
+    base = sample_uniform(sys_.state_bounds, 3, np.random.default_rng(4))
     odd = [base]
     for value in (np.nan, np.inf, -np.inf):
         for coord in range(sys_.n):
             row = base.copy()
             row[:, coord] = value
             odd.append(row)
-    pts = np.vstack([sample_uniform(sys_.state_bounds, 500, seed=5), *odd])
+    pts = np.vstack([sample_uniform(sys_.state_bounds, 500, np.random.default_rng(5)), *odd])
 
     def draws():
         data = build_datasets(sys_, 300, 300, 300, seed=2)
@@ -222,7 +222,9 @@ def test_draws_and_labels_keep_the_bits_of_fresh_array_formulas(name, monkeypatc
         return [data.safe, data.unsafe, data.domain,
                 simulator.sample_safe_starts(sys_, 10, stream(0, "rollout_starts")),
                 sampling.sample_uniform(sys_.state_bounds, 1100, stream(3, "calibration")),
-                certificate.verification_scores(cert, sys_, filt, 1100, seed=3), labels]
+                certificate.verification_scores(cert, sys_, filt, 1100, seed=3,
+                                                weights=certificate.LossWeights()),
+                labels]
 
     got = draws()
     monkeypatch.setattr(sampling, "sample_uniform", reference_sample_uniform)

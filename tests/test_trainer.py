@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def test_every_mini_batch_takes_rows_from_every_bucket(batch_size):
 
 def test_config_round_trip():
     cfg = toy_config(seed=3)
-    again = TrainConfig.from_dict(cfg.to_dict())
+    again = TrainConfig.from_dict(asdict(cfg))
     assert again == cfg
     with pytest.raises(ValueError):
         TrainConfig.from_dict({"no_such_field": 1})
@@ -192,7 +193,7 @@ def test_refine_reproducible_modulo_wall_clock():
     c2, h2, r2 = refine(cfg)
     assert mlp.certificate_to_json(c1) == mlp.certificate_to_json(c2)
     assert r1 == r2
-    d1, d2 = h1.to_dict(), h2.to_dict()
+    d1, d2 = asdict(h1), asdict(h2)
     for key in ("phase_seconds", "phase_minor_faults"):  # measurements of the machine
         d1.pop(key)
         d2.pop(key)
@@ -216,7 +217,7 @@ def test_history_records_each_phases_minor_faults(monkeypatch):
     assert sum(faults) <= process_faults() - before  # each phase's own faults
     monkeypatch.setattr(trainer, "resource", None)
     _, history, _ = refine(cfg)
-    doc = json.loads(json.dumps(history.to_dict(), indent=2))
+    doc = json.loads(json.dumps(asdict(history), indent=2))
     assert doc["phase_minor_faults"] == [None, None]
 
 
