@@ -8,8 +8,7 @@ from .dynamics import (ControlAffineSystem, Label, closed_loop_field, dubins_sys
                        make_system, planar_aerial_system, quadruped_system,
                        register_system)
 from .mlp import (MlpCertificate, adam_step, forward, init_adam,
-                  init_certificate, input_gradient, load_certificate,
-                  save_certificate)
+                  init_certificate, input_gradient, load_certificate)
 from .sampling import TrainingDatasets, build_datasets, sample_uniform
 from .simulator import (Rollout, RolloutStatus, SliceSpec,
                         empirical_safety_rate, levelset_grid, rk4_step, rollout)
@@ -27,5 +26,5 @@ __all__ = [
     "load_certificate", "make_system",
     "planar_aerial_system", "quadruped_system", "quantify_safety", "refine",
     "register_system", "regularized_incomplete_beta", "rk4_step", "rollout",
-    "sample_uniform", "save_certificate", "total_loss",
+    "sample_uniform", "total_loss",
 ]

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mlp
+from . import mlp, sampling
 from .certificate import calibrate, failure_bound
 from .dynamics import ControlAffineSystem
 from .simulator import (Rollout, SimulationConfig, SliceSpec, empirical_safety_rate,
@@ -73,7 +73,10 @@ def _out_dir(args, command: str) -> Path:
         out = Path(root) / command
     else:
         out = Path(command + "-output")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"--out: cannot create directory {out}: {exc.strerror}"]) from None
     return out
 
 
@@ -125,7 +128,8 @@ def cmd_train(args) -> int:
 
     def save(cert_k, name: str) -> None:
         """Write cert_k with the spec of the filter refine scores it under."""
-        mlp.save_certificate(cert_k, out / name, certifying_filter(cert_k, system, config).spec)
+        spec = certifying_filter(cert_k, system, config).spec
+        (out / name).write_text(mlp.certificate_to_json(cert_k, spec))
 
     try:
         cert, history, report = refine(
@@ -164,9 +168,8 @@ def _load_deployment(args):
     filt = certifying_filter(cert, system, config)
     described = filt.spec
     # == takes True for 1.0 and 0 for False; the record must match by type too
-    if recorded is not None and (recorded != described or any(
-            isinstance(recorded[key], bool) != isinstance(value, bool)
-            for key, value in described.items())):
+    if recorded != described or any(isinstance(recorded[key], bool) != isinstance(value, bool)
+                                    for key, value in described.items()):
         raise ConfigError([f"certificate: certified under filter {recorded}; "
                            f"the run file describes {described}"])
     return config, sim, spec, filt
@@ -295,13 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--config", "--cert", "--out", "--seed")
     command("levelset", cmd_levelset, "export a barrier level-set grid",
             "--config", "--cert", "--out")
-    curve = command("curve", cmd_curve, "alpha-epsilon tables for chosen N and beta")
+    curve = command("curve", cmd_curve, "alpha-epsilon tables for chosen N and beta", "--out")
     curve.add_argument("--n", type=int, action="append")
     curve.add_argument("--beta", type=float, action="append")
     curve.add_argument("--alpha-min", type=float, default=0.01)
     curve.add_argument("--alpha-max", type=float, default=0.2)
     curve.add_argument("--alpha-count", type=int, default=20)
-    curve.add_argument("--out", **_SHARED_FLAGS["--out"])
     return parser
 
 
@@ -313,6 +315,8 @@ def main(argv=None) -> int:
         messages = exc.messages
     except mlp.NumericError as exc:  # a barrier that evaluates to NaN or infinity
         messages = [f"certificate: {exc}"]
+    except sampling.LabelingMeasureError as exc:  # a labeler that (almost) never gives a label
+        messages = [str(exc)]
     for msg in messages:
         print(f"error: {msg}", file=_sys.stderr)
     return 1

@@ -457,31 +457,29 @@ def adam_step(state: OptimizerState, cert: MlpCertificate,
 CERT_FORMAT_VERSION = 2
 
 
-def certificate_to_json(cert: MlpCertificate, filter_spec: dict | None = None) -> str:
+def certificate_to_json(cert: MlpCertificate, filter_spec: dict) -> str:
     """The certificate as a format_version 2 document: each weight and
     bias array is one standard base64 string of its little-endian float64
     bytes in C order, its shape given by layer_sizes. The round trip is
-    bit-exact. A filter_spec, the spec of the filter the certificate was
-    certified under, goes under the optional key "filter"."""
-    doc = {
+    bit-exact. filter_spec, the spec of the filter the certificate was
+    certified under, goes under the last key, "filter"."""
+    return json.dumps({
         "layer_sizes": list(cert.layer_sizes),
         "weights": [_float64_base64(w) for w in cert.weights],
         "biases": [_float64_base64(b) for b in cert.biases],
         "format_version": CERT_FORMAT_VERSION,
-    }
-    if filter_spec is not None:
-        doc["filter"] = filter_spec
-    return json.dumps(doc)
+        "filter": filter_spec,
+    })
 
 
 def _float64_base64(arr: np.ndarray) -> str:
     return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
 
 
-def certificate_from_json(text: str) -> tuple[MlpCertificate, object]:
+def certificate_from_json(text: str) -> tuple[MlpCertificate, dict]:
     """The certificate in a JSON document of format_version 2 (base64
-    arrays), and the filter spec it records (None when it records none),
-    unchecked; raises ValueError when the document is not a certificate."""
+    arrays), and the filter spec object it records, its fields unchecked;
+    raises ValueError when the document is not such a certificate."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("a certificate must be a JSON object")
@@ -495,7 +493,9 @@ def certificate_from_json(text: str) -> tuple[MlpCertificate, object]:
         shapes = list(zip(sizes[1:], sizes[:-1]))
         weights = _base64_arrays(doc["weights"], shapes)
         biases = _base64_arrays(doc["biases"], [(rows,) for rows, _ in shapes])
-        return MlpCertificate(sizes, weights, biases), doc.get("filter")
+        if not isinstance(doc["filter"], dict):
+            raise TypeError(f"filter must be a JSON object, got {json.dumps(doc['filter'])}")
+        return MlpCertificate(sizes, weights, biases), doc["filter"]
     except (KeyError, TypeError, ValueError, NumericError) as exc:
         raise ValueError(f"malformed certificate: {exc!r}") from None
 
@@ -519,10 +519,6 @@ def _base64_arrays(entries, shapes) -> tuple[np.ndarray, ...]:
     return tuple(arrays)
 
 
-def save_certificate(cert: MlpCertificate, path, filter_spec: dict | None = None) -> None:
-    Path(path).write_text(certificate_to_json(cert, filter_spec))
-
-
 def load_certificate(path) -> MlpCertificate:
-    """The certificate at path, without the filter spec it may record."""
+    """The certificate at path, without the filter spec it records."""
     return certificate_from_json(Path(path).read_text())[0]

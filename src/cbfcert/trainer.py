@@ -89,9 +89,9 @@ class TrainConfig:
             errors.append(f"system: unknown {self.system!r}")
         for key, value in self.system_params.items():
             try:
-                # default=str passes a value json cannot write (a numpy
-                # array), which no run file holds, to the builder as before
-                json.dumps(value, allow_nan=False, default=str)
+                # numpy values as their lists or numbers; str passes the rest
+                json.dumps(value, allow_nan=False,
+                           default=lambda v: v.tolist() if hasattr(v, "tolist") else str(v))
             except ValueError:
                 errors.append(f"system_params: {key}: must be finite")
         if not self.hidden_layers or any(h <= 0 for h in self.hidden_layers):

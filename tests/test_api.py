@@ -100,7 +100,7 @@ def test_generators_are_seeded_only_where_streams_are_made():
 def test_only_the_cli_writes_files():
     # every file-writing call of the package, by the function it sits in,
     # and every csv import: the library computes, the command writes its
-    # artifacts (a certificate also through mlp.save_certificate)
+    # artifacts
     writes, csv_importers = [], set()
 
     def visit(node, where):
@@ -122,8 +122,7 @@ def test_only_the_cli_writes_files():
     for path in sorted((_ROOT / "src" / "cbfcert").glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert "cli" in {where.split(".")[0] for where in writes}
-    assert [w for w in writes
-            if w.split(".")[0] != "cli" and w != "mlp.save_certificate"] == []
+    assert [w for w in writes if w.split(".")[0] != "cli"] == []
     assert csv_importers == {"cli"}
 
 

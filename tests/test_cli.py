@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cbfcert.cli import _load_config, main
+from cbfcert.mlp import certificate_to_json
 from cbfcert.simulator import SimulationConfig, SliceSpec
 from cbfcert.trainer import ConfigError, TrainConfig, parse_section
 
@@ -95,6 +96,12 @@ def tiny_dubins_config(tmp_path, **overrides) -> Path:
 DEFAULT_SPEC = {"kappa_gain": 1.0, "respect_input_bounds": False, "correction_cap": None}
 
 
+def write_cert(cert, path, **filter_fields) -> None:
+    """cert at path as train writes it, recording the filter that
+    tiny_dubins_config's run file certifies under, these fields changed."""
+    Path(path).write_text(certificate_to_json(cert, {**DEFAULT_SPEC, **filter_fields}))
+
+
 def test_train_smoke_emits_all_artifacts(tmp_path):
     config = tiny_dubins_config(tmp_path)
     out = tmp_path / "run"
@@ -113,9 +120,11 @@ def test_train_smoke_emits_all_artifacts(tmp_path):
 
 def test_certificate_schema_takes_format_version_2_only():
     schema = json.loads((SCHEMA_DIR / "certificate.schema.json").read_text())
-    for text in (_cert_text(), _cert_text(filter=DEFAULT_SPEC)):
-        validate_schema(json.loads(text), schema)
+    validate_schema(json.loads(_cert_text()), schema)
     for bad in [_FORMAT_1,
+                _cert_text(drop="filter"),
+                _cert_text(filter=None),
+                _cert_text(filter=[DEFAULT_SPEC]),
                 _cert_text(weights=[[[0.5] * 3] * 8, _W1]),
                 _cert_text(biases=[_B0.rstrip("="), _B1]),
                 _cert_text(weights=[_W0[:128] + "!" + _W0[128:], _W1]),
@@ -161,7 +170,7 @@ def test_verify_constant_positive_cert_reports_positive_quantile(tmp_path):
                               (np.zeros((2, 3)), np.zeros((1, 2))),
                               (np.zeros(2), np.array([0.5])))
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(cert, cert_path)
+    write_cert(cert, cert_path)
     config = tiny_dubins_config(tmp_path, alpha=0.005, conformal_samples=4000)
     out = tmp_path / "verify"
     code = main(["verify", "--config", str(config), "--cert", str(cert_path),
@@ -192,7 +201,7 @@ def test_simulate_single_rollout_emits_trajectory(tmp_path):
 
     cert = mlp.init_certificate([3, 8, 1], seed=0)
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(cert, cert_path)
+    write_cert(cert, cert_path)
     config = tiny_dubins_config(
         tmp_path, simulation={"n_rollouts": 1, "horizon_steps": 30, "dt": 0.02})
     out = tmp_path / "sim"
@@ -221,8 +230,7 @@ def test_simulate_states_the_failure_bound_of_its_rate(tmp_path, system, failing
     from cbfcert.dynamics import make_system
 
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(mlp.init_certificate([make_system(system).n, 8, 1], seed=2),
-                         cert_path)
+    write_cert(mlp.init_certificate([make_system(system).n, 8, 1], seed=2), cert_path)
     config = tiny_dubins_config(
         tmp_path, system=system, beta=0.01,
         simulation={"n_rollouts": 40, "horizon_steps": 40, "dt": 0.05,
@@ -247,7 +255,8 @@ def test_simulate_records_the_deployed_against_the_certified_filter(
     from cbfcert import mlp
 
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=0), cert_path)
+    write_cert(mlp.init_certificate([3, 8, 1], seed=0), cert_path, kappa_gain=2.0,
+               respect_input_bounds=bounded_training)
     config = tiny_dubins_config(
         tmp_path, kappa_gain=2.0, respect_input_bounds_training=bounded_training,
         simulation={"n_rollouts": 2, "horizon_steps": 10, "dt": 0.02})
@@ -272,7 +281,7 @@ def test_levelset_resolution_two_gives_four_nodes(tmp_path):
 
     cert = mlp.init_certificate([3, 8, 1], seed=1)
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(cert, cert_path)
+    write_cert(cert, cert_path)
     config = tiny_dubins_config(
         tmp_path, levelset={"free_axes": [0, 1], "resolution": 2,
                             "fixed_values": [0.0, 0.0, 0.0]})
@@ -367,7 +376,7 @@ def test_train_writes_per_round_checkpoints(tmp_path):
     assert rounds, "no per-round checkpoints written"
     for path in [*rounds, out / "certificate.json"]:
         mlp.load_certificate(path)
-        assert json.loads(path.read_text())["filter"] == DEFAULT_SPEC
+        assert check_against("certificate.schema.json", path)["filter"] == DEFAULT_SPEC
     trained = check_against("report.schema.json", out / "report.json")
     assert trained["filter"] == DEFAULT_SPEC
     assert main(["verify", "--config", str(config), "--cert", str(out / "certificate.json"),
@@ -414,7 +423,7 @@ def test_verify_emit_scores_recounts_to_quantile(tmp_path):
 
     cert = mlp.init_certificate([3, 8, 1], seed=5)
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(cert, cert_path)
+    write_cert(cert, cert_path)
     config = tiny_dubins_config(tmp_path)
     out = tmp_path / "scores"
     code = main(["verify", "--config", str(config), "--cert", str(cert_path),
@@ -438,7 +447,7 @@ def test_report_is_strict_json_when_the_score_sum_overflows(tmp_path):
     scaled = mlp.MlpCertificate(cert.layer_sizes, (cert.weights[0], cert.weights[1] * 1e306),
                                 (cert.biases[0], cert.biases[1] * 1e306))
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(scaled, cert_path)
+    write_cert(scaled, cert_path)
     out = tmp_path / "v"
     assert main(["verify", "--config", str(tiny_dubins_config(tmp_path)), "--cert",
                  str(cert_path), "--out", str(out), "--emit-scores"]) == 0
@@ -488,7 +497,7 @@ def test_bad_system_param_value_rejected_before_outputs(tmp_path, capsys, comman
     from cbfcert import mlp
 
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(mlp.init_certificate([8, 8, 1], seed=1), cert_path)
+    write_cert(mlp.init_certificate([8, 8, 1], seed=1), cert_path)
     config = tiny_dubins_config(tmp_path, system="quadruped", system_params=params)
     argv = [command, "--config", str(config), "--out", str(tmp_path / "x")]
     if command != "train":
@@ -516,7 +525,7 @@ def test_non_finite_system_param_rejected_before_outputs(tmp_path, capsys, comma
     from cbfcert import mlp
 
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(mlp.init_certificate([8, 8, 1], seed=1), cert_path)
+    write_cert(mlp.init_certificate([8, 8, 1], seed=1), cert_path)
     config = tiny_dubins_config(tmp_path, system="quadruped", system_params=params)
     argv = [command, "--config", str(config), "--out", str(tmp_path / "x")]
     if command != "train":
@@ -539,7 +548,7 @@ def test_non_finite_barrier_exits_1_before_outputs(tmp_path, capsys, command, me
     cert = mlp.MlpCertificate((3, 2, 1), (np.zeros((2, 3)), np.array([[1e308, -1e308]])),
                               (np.full(2, 1000.0), np.zeros(1)))
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(cert, cert_path)
+    write_cert(cert, cert_path)
     out = tmp_path / "x"
     assert main([command, "--config", str(tiny_dubins_config(tmp_path)), "--cert",
                  str(cert_path), "--out", str(out)]) == 1
@@ -553,8 +562,8 @@ def test_overflowing_rk4_step_exits_1_before_outputs(tmp_path, capsys):
     from cbfcert import mlp
 
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(mlp.MlpCertificate((3, 1), (np.array([[0.0, 0.0, 1.0]]),),
-                                            (np.array([-1e308]),)), cert_path)
+    write_cert(mlp.MlpCertificate((3, 1), (np.array([[0.0, 0.0, 1.0]]),),
+                                  (np.array([-1e308]),)), cert_path)
     config = tiny_dubins_config(tmp_path, simulation={
         "n_rollouts": 3, "horizon_steps": 50, "dt": 0.02, "respect_input_bounds": False})
     out = tmp_path / "x"
@@ -580,7 +589,7 @@ def test_config_section_must_be_an_object(tmp_path, capsys, command, section, va
     from cbfcert import mlp
 
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
+    write_cert(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
     config = tiny_dubins_config(tmp_path, **{section: value})
     argv = [command, "--config", str(config), "--out", str(tmp_path / "x")]
     if command != "train":
@@ -674,10 +683,15 @@ def test_section_built_in_python_equals_the_run_file_one():
     ("simulation", SimulationConfig, {"dt": "x"}),
     ("levelset", SliceSpec, {"resolution": True}),
     (None, TrainConfig, {"system": "quadruped", "system_params": {"margin": float("nan")}}),
+    # a numpy value is checked as the number or list a run file would hold
+    (None, TrainConfig, {"system": "quadruped", "system_params": {"margin": np.float32("nan")}}),
+    (None, TrainConfig, {"system": "quadruped", "system_params": {"margin": np.array([np.nan])}}),
 ], ids=["simulation-SimulationConfig-dt-x", "levelset-SliceSpec-resolution-True",
-        "config-TrainConfig-system_params-nan"])
+        "config-TrainConfig-system_params-nan", "config-TrainConfig-system_params-float32-nan",
+        "config-TrainConfig-system_params-array-nan"])
 def test_section_built_in_python_refuses_like_the_run_file(tmp_path, section, cls, values):
-    config = tiny_dubins_config(tmp_path, **({section: values} if section else values))
+    written = json.loads(json.dumps(values, default=lambda v: v.tolist()))
+    config = tiny_dubins_config(tmp_path, **({section: written} if section else written))
     with pytest.raises(ConfigError) as from_file:
         _load_config(str(config))
     with pytest.raises(ConfigError) as built:
@@ -691,7 +705,7 @@ def test_trajectory_limit_must_be_a_non_negative_integer(tmp_path, capsys, limit
     from cbfcert import mlp
 
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
+    write_cert(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
     config = tiny_dubins_config(
         tmp_path, simulation={"n_rollouts": 3, "horizon_steps": 5,
                               "max_trajectory_files": limit})
@@ -706,7 +720,7 @@ def test_levelset_axes_outside_state_dimension_rejected(tmp_path, capsys):
     from cbfcert import mlp
 
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
+    write_cert(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
     config = tiny_dubins_config(tmp_path, levelset={"free_axes": [0, 5],
                                                     "resolution": 2})
     code = main(["levelset", "--config", str(config), "--cert", str(cert_path),
@@ -766,7 +780,7 @@ def test_mistyped_config_value_rejected_before_outputs(tmp_path, capsys, command
     from cbfcert import mlp
 
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
+    write_cert(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
     base = {"simulation": {"n_rollouts": 3, "horizon_steps": 5},
             "levelset": {"free_axes": [0, 1], "resolution": 2}}
     if section is None:
@@ -792,7 +806,7 @@ def test_negative_seed_exits_1_before_outputs(tmp_path, capsys, command, flag):
     from cbfcert import mlp
 
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
+    write_cert(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
     config = tiny_dubins_config(tmp_path, **({} if flag else {"seed": -1}))
     argv = [command, "--config", str(config), "--out", str(tmp_path / "x")]
     if command != "train":
@@ -809,7 +823,7 @@ def test_seed_flag_of_2_to_the_32_exits_1_before_outputs(tmp_path, capsys, comma
     from cbfcert import mlp
 
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
+    write_cert(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
     argv = [command, "--config", str(tiny_dubins_config(tmp_path)), "--out",
             str(tmp_path / "x"), "--seed", str(2**32)]
     if command != "train":
@@ -826,7 +840,7 @@ def test_training_bounds_flag_must_be_true_or_false(tmp_path, capsys, command,
     from cbfcert import mlp
 
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
+    write_cert(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
     config = tiny_dubins_config(tmp_path, respect_input_bounds_training=value)
     argv = [command, "--config", str(config), "--out", str(tmp_path / "x")]
     if command != "train":
@@ -841,7 +855,7 @@ def test_simulate_honours_false_booleans(tmp_path, monkeypatch):
     from cbfcert import cli, mlp
 
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
+    write_cert(mlp.init_certificate([3, 8, 1], seed=1), cert_path)
     config = tiny_dubins_config(
         tmp_path, simulation={"n_rollouts": 2, "horizon_steps": 5,
                               "respect_input_bounds": False,
@@ -865,7 +879,7 @@ def test_verify_scores_the_sample_once(tmp_path, monkeypatch):
     from cbfcert import certificate, mlp
 
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=5), cert_path)
+    write_cert(mlp.init_certificate([3, 8, 1], seed=5), cert_path)
     config = tiny_dubins_config(tmp_path)
     rows = []
     real_filter = certificate.filter_batch
@@ -889,11 +903,11 @@ def test_verify_scores_the_sample_once(tmp_path, monkeypatch):
 
 
 def _cert_text(drop=None, **changes) -> str:
-    """A [3, 8, 1] certificate document (format_version 2), with keys
-    changed or dropped."""
+    """A [3, 8, 1] certificate document (format_version 2) recording
+    DEFAULT_SPEC, with keys changed or dropped."""
     from cbfcert import mlp
 
-    doc = json.loads(mlp.certificate_to_json(mlp.init_certificate([3, 8, 1], seed=1)))
+    doc = json.loads(certificate_to_json(mlp.init_certificate([3, 8, 1], seed=1), DEFAULT_SPEC))
     doc.update(changes)
     doc.pop(drop, None)
     return json.dumps(doc)
@@ -945,26 +959,43 @@ _MALFORMED_CERTIFICATES = {
     "v2-extra-layer": _cert_text(weights=[_W0, _W1, _W1]),
     "v2-nan": _cert_text(biases=[_base64(np.full(8, np.nan)), _B1]),
     "v2-inf": _cert_text(weights=[_W0, _base64(np.full((1, 8), -np.inf))]),
+    # a certificate records the filter it was certified under, as an object
+    "filter-missing": _cert_text(drop="filter"),
+    "filter-null": _cert_text(filter=None),
+    "filter-list": _cert_text(filter=[DEFAULT_SPEC]),
+    "filter-string": _cert_text(filter="x"),
 }
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate", "levelset"])
 def test_certificates_with_and_without_a_recorded_filter_give_byte_identical_outputs(
-        tmp_path, command):
-    # a certificate that records no filter runs under the run file's, as
-    # one that records the run file's filter does
+        tmp_path, capsys, command):
+    # the record is compared by value: the run file's filter with its keys
+    # in another order gives the same bytes; a certificate that records no
+    # filter is refused, whatever the run file describes
+    config = tiny_dubins_config(tmp_path, kappa_gain=5.0)
+    spec = {**DEFAULT_SPEC, "kappa_gain": 5.0}
     outputs = []
-    for name, text in [("plain", _cert_text()), ("filter", _cert_text(filter=DEFAULT_SPEC))]:
+    for name, recorded in [("filter", spec), ("reordered", dict(reversed(spec.items())))]:
         cert_path = tmp_path / f"cert_{name}.json"
-        cert_path.write_text(text)
+        cert_path.write_text(_cert_text(filter=recorded))
         out = tmp_path / f"out_{name}"
         extra = ["--emit-scores"] if command == "verify" else []
-        assert main([command, "--config", str(tiny_dubins_config(tmp_path)), "--cert",
-                     str(cert_path), "--out", str(out), *extra]) == 0
+        assert main([command, "--config", str(config), "--cert", str(cert_path),
+                     "--out", str(out), *extra]) == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert len(outputs[0]) > 1 and outputs[0] == outputs[1]
     if command == "verify":
-        assert json.loads(outputs[0]["report.json"])["filter"] == DEFAULT_SPEC
+        assert json.loads(outputs[0]["report.json"])["filter"] == spec
+    cert_path = tmp_path / "cert_plain.json"
+    cert_path.write_text(_cert_text(drop="filter"))
+    out = tmp_path / "out_plain"
+    capsys.readouterr()
+    assert main([command, "--config", str(config), "--cert", str(cert_path),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == ("error: unreadable certificate: malformed "
+                                       "certificate: KeyError('filter')\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate", "levelset"])
@@ -976,12 +1007,11 @@ def test_certificates_with_and_without_a_recorded_filter_give_byte_identical_out
     ({**DEFAULT_SPEC, "kappa_gain": "1.0"}, {}),
     ({"kappa_gain": 1.0, "respect_input_bounds": False}, {}),
     ({**DEFAULT_SPEC, "eta": None}, {}),
-    ("x", {}),
     # == takes true for 1.0 and 0 for false; the types must match too
     ({**DEFAULT_SPEC, "kappa_gain": True}, {}),
     ({**DEFAULT_SPEC, "respect_input_bounds": 0}, {}),
 ], ids=["kappa", "bounds", "recorded-kappa", "recorded-text", "recorded-two-keys",
-        "recorded-extra-key", "recorded-string", "recorded-bool-kappa", "recorded-int-bounds"])
+        "recorded-extra-key", "recorded-bool-kappa", "recorded-int-bounds"])
 def test_certificate_of_another_filter_exits_1_before_outputs(tmp_path, capsys, command,
                                                               recorded, overrides):
     cert_path = tmp_path / "cert.json"
@@ -1018,13 +1048,52 @@ def test_certificate_of_another_input_size_exits_1_before_outputs(tmp_path, caps
     from cbfcert import mlp
 
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(mlp.init_certificate([8, 8, 1], seed=1), cert_path)
+    write_cert(mlp.init_certificate([8, 8, 1], seed=1), cert_path)
     out = tmp_path / "x"
     assert main([command, "--config", str(tiny_dubins_config(tmp_path)), "--cert",
                  str(cert_path), "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err == ("error: certificate input size 8 != system "
                                        "dimension 3\n")
+
+
+@pytest.mark.parametrize("command", ["train", "verify", "simulate", "levelset", "curve"])
+@pytest.mark.parametrize("under_a_file", [False, True], ids=["a-file", "under-a-file"])
+def test_unusable_out_exits_1_before_outputs(tmp_path, capsys, command, under_a_file):
+    from cbfcert import mlp
+
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "x" if under_a_file else taken
+    argv = [command, "--out", str(out)]
+    if command != "curve":
+        argv += ["--config", str(tiny_dubins_config(tmp_path))]
+    if command in ("verify", "simulate", "levelset"):
+        write_cert(mlp.init_certificate([3, 8, 1], seed=1), tmp_path / "cert.json")
+        argv += ["--cert", str(tmp_path / "cert.json")]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    reason = "Not a directory" if under_a_file else "File exists"
+    assert capsys.readouterr().err == f"error: --out: cannot create directory {out}: {reason}\n"
+
+
+def test_degenerate_labeler_exits_1_before_outputs(tmp_path, capsys):
+    # under a margin of 1e6 no state of the box is safe to start from; train
+    # reaches the same error inside refine, after its STATUS file exists
+    # (test_train_exits_1_with_the_error_in_status_when_refine_raises)
+    from cbfcert import mlp
+
+    cert_path = tmp_path / "cert.json"
+    write_cert(mlp.init_certificate([8, 8, 1], seed=1), cert_path)
+    config = tiny_dubins_config(tmp_path, system="quadruped", system_params={"margin": 1e6})
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", str(config), "--cert", str(cert_path),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: acceptance rate 0.00e+00 for label SAFE after ") and \
+        err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("command", ["train", "verify", "simulate", "levelset"])
@@ -1083,7 +1152,7 @@ def test_directory_for_an_input_file_exits_1_before_outputs(tmp_path, capsys, co
 
     paths = {"--config": str(tiny_dubins_config(tmp_path)),
              "--cert": str(tmp_path / "cert.json")}
-    mlp.save_certificate(mlp.init_certificate([3, 8, 1], seed=1), paths["--cert"])
+    write_cert(mlp.init_certificate([3, 8, 1], seed=1), paths["--cert"])
     paths[flag] = str(tmp_path)
     argv = [command, "--config", paths["--config"], "--out", str(tmp_path / "x")]
     if command != "train":

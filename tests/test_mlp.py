@@ -386,28 +386,33 @@ def test_certificate_json_round_trip_exact():
     w0 = np.asfortranarray(cert.weights[0])
     w0[0, :3], w0[1, :3] = edges[:3], edges[3:]
     cert = mlp.MlpCertificate(cert.layer_sizes, (w0, cert.weights[1]), cert.biases)
-    text = mlp.certificate_to_json(cert)
+    spec = {"kappa_gain": 1.0, "respect_input_bounds": False, "correction_cap": None}
+    text = mlp.certificate_to_json(cert, spec)
     doc = json.loads(text)
     assert doc["format_version"] == 2
     assert doc["layer_sizes"] == [3, 9, 1]
     assert all(isinstance(entry, str) for entry in doc["weights"] + doc["biases"])
-    assert "filter" not in doc
     back, recorded = mlp.certificate_from_json(text)
     _assert_same_parameters(cert, back)
-    assert recorded is None
+    assert recorded == spec
 
 
 def test_certificate_json_records_the_filter_spec_it_is_given():
     cert = random_cert([3, 9, 1], seed=13, scale=1.7)
     spec = {"kappa_gain": 0.1, "respect_input_bounds": True, "correction_cap": None}
     text = mlp.certificate_to_json(cert, spec)
-    assert json.loads(text)["filter"] == spec
+    doc = json.loads(text)
+    assert doc["filter"] == spec and list(doc)[-1] == "filter"
     back, recorded = mlp.certificate_from_json(text)
     _assert_same_parameters(cert, back)
     assert recorded == spec
-    # the record is read, not checked: the CLI compares it with the run file's
-    doc = {**json.loads(text), "filter": "x"}
-    assert mlp.certificate_from_json(json.dumps(doc))[1] == "x"
+    # the record's fields are read, not checked: the CLI compares them with
+    # the run file's; a record that is missing or not an object is refused
+    assert mlp.certificate_from_json(json.dumps({**doc, "filter": {"x": 1}}))[1] == {"x": 1}
+    for bad in [{k: v for k, v in doc.items() if k != "filter"},
+                *({**doc, "filter": value} for value in (None, "x", [spec], 1.0))]:
+        with pytest.raises(ValueError, match="filter"):
+            mlp.certificate_from_json(json.dumps(bad))
 
 
 def test_certificate_rejects_bad_shapes():

@@ -487,8 +487,10 @@ def test_three_input_system_rollout_and_simulate(registered_integrator_3d, tmp_p
     for ro in batch:
         check_three_input_decisions(filt, ro.states[:-1], ro.inputs)
 
+    # the run file's filter trains without the bounds, under the default gain
     cert_path = tmp_path / "cert.json"
-    mlp.save_certificate(cert, cert_path)
+    certified = dataclasses.replace(filt, respect_input_bounds=False)
+    cert_path.write_text(mlp.certificate_to_json(cert, certified.spec))
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
         "system": "integrator_3d", "hidden_layers": [6], "seed": 3,
